@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (
     BoundaryMassError,
+    DiagnosticsError,
     concentration_metrics,
     decay_fit,
     run_diagnostics,
@@ -40,8 +41,9 @@ from .frozen_solver import (
     GroundEnergySample,
     SolverError,
     explicit_sigma_and_grad,
+    ground_state,
     profile_moments,
-    shoot_radial,
+    sigma_bracket,
 )
 from .landscape import (
     LandscapeError,
@@ -209,6 +211,8 @@ class RunConfig:
         sol = sections.get("solver", {})
         self.grid_radius = _one_float(sol["grid_radius"], "solver.grid_radius") if "grid_radius" in sol else None
         self.grid_points = _one_int(sol["grid_points"], "solver.grid_points") if "grid_points" in sol else None
+        if self.grid_points is not None and self.grid_points < 8:
+            raise ConfigError(f"solver.grid_points must be at least 8, got {self.grid_points}")
         self.eps_list = _floats(sol["eps"], "solver.eps") if "eps" in sol else None
         if self.eps_list is not None and any(e <= 0 for e in self.eps_list):
             raise ConfigError("solver.eps values must be positive")
@@ -398,16 +402,22 @@ def _prepare(cfg: RunConfig, command: str):
 # subcommands
 
 def cmd_solve_frozen(cfg: RunConfig) -> int:
-    """Shoot the frozen ground state at the target point and report on it."""
+    """Compute the frozen ground state at the target point and report on it.
+
+    The decay fit runs before any file is written, so a window the profile
+    cannot fill leaves no partial outputs behind.
+    """
     man = _prepare(cfg, "solve-frozen")
     z = np.asarray(cfg.target if cfg.target is not None else (0.0, 0.0, 0.0))
     point = FrozenPoint.from_model(cfg.model, z)
     t0 = time.perf_counter()
-    prof = shoot_radial(point, cfg.model.nonlin)
-    man.timings["shoot"] = time.perf_counter() - t0
+    prof = ground_state(point, cfg.model.nonlin)
+    man.timings["ground_state"] = time.perf_counter() - t0
+    fit = decay_fit(prof, cfg.decay_window or (2.0, 0.8 * prof.r_max))
     mom = profile_moments(prof, cfg.model.nonlin)
-    grad = 0.5 * mom["mass2"] * np.asarray(point.grad_Vz) - mom["intF"] * np.asarray(point.grad_Kz)
-    sample = GroundEnergySample(z, prof.energy, grad, "shooting")
+    grad = sigma_bracket(mom, np.asarray(point.grad_Vz), np.asarray(point.grad_Kz))
+    method = "rescaled" if cfg.model.nonlin.is_power else "shooting"
+    sample = GroundEnergySample(z, prof.energy, grad, method)
 
     _write_rows(
         man.out(cfg.out_dir, "profile.csv"),
@@ -415,8 +425,6 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
         ([_fmt(r), _fmt(u), _fmt(du)] for r, u, du in zip(prof.r, prof.u, prof.du)),
     )
     _write_json(man.out(cfg.out_dir, "sigma.json"), _sample_payload(sample))
-    window = cfg.decay_window or (2.0, 0.8 * prof.r_max)
-    fit = decay_fit(prof, window)
     _write_json(
         man.out(cfg.out_dir, "frozen_report.json"),
         {
@@ -681,7 +689,7 @@ def main(argv=None) -> int:
         if args.command == "concentration-study":
             return cmd_concentration_study(cfg)
         return cmd_verify(cfg, args.snapshot)
-    except (ConfigError, ModelError, LandscapeError) as exc:
+    except (ConfigError, ModelError, LandscapeError, DiagnosticsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

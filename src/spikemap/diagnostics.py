@@ -26,8 +26,9 @@ from .fields import (
 )
 from .frozen_solver import (
     FrozenPoint,
+    ground_state,
     profile_moments,
-    shoot_radial,
+    sigma_bracket,
     sigma_r,
     sigma_r_explicit,
 )
@@ -280,11 +281,9 @@ def directional_derivative_sigma(z, w, model: ModelSpec):
     z = np.asarray(z, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     point = FrozenPoint.from_model(model, z)
-    prof = shoot_radial(point, model.nonlin)
-    mom = profile_moments(prof, model.nonlin)
-    _, gV = model.V_and_grad(z)
-    _, gK = model.K_and_grad(z)
-    b = float(gV @ w) * mom["mass2"] / 2.0 - float(gK @ w) * mom["intF"]
+    mom = profile_moments(ground_state(point, model.nonlin), model.nonlin)
+    gV, gK = np.asarray(point.grad_Vz), np.asarray(point.grad_Kz)
+    b = sigma_bracket(mom, float(gV @ w), float(gK @ w))
     return b, b
 
 

@@ -3,10 +3,15 @@
 At a point z the problem is -Lap u + V(z) u = K(z) f(u^2) u on R^3, and the
 least energy among nontrivial solutions defines the ground-energy landscape
 over z.  Independent routes to that number live side by side here: radial
-shooting (the workhorse), the closed-form rescaling to the canonical V=K=1
-problem for power nonlinearities, a constrained minimization of the kinetic
-term, and a 3D gradient flow on a box grid.  They deliberately share as little
-code as possible so they can check each other.
+shooting, the closed-form rescaling to the canonical V=K=1 problem for power
+nonlinearities, a constrained minimization of the kinetic term, and a 3D
+gradient flow on a box grid.  They deliberately share as little code as
+possible so they can check each other.
+
+For a power nonlinearity the ground state at z is an exact rescaling of the
+cached canonical profile, so ground_state shoots nothing there; shooting is
+the oracle the other routes are checked against and the only route to a
+profile for a custom f.
 """
 
 from __future__ import annotations
@@ -250,11 +255,14 @@ def shoot_radial(
     """Bisection shooting for the radial ground state at a frozen point.
 
     The amplitude ladder spans [0.1, 100] times the balance scale; the first
-    adjacent (undershoot, overshoot) pair is bisected 80 times.  tol bounds
-    the admissible relative bracket width at the end (80 halvings leave about
-    1e-23, so this only trips if no bracket existed).  Classification runs at
-    n steps; the kept profile is re-integrated at refine * n steps, which is
-    what pushes its finite-difference residual below the contract threshold.
+    adjacent (undershoot, overshoot) pair is bisected until its ends are
+    adjacent floats, at most 80 times.  tol bounds the admissible relative
+    bracket width at the end (float resolution is about 1e-16, so this only
+    trips if no bracket existed).  Classification runs at n steps; the kept
+    profile is re-integrated at refine * n steps, which is what pushes its
+    finite-difference residual below the contract threshold.  Both bisections
+    stop once the midpoint rounds onto an end: every further halving would
+    repeat an integration already done, so the result is the same.
     """
     dr = _R0 / math.sqrt(point.Vz) / n
     force = _make_force(point, nonlin)
@@ -274,6 +282,8 @@ def shoot_radial(
     lo, hi = float(ladder[pair]), float(ladder[pair + 1])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if _integrate(mid, dr, n, force)[0] == 1:
             hi = mid
         else:
@@ -314,6 +324,8 @@ def shoot_radial(
         raise SolverError("fine-stage shooting lost the overshoot/undershoot bracket")
     for _ in range(34):
         mid = 0.5 * (f_lo + f_hi)
+        if not f_lo < mid < f_hi:
+            break
         if fine_cls(mid) == 1:
             f_hi = mid
         else:
@@ -343,10 +355,18 @@ def shoot_radial(
     u_full[t + 1 :] = us[t] * (rt / tail_r) * np.exp(-s * (tail_r - rt))
     du_full[t + 1 :] = u_full[t + 1 :] * (-s - 1.0 / tail_r)
 
-    prof = RadialProfile(
-        r_max=n_tot * dr, n=n_tot, u=u_full, du=du_full,
-        energy=0.0, point=point, splice_index=t,
+    return _with_energy(
+        RadialProfile(
+            r_max=n_tot * dr, n=n_tot, u=u_full, du=du_full,
+            energy=0.0, point=point, splice_index=t,
+        ),
+        nonlin,
     )
+
+
+def _with_energy(prof: RadialProfile, nonlin) -> RadialProfile:
+    """Fill in the frozen action of the stored profile and return it."""
+    point = prof.point
     mom = profile_moments(prof, nonlin)
     prof.energy = 0.5 * (mom["T"] + point.Vz * mom["mass2"]) - point.Kz * mom["intF"]
     return prof
@@ -367,6 +387,15 @@ def profile_moments(prof: RadialProfile, nonlin) -> dict:
         "intF": float(simpson(np.asarray(nonlin.F(u2), dtype=np.float64) * w, x=r)),
         "intfu2": float(simpson(np.asarray(nonlin.f(u2), dtype=np.float64) * u2 * w, x=r)),
     }
+
+
+def sigma_bracket(mom: dict, dV, dK):
+    """The envelope bracket mass2 dV / 2 - intF dK of the ground-energy map.
+
+    With the coefficient gradients for dV, dK it is grad Sigma; with their
+    components along a direction w it is the derivative of Sigma along w.
+    """
+    return 0.5 * mom["mass2"] * dV - mom["intF"] * dK
 
 
 def radial_residual(prof: RadialProfile, point: FrozenPoint, nonlin) -> float:
@@ -501,7 +530,7 @@ def sigma_r(point: FrozenPoint, nonlin, n: int = 4000) -> GroundEnergySample:
     mom = profile_moments(prof, nonlin)
     grad = None
     if point.grad_Vz is not None and point.grad_Kz is not None:
-        grad = 0.5 * mom["mass2"] * np.asarray(point.grad_Vz) - mom["intF"] * np.asarray(point.grad_Kz)
+        grad = sigma_bracket(mom, np.asarray(point.grad_Vz), np.asarray(point.grad_Kz))
     return GroundEnergySample(np.asarray(point.z, dtype=np.float64), prof.energy, grad, "shooting")
 
 
@@ -531,6 +560,28 @@ def _canonical(p, lam, n):
     with _CANON_LOCK:
         _CANON_CACHE[key] = entry
     return entry
+
+
+def ground_state(point: FrozenPoint, nonlin) -> RadialProfile:
+    """Radial ground state at a frozen point.
+
+    For a power nonlinearity this is the cached canonical profile Q rescaled,
+    u(r) = (V/K)^(1/(p-1)) Q(sqrt(V) r) on Q's node count, and no shot runs;
+    at V = K = 1 the arrays equal Q's bit for bit.  Any other nonlinearity is
+    shot at the point.
+    """
+    if not nonlin.is_power:
+        return shoot_radial(point, nonlin)
+    Q = canonical_profile(nonlin.p, nonlin.lam)
+    s = math.sqrt(point.Vz)
+    amp = (point.Vz / point.Kz) ** (1.0 / (nonlin.p - 1.0))
+    return _with_energy(
+        RadialProfile(
+            r_max=Q.r_max / s, n=Q.n, u=amp * Q.u, du=amp * s * Q.du,
+            energy=0.0, point=point, splice_index=Q.splice_index,
+        ),
+        nonlin,
+    )
 
 
 def explicit_sigma_and_grad(z, model):

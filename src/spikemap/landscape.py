@@ -23,8 +23,9 @@ from .frozen_solver import (
     FrozenPoint,
     GroundEnergySample,
     explicit_sigma_and_grad,
+    ground_state,
     profile_moments,
-    shoot_radial,
+    sigma_bracket,
     sigma_r,
 )
 from .model import ModelSpec
@@ -414,11 +415,11 @@ def find_Sstar(model: ModelSpec, candidates, solutions_provider=None, tol: float
     to the tolerance scale).  The reported residual is the worst violation
     max(-sup, inf) over the net.
 
-    With no solutions_provider the brackets come from the radial shooting
-    moments, which is exact for the least-energy representation and the only
-    route whose quadrature error sits below tol.  A provider mapping z to a
-    list of computed 3D solutions switches to the sampled bracket; its
-    failures propagate.
+    With no solutions_provider the brackets come from the moments of the
+    radial ground state, which is exact for the least-energy representation
+    and the only route whose quadrature error sits below tol.  A provider
+    mapping z to a list of computed 3D solutions switches to the sampled
+    bracket; its failures propagate.
     """
     net = _direction_net(ProbeSpec(n_random=0))
     points, resids, notes = [], [], []
@@ -426,11 +427,8 @@ def find_Sstar(model: ModelSpec, candidates, solutions_provider=None, tol: float
         z = np.asarray(cand, dtype=np.float64)
         if solutions_provider is None:
             point = FrozenPoint.from_model(model, z)
-            prof = shoot_radial(point, model.nonlin)
-            mom = profile_moments(prof, model.nonlin)
-            bvec = 0.5 * mom["mass2"] * np.asarray(point.grad_Vz) - mom["intF"] * np.asarray(
-                point.grad_Kz
-            )
+            mom = profile_moments(ground_state(point, model.nonlin), model.nonlin)
+            bvec = sigma_bracket(mom, np.asarray(point.grad_Vz), np.asarray(point.grad_Kz))
             his = los = net @ bvec
         else:
             sols = solutions_provider(z)
@@ -453,8 +451,10 @@ class DriftStudy:
 
     distances uses the one-sided reading: max over S_p of the distance to
     the nearest critical point of K.  A p whose S_p came back empty is
-    recorded in gaps and carries nan.  monotone_decreasing covers the non-gap
-    entries in order.
+    recorded in gaps and carries nan; so is every p when Crit K came back
+    empty without being degenerate, since there is nothing to measure to.
+    monotone_decreasing covers the non-gap entries in order, and is False
+    when there are none.
     """
 
     p_list: list
@@ -470,6 +470,8 @@ def p_to_5_study(model: ModelSpec, p_list, region, seeds=None) -> DriftStudy:
     if not all(a < b for a, b in zip(p_list, p_list[1:])):
         raise LandscapeError("p_list must increase toward 5")
     ck = crit_K(model, region, seeds)
+    if not (ck.points or ck.degenerate):
+        return DriftStudy(p_list, [float("nan")] * len(p_list), list(p_list), False)
     distances, gaps = [], []
     for p in p_list:
         sp = find_Sp(model, p, region, seeds)
@@ -486,7 +488,7 @@ def p_to_5_study(model: ModelSpec, p_list, region, seeds=None) -> DriftStudy:
                 )
             )
     seen = [d for d in distances if np.isfinite(d)]
-    monotone = all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))
+    monotone = bool(seen) and all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))
     return DriftStudy(p_list, distances, gaps, monotone)
 
 

@@ -38,8 +38,8 @@ from .frozen_solver import (
     SolverError,
     _rim_mask,
     explicit_sigma_and_grad,
+    ground_state,
     sample_profile_on_grid,
-    shoot_radial,
 )
 from .model import ModelSpec, Num, PotentialExpr, validate_assumptions
 
@@ -261,7 +261,7 @@ def _seed_field(model: ModelSpec, cfg: MagneticSolveConfig) -> np.ndarray:
         c = np.asarray(cfg.center, dtype=np.float64) if cfg.center is not None \
             else _default_center(model, grid)
         point = FrozenPoint.from_model(model, c)
-        prof = shoot_radial(point, model.nonlin)
+        prof = ground_state(point, model.nonlin)
         amp = sample_profile_on_grid(prof, grid, center=c, scale=cfg.eps)
         X = grid.meshgrid()
         Az = model.A_at(c)

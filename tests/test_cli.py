@@ -162,6 +162,29 @@ def test_solve_frozen_at_target_point(tmp_path):
     assert sig["sigma"] == pytest.approx(E3 * 1.25**0.5, rel=1e-9)
 
 
+def test_solve_frozen_decay_window_beyond_profile_exits_2(tmp_path, capsys):
+    # the profile ends near r = 26 at V = 1, so [40, 60] holds no shell; the
+    # fit runs before any output is written
+    out = tmp_path / "run"
+    text = frozen_config(out) + "\n[diagnostics]\ndecay_window = 40, 60\n"
+    cfg_path = write_config(tmp_path / "run.ini", text)
+    assert main(["solve-frozen", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "decay window" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_too_few_grid_points_exits_2(tmp_path, capsys):
+    cfg_path = write_config(
+        tmp_path / "coarse.ini", magnetic_config(tmp_path / "o", grid_points="4")
+    )
+    assert main(["solve-magnetic", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "grid_points" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["solve-frozen", str(tmp_path / "absent.ini")]) == 2
     assert capsys.readouterr().err.startswith("config error:")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikemap import frozen_solver
 from spikemap.fields import make_grid
 from spikemap.frozen_solver import (
     BracketError,
@@ -17,6 +18,7 @@ from spikemap.frozen_solver import (
     constrained_sigma,
     frozen_action,
     gradient_flow_3d_real,
+    ground_state,
     nehari_project,
     nehari_slack,
     profile_moments,
@@ -107,6 +109,87 @@ def test_scaling_law_on_lattice(p, V, K):
     a = (5.0 - p) / (2.0 * p - 2.0)
     b = 2.0 / (p - 1.0)
     assert sample.sigma == pytest.approx(canonical_energy(p) * V**a * K**(-b), rel=1e-6)
+
+
+@pytest.mark.parametrize("p, V, K", [(2.4, 0.7, 0.6), (2.4, 1.9, 2.2),
+                                     (3.6, 0.7, 2.2), (3.6, 1.9, 0.6)])
+def test_ground_state_rescaling_matches_shooting(p, V, K):
+    # the rescaled canonical profile against an independent shot at the point
+    nl = Nonlinearity.power(1.0, p)
+    point = FrozenPoint((0.0, 0.0, 0.0), V, K)
+    got = ground_state(point, nl)
+    shot = shoot_radial(point, nl)
+    assert got.point == point
+    assert got.energy == pytest.approx(shot.energy, rel=1e-12)
+    m_got, m_shot = profile_moments(got, nl), profile_moments(shot, nl)
+    for key in ("mass2", "intF"):
+        assert m_got[key] == pytest.approx(m_shot[key], rel=1e-12)
+    assert radial_residual(got, point, nl) < 1e-8
+
+
+def test_ground_state_at_unit_coefficients_is_the_canonical_profile(prof3):
+    # V = K = 1 rescales by exactly 1.0, which keeps the magnetic seed bytes
+    got = ground_state(P0, Nonlinearity.power(1.0, 3.0))
+    assert np.array_equal(got.u, prof3.u)
+    assert np.array_equal(got.du, prof3.du)
+    assert got.r_max == prof3.r_max
+    assert got.energy == prof3.energy
+
+
+def test_ground_state_shoots_a_custom_nonlinearity(monkeypatch):
+    # a real custom shot at the default resolution takes minutes; a sentinel
+    # shows the route is taken
+    calls = []
+    sentinel = object()
+
+    def fake_shoot(point, nonlin):
+        calls.append((point, nonlin))
+        return sentinel
+
+    monkeypatch.setattr(frozen_solver, "shoot_radial", fake_shoot)
+    nl = Nonlinearity.custom(lambda s: np.asarray(s), lambda s: 0.25 * np.asarray(s) ** 2, theta=4.0)
+    point = FrozenPoint((0.0, 0.0, 0.0), 1.5, 0.8)
+    assert ground_state(point, nl) is sentinel
+    assert calls == [(point, nl)]
+
+
+def test_power_callers_take_the_rescaling(monkeypatch, tmp_path, prof3):
+    from spikemap.cli import main
+    from spikemap.diagnostics import directional_derivative_sigma
+    from spikemap.landscape import find_Sstar
+    from spikemap.magnetic_solver import MagneticSolveConfig, _seed_field
+
+    def no_shot(*args, **kwargs):
+        raise AssertionError("a power nonlinearity reached shoot_radial")
+
+    monkeypatch.setattr(frozen_solver, "shoot_radial", no_shot)
+    V, K = "1 + x1^2 + x2^2 + x3^2", "1 + 0.5*exp(-((x1-1)^2 + x2^2 + x3^2))"
+    model = ModelSpec(V=parse_potential(V), K=parse_potential(K), A=(ZERO_EXPR,) * 3,
+                      nonlin=Nonlinearity.power(1.0, 3.0))
+    z = np.array([0.3, 0.0, 0.0])
+    directional_derivative_sigma(z, np.array([1.0, 0.0, 0.0]), model)
+    find_Sstar(model, [z])
+    _seed_field(model, MagneticSolveConfig(eps=1.0, grid=make_grid(6.0, 16)))
+    cfg = tmp_path / "frozen.ini"
+    cfg.write_text(f"[model]\nV = {V}\nK = {K}\np = 3\n\n"
+                   f"[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert main(["solve-frozen", str(cfg)]) == 0
+
+
+def test_shooting_never_repeats_an_integration(monkeypatch):
+    # once a bisection bracket spans adjacent floats its midpoint rounds onto
+    # an end, and integrating there again would only repeat a verdict
+    seen = []
+    integrate = frozen_solver._integrate
+
+    def recording(u0, dr, nsteps, force, keep=False):
+        seen.append((u0, dr, nsteps))
+        return integrate(u0, dr, nsteps, force, keep)
+
+    monkeypatch.setattr(frozen_solver, "_integrate", recording)
+    prof = shoot_radial(P0, Nonlinearity.power(1.0, 3.0))
+    assert len(seen) == len(set(seen))
+    assert prof.energy == pytest.approx(E3, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [2.4, 3.0, 3.6])

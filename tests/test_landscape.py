@@ -363,6 +363,18 @@ def test_drift_study_regression_on_bump_model():
     assert d[-1] < d[0] / 2.0
 
 
+def test_drift_study_with_empty_crit_K_records_gaps():
+    # a 4-point seed lattice on [-2, 2] lands no Newton run on the bump at
+    # (1, 0, 0); K is not constant, so there is nothing to measure to
+    model = mk_model(BUMP_V, BUMP_K)
+    ck = crit_K(model, BOX2, seeds=4)
+    assert ck.points == [] and not ck.degenerate
+    study = p_to_5_study(model, [3.0, 4.0], BOX2, seeds=4)
+    assert study.gaps == [3.0, 4.0]
+    assert all(np.isnan(d) for d in study.distances)
+    assert study.monotone_decreasing is False
+
+
 def test_drift_study_guards():
     model = mk_model(BUMP_V, BUMP_K)
     with pytest.raises(LandscapeError):
