@@ -19,6 +19,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -34,7 +35,7 @@ from .diagnostics import (
     decay_fit,
     run_diagnostics,
 )
-from .fields import ComplexField3, link_kinetic_form, make_grid, read_snapshot, write_snapshot
+from .fields import ComplexField3, Hamiltonian, make_grid, read_snapshot, write_snapshot
 from .frozen_solver import (
     ConvergenceError,
     FrozenPoint,
@@ -444,6 +445,11 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
 def _solve_family(cfg: RunConfig, man: _Manifest):
     cfg.require("eps_list")
     grid = cfg.grid()
+    # the largest eps has the smallest blow-up box, reaching sqrt(3) R / eps
+    # at most: a decay window starting beyond that leaves its fit no shell
+    reach = math.sqrt(3.0) * grid.half_extent() / max(cfg.eps_list)
+    if cfg.report and cfg.decay_window is not None and cfg.decay_window[0] >= reach:
+        raise ConfigError(f"decay window starts beyond r = {reach:.6g}, the reach of the blow-up box")
     family = []
     for eps in cfg.eps_list:
         t0 = time.perf_counter()
@@ -607,12 +613,8 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
     man = _prepare(cfg, "verify")
     man.inputs.append(str(snapshot_path))
 
-    phases = cfg.model.link_phases(u.grid, eps)
-    kin = link_kinetic_form(u.values, phases, eps, u.grid.spacing)
     m2 = np.abs(u.values) ** 2
     vol = u.grid.cell_volume
-    Q = kin + float((cfg.model.V_on(u.grid) * m2).sum()) * vol
-    P = float((cfg.model.K_on(u.grid) * np.asarray(cfg.model.nonlin.f(m2)) * m2).sum()) * vol
     J = energy_J(u, cfg.model, eps)
     sol = MagneticSolution(
         u=u,
@@ -620,7 +622,7 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
         energy_J=J,
         scaled_energy=J / eps**3,
         residual_rms=pde_residual(u, cfg.model, eps)[1],
-        nehari_slack=abs(Q - P) / Q if Q > 0 else float("inf"),
+        nehari_slack=Hamiltonian.from_model(cfg.model, u.grid, eps).nehari_slack(u.values),
         spike=_spike_location(u),
         scaled_mass=float(m2.sum()) * vol / eps**3,
         iterations=0,

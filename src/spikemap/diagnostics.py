@@ -21,7 +21,7 @@ from .fields import (
     BoundaryMassWarning,
     ComplexField3,
     VectorField3,
-    boundary_mass,
+    boundary_fraction,
     gradient,
 )
 from .frozen_solver import (
@@ -97,13 +97,6 @@ def current_density(U: ComplexField3):
 # ---------------------------------------------------------------------------
 # translation-test identities
 
-def _l1_boundary_fraction(values: np.ndarray) -> float:
-    total = float(np.abs(values).sum())
-    if total == 0.0:
-        return 0.0
-    return boundary_mass(values) / total
-
-
 def _grad4(arr: np.ndarray, h: float) -> list[np.ndarray]:
     """Fourth-order central differences along each axis.
 
@@ -150,7 +143,7 @@ def pucci_serrin_residual(v: ComplexField3, z0, eps: float, model: ModelSpec):
     scale this residual is judged against, while still rejecting fields
     whose tail never fit in the box.
     """
-    frac = _l1_boundary_fraction(v.values)
+    frac = boundary_fraction(np.abs(v.values))
     if frac > 1e-3:
         raise BoundaryMassError(
             f"blow-up field keeps {frac:.2e} of its mass on the box boundary"
@@ -235,6 +228,20 @@ class DecayFit:
     n_points: int
 
 
+def _shell_maxima(u):
+    """Radii h j and the maxima of |u| over the shells round(r / h) = j around
+    the grid origin."""
+    grid = u.grid
+    h = grid.spacing
+    X = grid.meshgrid()
+    o = grid.origin
+    rr = np.sqrt(sum((X[m] - o[m]) ** 2 for m in range(3)))
+    idx = np.rint(rr / h).astype(np.int64).ravel()
+    sup = np.zeros(int(idx.max()) + 1)
+    np.maximum.at(sup, idx, np.abs(u.values).ravel())
+    return h * np.arange(sup.size), sup
+
+
 def decay_fit(u, window) -> DecayFit:
     """Least-squares decay rates of a field or radial profile over [r1, r2].
 
@@ -244,16 +251,7 @@ def decay_fit(u, window) -> DecayFit:
     """
     r1, r2 = float(window[0]), float(window[1])
     if hasattr(u, "grid"):
-        grid = u.grid
-        h = grid.spacing
-        X = grid.meshgrid()
-        o = grid.origin
-        rr = np.sqrt(sum((X[m] - o[m]) ** 2 for m in range(3)))
-        idx = np.rint(rr / h).astype(np.int64).ravel()
-        mag = np.abs(u.values).ravel()
-        sup = np.zeros(int(idx.max()) + 1)
-        np.maximum.at(sup, idx, mag)
-        radii = h * np.arange(sup.size)
+        radii, sup = _shell_maxima(u)
     else:
         radii = np.asarray(u.r, dtype=np.float64)
         sup = np.abs(np.asarray(u.u, dtype=np.float64))
@@ -567,18 +565,11 @@ class DiagnosticsReport:
 
 
 def _shell_fwhm(v: ComplexField3) -> float:
-    mag = np.abs(v.values)
-    h = v.grid.spacing
-    X = v.grid.meshgrid()
-    o = v.grid.origin
-    rr = np.sqrt(sum((X[m] - o[m]) ** 2 for m in range(3)))
-    idx = np.rint(rr / h).astype(np.int64).ravel()
-    sup = np.zeros(int(idx.max()) + 1)
-    np.maximum.at(sup, idx, mag.ravel())
+    radii, sup = _shell_maxima(v)
     peak = sup.max()
     below = np.where(sup < 0.5 * peak)[0]
     j = int(below[below > int(np.argmax(sup))][0]) if below.size else sup.size - 1
-    return 2.0 * h * j
+    return 2.0 * radii[j]
 
 
 def run_diagnostics(sol: MagneticSolution, model: ModelSpec, window=None) -> DiagnosticsReport:

@@ -1,4 +1,4 @@
-"""Uniform cubic grids, discrete fields, stencil operators and quadrature.
+"""Uniform cubic grids, discrete fields, stencils, the discrete Hamiltonian, quadrature.
 
 Everything downstream (solvers, diagnostics, landscape scans) works on the
 node-centered grids defined here.  Conventions: arrays are indexed [ix, iy, iz],
@@ -9,17 +9,22 @@ that decay below rounding before the boundary).
 
 from __future__ import annotations
 
+import math
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 SNAPSHOT_MAGIC = b"SPKF"
 SNAPSHOT_VERSION = 1
 
 # sixth-order second-derivative stencil weights (per axis, divided by h^2)
 _C0, _C1, _C2, _C3 = -49.0 / 18.0, 1.5, -3.0 / 20.0, 1.0 / 90.0
+
+
+class SolverError(Exception):
+    """A discrete problem has no usable answer."""
 
 
 class BoundaryMassWarning(UserWarning):
@@ -106,11 +111,6 @@ class VectorField3:
         _check_values(self.grid, self.values, 3)
 
 
-def _same_grid(a, b, what):
-    if a.grid != b.grid:
-        raise ValueError(f"{what}: fields live on different grids")
-
-
 def gradient(f):
     """Componentwise central differences, one-sided at the box faces.
 
@@ -122,59 +122,16 @@ def gradient(f):
     return VectorField3(f.grid, np.stack(g))
 
 
-def laplacian(f):
-    """Seven-point Laplacian; one-sided second differences at the faces.
+def boundary_fraction(weights: np.ndarray) -> float:
+    """Share of the total of nonnegative node weights on the outermost node shell.
 
-    The face formula (2 f0 - 5 f1 + 4 f2 - f3) / h^2 is exact for quadratics,
-    matching the interior stencil's exactness class.
+    Pass |u|^2 for a mass fraction, |u| for an L1 fraction; zero for an
+    all-zero field.
     """
-    u = f.values
-    h2 = f.grid.spacing**2
-    out = np.zeros_like(u)
-    for ax in range(3):
-        d2 = (np.roll(u, 1, axis=ax) + np.roll(u, -1, axis=ax) - 2.0 * u) / h2
-        # repair both faces of this axis with the one-sided formula
-        lo = [slice(None)] * 3
-        for face in (0, 1):
-            n = f.grid.dims[ax]
-            idx = [0, 1, 2, 3] if face == 0 else [n - 1, n - 2, n - 3, n - 4]
-            take = []
-            for i in idx:
-                lo[ax] = i
-                take.append(u[tuple(lo)])
-            lo[ax] = idx[0]
-            d2[tuple(lo)] = (2.0 * take[0] - 5.0 * take[1] + 4.0 * take[2] - take[3]) / h2
-        out += d2
-    cls = ComplexField3 if np.iscomplexobj(u) else RealField3
-    return cls(f.grid, out)
-
-
-def covariant_derivative(u: ComplexField3, A: VectorField3, eps: float) -> VectorField3:
-    """(eps/i) grad u - A u, componentwise, with the plain central gradient."""
-    _same_grid(u, A, "covariant_derivative")
-    g = gradient(u).values
-    vals = (eps / 1j) * g - A.values * u.values[None, ...]
-    return VectorField3(u.grid, vals)
-
-
-def boundary_mass(values: np.ndarray, depth: int = 1) -> float:
-    """Sum of |values| over the outermost `depth` node shells."""
-    a = np.abs(values)
-    core = a[depth:-depth, depth:-depth, depth:-depth]
-    return float(a.sum() - core.sum())
-
-
-def integrate(f: RealField3) -> float:
-    """Node-sum quadrature. Warns when the boundary shell carries real weight."""
-    total = float(np.abs(f.values).sum())
-    if total > 0 and boundary_mass(f.values) > 1e-6 * total:
-        warnings.warn(
-            "boundary shell holds more than 1e-6 of the field mass; "
-            "the box is too small for this field",
-            BoundaryMassWarning,
-            stacklevel=2,
-        )
-    return float(f.values.sum()) * f.grid.cell_volume
+    total = float(weights.sum())
+    if total == 0.0:
+        return 0.0
+    return (total - float(weights[1:-1, 1:-1, 1:-1].sum())) / total
 
 
 def masked_hop(u: np.ndarray, k: int, axis: int) -> np.ndarray:
@@ -210,37 +167,126 @@ def const_link_phases(grid: Grid3, a, eps: float) -> LinkPhases:
     return LinkPhases(grid, eps, tuple(per_axis))
 
 
-def apply_link_kinetic(u: np.ndarray, phases: LinkPhases, eps: float, h: float) -> np.ndarray:
-    """Sixth-order phased kinetic operator (the |D^eps|^2 part of the action).
+def apply_link_kinetic(u: np.ndarray, phases: LinkPhases | None, eps: float, h: float) -> np.ndarray:
+    """Sixth-order kinetic operator (the |D^eps|^2 part of the action).
 
-    Dirichlet outside the box: hops that cross a face contribute zero.
+    With link phases the hops are phased.  With phases None they are free:
+    the operator is eps^2 times minus the sixth-order Laplacian, and a real
+    field stays real.  Dirichlet outside the box: hops that cross a face
+    contribute zero.
     """
-    out = np.zeros(u.shape, dtype=np.complex128)
+    out = np.zeros(u.shape, dtype=u.dtype if phases is None else np.complex128)
     for m in range(3):
-        p1, p2, p3 = phases.ph[m]
-        t1 = p1 * masked_hop(u, 1, m) + masked_hop(np.conj(p1) * u, -1, m)
-        t2 = p2 * masked_hop(u, 2, m) + masked_hop(np.conj(p2) * u, -2, m)
-        t3 = p3 * masked_hop(u, 3, m) + masked_hop(np.conj(p3) * u, -3, m)
-        # minus the phased second-derivative stencil along this axis
+        if phases is None:
+            t1, t2, t3 = (masked_hop(u, k, m) + masked_hop(u, -k, m) for k in (1, 2, 3))
+        else:
+            p1, p2, p3 = phases.ph[m]
+            t1 = p1 * masked_hop(u, 1, m) + masked_hop(np.conj(p1) * u, -1, m)
+            t2 = p2 * masked_hop(u, 2, m) + masked_hop(np.conj(p2) * u, -2, m)
+            t3 = p3 * masked_hop(u, 3, m) + masked_hop(np.conj(p3) * u, -3, m)
+        # minus the (phased) second-derivative stencil along this axis
         out += (-_C0) * u - _C1 * t1 - _C2 * t2 - _C3 * t3
     return (eps * eps / (h * h)) * out
 
 
-def link_kinetic_form(u: np.ndarray, phases: LinkPhases, eps: float, h: float) -> float:
-    """<u, T u> h^3 with T the phased kinetic operator. Real and >= 0."""
-    return float(np.real(np.vdot(u, apply_link_kinetic(u, phases, eps, h)))) * h**3
+def _abs2(u: np.ndarray) -> np.ndarray:
+    """|u|^2 node by node; a real field is squared without its zero imaginary part."""
+    return u.real**2 + u.imag**2 if np.iscomplexobj(u) else u * u
 
 
-def h_norm_squared(u: ComplexField3, model, eps: float) -> float:
-    """Squared magnetic Sobolev norm: kinetic quadratic form plus the V-weighted mass.
-
-    Uses the gauge-covariant phased stencil, so the value is invariant under
-    a gauge change of (u, model) to rounding for polynomial gauge functions.
+def _nehari_scale(Q: float, pairing, nonlin, method: str) -> float:
+    """The t > 0 with pairing(t) = int K f(t^2 u^2) u^2 equal to Q, the
+    quadratic form of u.  method is "auto", "closed" (powers) or "bracket".
     """
-    phases = model.link_phases(u.grid, eps)
-    kin = link_kinetic_form(u.values, phases, eps, u.grid.spacing)
-    vmass = float((model.V_on(u.grid) * np.abs(u.values) ** 2).sum()) * u.grid.cell_volume
-    return kin + vmass
+    if Q <= 0:
+        raise SolverError("quadratic part is not positive; field is degenerate")
+    if method not in ("auto", "closed", "bracket"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "closed" and not nonlin.is_power:
+        raise SolverError("closed-form projection needs the power nonlinearity")
+    if method in ("closed", "auto") and nonlin.is_power:
+        base = pairing(1.0)
+        if base <= 0:
+            raise SolverError("nonlinear pairing vanishes; field is degenerate")
+        return (Q / base) ** (1.0 / (nonlin.p - 1.0))
+    # bracket: pairing is nondecreasing in t, so g(t) = pairing(t) - Q crosses once
+    t_lo = t_hi = 1.0
+    for _ in range(200):
+        if pairing(t_lo) < Q:
+            break
+        t_lo *= 0.5
+    for _ in range(200):
+        if pairing(t_hi) > Q:
+            break
+        t_hi *= 2.0
+    if not (pairing(t_lo) < Q < pairing(t_hi)):
+        raise SolverError("could not bracket the constraint scale")
+    return float(brentq(lambda t: pairing(t) - Q, t_lo, t_hi, xtol=1e-300, rtol=1e-15))
+
+
+class Hamiltonian:
+    """The discrete problem T u + V u = K f(|u|^2) u on one grid, T the
+    kinetic operator apply_link_kinetic.
+
+    Built once per (grid, eps, coefficients): from_model takes a model's link
+    phases and V, K on the grid; frozen constants V, K come with phases None.
+    Every 3D solve, energy and residual goes through its quadratic form
+    Q(u) = <u, T u> + int V |u|^2, its pairing P(t) = int K f(t^2 |u|^2) |u|^2
+    and the energy J(u) = Q(u) / 2 - int K F(|u|^2).  The residual is zero on
+    the two-node rim, which carries the Dirichlet data, not the equation.
+    """
+
+    def __init__(self, grid: Grid3, eps: float, V, K, nonlin, phases: LinkPhases | None):
+        self.grid, self.eps, self.V, self.K = grid, eps, V, K
+        self.nonlin, self.phases = nonlin, phases
+        self.vol = grid.cell_volume
+        self.mask = np.zeros(grid.dims)
+        self.mask[2:-2, 2:-2, 2:-2] = 1.0
+
+    @classmethod
+    def from_model(cls, model, grid: Grid3, eps: float) -> "Hamiltonian":
+        return cls(grid, eps, model.V_on(grid), model.K_on(grid), model.nonlin,
+                   model.link_phases(grid, eps))
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return apply_link_kinetic(u, self.phases, self.eps, self.grid.spacing)
+
+    def quad(self, u: np.ndarray, Tu: np.ndarray) -> float:
+        """Q(u), given Tu = apply(u).  Real, and positive for u != 0."""
+        kin = float(np.real(np.vdot(u, Tu))) * self.vol
+        return kin + float((self.V * _abs2(u)).sum()) * self.vol
+
+    def pairing(self, m2: np.ndarray, t: float) -> float:
+        """P(t) for the field with |u|^2 = m2."""
+        ft = np.asarray(self.nonlin.f(t * t * m2))
+        return float((self.K * ft * m2).sum()) * self.vol
+
+    def potential(self, m2: np.ndarray) -> float:
+        """int K F(|u|^2) for the field with |u|^2 = m2."""
+        return float((self.K * np.asarray(self.nonlin.F(m2))).sum()) * self.vol
+
+    def project(self, u: np.ndarray):
+        """(t u, t Tu, t^2 Q(u), |Q - P(t)| / Q) with t u on the Nehari
+        manifold; T(t u) = t T(u) needs no second stencil application."""
+        Tu = self.apply(u)
+        Q = self.quad(u, Tu)
+        m2 = _abs2(u)
+        t = _nehari_scale(Q, lambda s: self.pairing(m2, s), self.nonlin, "auto")
+        return t * u, t * Tu, Q * t * t, abs(Q - self.pairing(m2, t)) / Q
+
+    def nehari_slack(self, u: np.ndarray) -> float:
+        """|Q - P(1)| / Q of u as it stands: zero on the Nehari manifold."""
+        Q = self.quad(u, self.apply(u))
+        return abs(Q - self.pairing(_abs2(u), 1.0)) / Q if Q > 0 else float("inf")
+
+    def energy(self, u: np.ndarray) -> float:
+        return 0.5 * self.quad(u, self.apply(u)) - self.potential(_abs2(u))
+
+    def residual(self, u: np.ndarray, Tu: np.ndarray):
+        """The rim-masked residual field, given Tu = apply(u), and its rms."""
+        fu = np.asarray(self.nonlin.f(_abs2(u))) * u
+        res = (Tu + self.V * u - self.K * fu) * self.mask
+        return res, math.sqrt(float(np.mean(np.abs(res) ** 2)))
 
 
 def write_snapshot(path, f) -> None:

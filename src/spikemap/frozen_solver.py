@@ -12,6 +12,13 @@ For a power nonlinearity the ground state at z is an exact rescaling of the
 cached canonical profile, so ground_state shoots nothing there; shooting is
 the oracle the other routes are checked against and the only route to a
 profile for a custom f.
+
+Every 3D quadratic form, Nehari projection, energy and residual, here and
+in magnetic_solver, comes from fields.Hamiltonian, and the real 3D flow and
+the magnetic solve run one descent, _descend.  The flow stays an independent
+route through its seed, a shot profile, and its free stencil on a real
+field.  Shooting, the rescaling and the constrained minimization share none
+of it.
 """
 
 from __future__ import annotations
@@ -28,17 +35,12 @@ from scipy.optimize import brentq
 from .fields import (
     ComplexField3,
     Grid3,
+    Hamiltonian,
     RealField3,
-    apply_link_kinetic,
-    const_link_phases,
-    masked_hop,
+    SolverError,
+    _abs2,
+    _nehari_scale,
 )
-
-_C0, _C1, _C2, _C3 = -49.0 / 18.0, 1.5, -3.0 / 20.0, 1.0 / 90.0
-
-
-class SolverError(Exception):
-    pass
 
 
 class BracketError(SolverError):
@@ -366,9 +368,7 @@ def shoot_radial(
 
 def _with_energy(prof: RadialProfile, nonlin) -> RadialProfile:
     """Fill in the frozen action of the stored profile and return it."""
-    point = prof.point
-    mom = profile_moments(prof, nonlin)
-    prof.energy = 0.5 * (mom["T"] + point.Vz * mom["mass2"]) - point.Kz * mom["intF"]
+    prof.energy = frozen_action(prof, prof.point, nonlin)
     return prof
 
 
@@ -431,6 +431,13 @@ def radial_residual(prof: RadialProfile, point: FrozenPoint, nonlin) -> float:
 # ---------------------------------------------------------------------------
 # Nehari projection (shared by every route)
 
+def _grid_hamiltonian(u, point: FrozenPoint, nonlin) -> Hamiltonian:
+    """The frozen scalar problem on u's grid: unit eps, free stencil."""
+    if not isinstance(u, (RealField3, ComplexField3)):
+        raise TypeError(f"cannot project {type(u).__name__} onto the constraint manifold")
+    return Hamiltonian(u.grid, 1.0, point.Vz, point.Kz, nonlin, None)
+
+
 def _quadratic_and_pairing(u, point: FrozenPoint, nonlin):
     """Q = kinetic + V mass at the frozen point, and t -> int K f(t^2 u^2) u^2."""
     if isinstance(u, RadialProfile):
@@ -445,25 +452,9 @@ def _quadratic_and_pairing(u, point: FrozenPoint, nonlin):
 
         return Q, pairing
 
-    if isinstance(u, (RealField3, ComplexField3)):
-        h = u.grid.spacing
-        vol = u.grid.cell_volume
-        if isinstance(u, RealField3):
-            vals = u.values
-            kin = float(np.sum(vals * _lap6_neg(vals, h))) * vol
-        else:
-            phases = const_link_phases(u.grid, point.Az, 1.0)
-            kin = float(np.real(np.vdot(u.values, apply_link_kinetic(u.values, phases, 1.0, h)))) * vol
-        m2 = np.abs(u.values) ** 2
-        Q = kin + point.Vz * float(m2.sum()) * vol
-
-        def pairing(t):
-            ft = np.asarray(nonlin.f(t * t * m2), dtype=np.float64)
-            return point.Kz * float(np.sum(ft * m2)) * vol
-
-        return Q, pairing
-
-    raise TypeError(f"cannot project {type(u).__name__} onto the constraint manifold")
+    H = _grid_hamiltonian(u, point, nonlin)
+    m2 = _abs2(u.values)
+    return H.quad(u.values, H.apply(u.values)), lambda t: H.pairing(m2, t)
 
 
 def nehari_project(u, point: FrozenPoint, nonlin, method: str = "auto") -> float:
@@ -474,30 +465,7 @@ def nehari_project(u, point: FrozenPoint, nonlin, method: str = "auto") -> float
     method="closed" or "bracket" to force a route.
     """
     Q, pairing = _quadratic_and_pairing(u, point, nonlin)
-    if Q <= 0:
-        raise SolverError("quadratic part is not positive; field is degenerate")
-    if method not in ("auto", "closed", "bracket"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and not nonlin.is_power:
-        raise SolverError("closed-form projection needs the power nonlinearity")
-    if method in ("closed", "auto") and nonlin.is_power:
-        base = pairing(1.0)
-        if base <= 0:
-            raise SolverError("nonlinear pairing vanishes; field is degenerate")
-        return (Q / base) ** (1.0 / (nonlin.p - 1.0))
-    # bracket: pairing is nondecreasing in t, so g(t) = pairing(t) - Q crosses once
-    t_lo = t_hi = 1.0
-    for _ in range(200):
-        if pairing(t_lo) < Q:
-            break
-        t_lo *= 0.5
-    for _ in range(200):
-        if pairing(t_hi) > Q:
-            break
-        t_hi *= 2.0
-    if not (pairing(t_lo) < Q < pairing(t_hi)):
-        raise SolverError("could not bracket the constraint scale")
-    return float(brentq(lambda t: pairing(t) - Q, t_lo, t_hi, xtol=1e-300, rtol=1e-15))
+    return _nehari_scale(Q, pairing, nonlin, method)
 
 
 def nehari_slack(u, point: FrozenPoint, nonlin, t: float) -> float:
@@ -508,15 +476,10 @@ def nehari_slack(u, point: FrozenPoint, nonlin, t: float) -> float:
 
 def frozen_action(u, point: FrozenPoint, nonlin) -> float:
     """I_z(u) = (1/2)(kinetic + V mass) - int K F(|u|^2), discrete forms."""
-    Q, _ = _quadratic_and_pairing(u, point, nonlin)
-    if isinstance(u, RadialProfile):
-        r = u.r
-        w = 4.0 * np.pi * r * r
-        intF = float(simpson(np.asarray(nonlin.F(u.u**2), dtype=np.float64) * w, x=r))
-    else:
-        m2 = np.abs(u.values) ** 2
-        intF = float(np.sum(np.asarray(nonlin.F(m2), dtype=np.float64))) * u.grid.cell_volume
-    return 0.5 * Q - point.Kz * intF
+    if not isinstance(u, RadialProfile):
+        return _grid_hamiltonian(u, point, nonlin).energy(u.values)
+    mom = profile_moments(u, nonlin)
+    return 0.5 * (mom["T"] + point.Vz * mom["mass2"]) - point.Kz * mom["intF"]
 
 
 # ---------------------------------------------------------------------------
@@ -720,28 +683,52 @@ def constrained_sigma(point: FrozenPoint, nonlin, n: int = 3000, max_steps: int 
 # ---------------------------------------------------------------------------
 # 3D gradient flow on a box grid
 
-def _lap6_neg(u, h):
-    """Minus the sixth-order Laplacian with Dirichlet data outside the box."""
-    acc = (-3.0 * _C0) * u
-    for ax in range(3):
-        acc -= _C1 * (masked_hop(u, 1, ax) + masked_hop(u, -1, ax))
-        acc -= _C2 * (masked_hop(u, 2, ax) + masked_hop(u, -2, ax))
-        acc -= _C3 * (masked_hop(u, 3, ax) + masked_hop(u, -3, ax))
-    return acc / (h * h)
-
-
-def _rim_mask(dims):
-    m = np.zeros(dims)
-    m[2:-2, 2:-2, 2:-2] = 1.0
-    return m
-
-
 def sample_profile_on_grid(prof: RadialProfile, grid: Grid3, center=None, scale: float = 1.0) -> np.ndarray:
     """Profile values u(|x - center| / scale) sampled on the grid nodes."""
     c = np.asarray(center if center is not None else grid.origin, dtype=np.float64)
     X1, X2, X3 = grid.meshgrid()
     rr = np.sqrt((X1 - c[0]) ** 2 + (X2 - c[1]) ** 2 + (X3 - c[2]) ** 2) / scale
     return np.interp(rr.ravel(), prof.r, prof.u, right=0.0).reshape(grid.dims)
+
+
+def _descend(H: Hamiltonian, u, tol, max_iters, step_scale, beta, trace, what):
+    """Heavy-ball descent of the action of H on its Nehari manifold, from u.
+
+    Each step moves against the residual plus a heavy-ball term (reset
+    whenever it points uphill) and projects back onto the manifold, which
+    hands over t Tu: one stencil application per iteration.  Returns the
+    first iterate whose residual rms is below tol * max(1, sup V) * rms(u).
+    Appends {iter, energy, residual, nehari_slack} to trace per iteration;
+    ConvergenceError carries it on divergence or when max_iters runs out.
+    """
+    nonlin = H.nonlin
+    h, eps = H.grid.spacing, H.eps
+    p_curv = nonlin.p if nonlin.is_power else 3.0
+    vmax = float(np.max(H.V))
+    eta = step_scale / (18.14 * eps * eps / (h * h) + (1.0 + p_curv) * vmax)
+    scale = max(1.0, vmax)
+    u, Tu, Q, slack = H.project(u * H.mask)
+    mom = np.zeros_like(u)
+    rn0 = None
+    for it in range(max_iters):
+        m2 = _abs2(u)
+        res, rn = H.residual(u, Tu)
+        un = math.sqrt(float(np.mean(m2)))
+        J = 0.5 * Q - H.potential(m2)
+        trace.append({"iter": it, "energy": J, "residual": rn, "nehari_slack": slack})
+        if not math.isfinite(J):
+            raise ConvergenceError(f"{what} diverged to a non-finite energy", trace)
+        if rn0 is None:
+            rn0 = rn
+        elif rn > 1e3 * rn0:
+            raise ConvergenceError(f"{what} residual grew out of control", trace)
+        if rn <= tol * scale * un:
+            return u
+        if float(np.real(np.vdot(mom, res))) < 0.0:
+            mom[:] = 0.0
+        mom = beta * mom + res
+        u, Tu, Q, slack = H.project((u - eta * mom) * H.mask)
+    raise ConvergenceError(f"{what} did not reach tol={tol} in {max_iters} iterations", trace)
 
 
 def gradient_flow_3d_real(
@@ -756,51 +743,13 @@ def gradient_flow_3d_real(
 ) -> RealField3:
     """Constraint-projected gradient descent for the frozen problem on a box.
 
-    Every step rescales back onto the constraint manifold, so the iteration is
-    plain descent of the scale-invariant action; a heavy-ball term (reset
-    whenever it points uphill) accelerates it.  Converged when the residual
-    rms drops below tol relative to max(1, V) times the field rms.
+    The shared descent on the frozen Hamiltonian with the free stencil, from
+    the shot profile sampled on the grid, so the field stays real.  Converged
+    when the residual rms drops below tol relative to max(1, V) times the
+    field rms.
     """
-    h = grid.spacing
-    V, K = point.Vz, point.Kz
     prof = seed_profile if seed_profile is not None else shoot_radial(point, nonlin)
-    mask = _rim_mask(grid.dims)
-    u = sample_profile_on_grid(prof, grid) * mask
-    vol = grid.cell_volume
-
-    def pairing(t, m2):
-        ft = np.asarray(nonlin.f(t * t * m2), dtype=np.float64)
-        return K * float(np.sum(ft * m2)) * vol
-
-    def project(uu):
-        Q = float(np.sum(uu * _lap6_neg(uu, h))) * vol + V * float(np.sum(uu * uu)) * vol
-        m2 = uu * uu
-        if nonlin.is_power:
-            t = (Q / pairing(1.0, m2)) ** (1.0 / (nonlin.p - 1.0))
-        else:
-            t = brentq(lambda tt: pairing(tt, m2) - Q, 1e-8, 1e8, rtol=1e-15)
-        return uu * t, (t * t * Q - t * t * pairing(t, m2)), Q * t * t
-
-    p_curv = nonlin.p if nonlin.is_power else 3.0
-    eta = 1.8 / (18.14 / (h * h) + (1.0 + p_curv) * V)
-    mom = np.zeros_like(u)
-    u, slack, Q = project(u)
-    scale = max(1.0, V)
-    for it in range(max_iters):
-        fu = np.asarray(nonlin.f(u * u), dtype=np.float64) * u
-        res = (_lap6_neg(u, h) + V * u - K * fu) * mask
-        rn = math.sqrt(float(np.sum(res * res)) * vol)
-        un = math.sqrt(float(np.sum(u * u)) * vol)
-        if trace is not None:
-            act = 0.5 * Q - K * float(np.sum(np.asarray(nonlin.F(u * u), dtype=np.float64))) * vol
-            trace.append({"iter": it, "residual": rn, "action": act, "nehari_slack": slack})
-        if rn <= tol * scale * un:
-            return RealField3(grid, u)
-        if float(np.sum(mom * res)) < 0.0:
-            mom[:] = 0.0
-        mom = beta * mom + res
-        u = (u - eta * mom) * mask
-        u, slack, Q = project(u)
-    raise ConvergenceError(
-        f"frozen 3D flow did not reach tol={tol} in {max_iters} iterations", trace
-    )
+    H = Hamiltonian(grid, 1.0, point.Vz, point.Kz, nonlin, None)
+    u = _descend(H, sample_profile_on_grid(prof, grid), tol, max_iters, 1.8, beta,
+                 trace if trace is not None else [], "frozen 3D flow")
+    return RealField3(grid, u)

@@ -1,12 +1,13 @@
 """Complex-field solver for the magnetic problem on box grids.
 
-The kinetic operator is the sixth-order phased-hop discretization from
-fields.py; its hop phases carry exact line integrals of the vector potential,
-which keeps the discrete energy, the descent direction, and the reported
-residual gauge covariant to rounding for polynomial gauge functions.  The
-expanded form of the operator (the one with an explicit div A term) is never
-assembled here: the phases encode that term exactly.  The analytic div A that
-the model provides is reserved for diagnostics that need the expansion.
+The discrete problem is a fields.Hamiltonian: the sixth-order phased-hop
+kinetic operator, whose hop phases carry exact line integrals of the vector
+potential, which keeps the discrete energy, the descent direction, and the
+reported residual gauge covariant to rounding for polynomial gauge
+functions.  The expanded form of the operator (the one with an explicit
+div A term) is never assembled: the phases encode that term exactly.  The
+solve runs frozen_solver's descent, the one the real 3D flow runs, from this
+module's seeds; energy_J and pde_residual read the same Hamiltonian.
 
 A solve is internally parallel only in the sense of numpy's vectorized
 slab sweeps, whose reduction order is fixed, so repeated runs with the same
@@ -16,27 +17,25 @@ run concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import map_coordinates
-from scipy.optimize import brentq
 
 from .fields import (
     ComplexField3,
     Grid3,
-    apply_link_kinetic,
-    link_kinetic_form,
+    Hamiltonian,
+    _abs2,
+    boundary_fraction,
     make_grid,
     read_snapshot,
 )
 from .frozen_solver import (
-    ConvergenceError,
     FrozenPoint,
     SolverError,
-    _rim_mask,
+    _descend,
     explicit_sigma_and_grad,
     ground_state,
     sample_profile_on_grid,
@@ -134,16 +133,6 @@ def frozen_model_at(z, model: ModelSpec) -> ModelSpec:
     )
 
 
-def _mass2_boundary_fraction(values: np.ndarray) -> float:
-    """Fraction of the squared-modulus mass on the outermost node shell."""
-    a2 = np.abs(values) ** 2
-    total = float(a2.sum())
-    if total == 0.0:
-        return 0.0
-    core = float(a2[1:-1, 1:-1, 1:-1].sum())
-    return (total - core) / total
-
-
 def _warn_if_pinned(uv: np.ndarray) -> None:
     """Warn when |u| falls by more than 60% within one node of its peak."""
     m = np.abs(uv)
@@ -200,14 +189,7 @@ def energy_J(u: ComplexField3, model: ModelSpec, eps: float) -> float:
     The kinetic part is the phased quadratic form, so the value is invariant
     under a gauge change of the pair (u, model).
     """
-    grid = u.grid
-    vol = grid.cell_volume
-    phases = model.link_phases(grid, eps)
-    kin = link_kinetic_form(u.values, phases, eps, grid.spacing)
-    m2 = np.abs(u.values) ** 2
-    vmass = float((model.V_on(grid) * m2).sum()) * vol
-    pot = float((model.K_on(grid) * np.asarray(model.nonlin.F(m2))).sum()) * vol
-    return 0.5 * (kin + vmass) - pot
+    return Hamiltonian.from_model(model, u.grid, eps).energy(u.values)
 
 
 def pde_residual(u: ComplexField3, model: ModelSpec, eps: float):
@@ -220,18 +202,9 @@ def pde_residual(u: ComplexField3, model: ModelSpec, eps: float):
     two-node rim carries the homogeneous Dirichlet data rather than the
     equation, so its rows are reported as zero.
     """
-    grid = u.grid
-    phases = model.link_phases(grid, eps)
-    uv = u.values
-    m2 = np.abs(uv) ** 2
-    fu = np.asarray(model.nonlin.f(m2)) * uv
-    res = (
-        apply_link_kinetic(uv, phases, eps, grid.spacing)
-        + model.V_on(grid) * uv
-        - model.K_on(grid) * fu
-    ) * _rim_mask(grid.dims)
-    rms = math.sqrt(float(np.mean(np.abs(res) ** 2)))
-    return ComplexField3(grid, res), rms
+    H = Hamiltonian.from_model(model, u.grid, eps)
+    res, rms = H.residual(u.values, H.apply(u.values))
+    return ComplexField3(u.grid, res), rms
 
 
 def _default_center(model: ModelSpec, grid: Grid3) -> np.ndarray:
@@ -305,85 +278,30 @@ def solve_magnetic(model: ModelSpec, cfg: MagneticSolveConfig) -> MagneticSoluti
     if model.V0 is None or model.K0 is None:
         validate_assumptions(model)
     grid, eps = cfg.grid, cfg.eps
-    h, vol = grid.spacing, grid.cell_volume
-    nonlin = model.nonlin
-    Varr = model.V_on(grid)
-    Karr = model.K_on(grid)
-    phases = model.link_phases(grid, eps)
-    mask = _rim_mask(grid.dims)
-
+    H = Hamiltonian.from_model(model, grid, eps)
     seed = _seed_field(model, cfg)
-    bm = _mass2_boundary_fraction(seed)
+    bm = boundary_fraction(np.abs(seed) ** 2)
     if bm > 1e-5:
         raise BoundaryMassError(
             f"seed field keeps {bm:.2e} of its mass on the box boundary; enlarge the box"
         )
-    u = seed * mask
-
-    def quad(uv):
-        kin = link_kinetic_form(uv, phases, eps, h)
-        return kin + float((Varr * (uv.real**2 + uv.imag**2)).sum()) * vol
-
-    def pairing(t, m2):
-        ft = np.asarray(nonlin.f(t * t * m2))
-        return float((Karr * ft * m2).sum()) * vol
-
-    def project(uv):
-        Q = quad(uv)
-        m2 = uv.real**2 + uv.imag**2
-        if Q <= 0.0:
-            raise SolverError("quadratic part of the action lost positivity")
-        if nonlin.is_power:
-            t = (Q / pairing(1.0, m2)) ** (1.0 / (nonlin.p - 1.0))
-        else:
-            t = brentq(lambda tt: pairing(tt, m2) - Q, 1e-8, 1e8, rtol=1e-15)
-        slack = abs(Q - pairing(t, m2)) / Q
-        return uv * t, slack, Q * t * t
-
-    p_curv = nonlin.p if nonlin.is_power else 3.0
-    vmax = float(Varr.max())
-    eta = cfg.step_scale / (18.14 * eps * eps / (h * h) + (1.0 + p_curv) * vmax)
-    scale = max(1.0, vmax)
-    mom = np.zeros_like(u)
-    u, slack, Q = project(u)
     trace: list = []
-    rn0 = None
-    for it in range(cfg.max_iters):
-        m2 = u.real**2 + u.imag**2
-        fu = np.asarray(nonlin.f(m2)) * u
-        res = (apply_link_kinetic(u, phases, eps, h) + Varr * u - Karr * fu) * mask
-        rn = math.sqrt(float(np.mean(np.abs(res) ** 2)))
-        un = math.sqrt(float(np.mean(m2)))
-        J = 0.5 * Q - float((Karr * np.asarray(nonlin.F(m2))).sum()) * vol
-        trace.append({"iter": it, "energy": J, "residual": rn, "nehari_slack": slack})
-        if not math.isfinite(J):
-            raise ConvergenceError("magnetic descent diverged to a non-finite energy", trace)
-        if rn0 is None:
-            rn0 = rn
-        elif rn > 1e3 * rn0:
-            raise ConvergenceError("magnetic descent residual grew out of control", trace)
-        if rn <= cfg.tol * scale * un:
-            _warn_if_pinned(u)
-            sol_u = ComplexField3(grid, u)
-            return MagneticSolution(
-                u=sol_u,
-                eps=eps,
-                energy_J=J,
-                scaled_energy=J / eps**3,
-                residual_rms=rn,
-                nehari_slack=slack,
-                spike=_spike_location(sol_u),
-                scaled_mass=float(m2.sum()) * vol / eps**3,
-                iterations=it,
-                trace=trace,
-            )
-        if float(np.real(np.vdot(mom, res))) < 0.0:
-            mom[:] = 0.0
-        mom = cfg.beta * mom + res
-        u = (u - eta * mom) * mask
-        u, slack, Q = project(u)
-    raise ConvergenceError(
-        f"magnetic solve did not reach tol={cfg.tol} in {cfg.max_iters} iterations", trace
+    u = _descend(H, seed, cfg.tol, cfg.max_iters, cfg.step_scale, cfg.beta, trace,
+                 "magnetic descent")
+    _warn_if_pinned(u)
+    last = trace[-1]
+    sol_u = ComplexField3(grid, u)
+    return MagneticSolution(
+        u=sol_u,
+        eps=eps,
+        energy_J=last["energy"],
+        scaled_energy=last["energy"] / eps**3,
+        residual_rms=last["residual"],
+        nehari_slack=last["nehari_slack"],
+        spike=_spike_location(sol_u),
+        scaled_mass=float(_abs2(u).sum()) * grid.cell_volume / eps**3,
+        iterations=last["iter"],
+        trace=trace,
     )
 
 

@@ -68,6 +68,10 @@ _NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
 _COORDS = {"x1": 0, "x2": 1, "x3": 2}
 _FUNCS = ("exp", "sin", "cos")
 
+# Deepest accepted nesting and expression tree: parsing and every tree walk
+# recurse once per level, and a derivative tree is up to 3x as deep.
+_MAX_DEPTH = 100
+
 
 def _tokenize(text):
     toks = []
@@ -100,6 +104,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -117,6 +122,8 @@ class _Parser:
         k, v, pos = self.peek()
         if k != "end":
             raise ParseError(self.text, pos, f"trailing input starting at {v!r}")
+        if _height(node) > _MAX_DEPTH:
+            raise ParseError(self.text, 0, f"expression tree is deeper than {_MAX_DEPTH} levels")
         return node
 
     def expr(self):
@@ -134,13 +141,20 @@ class _Parser:
         return node
 
     def unary(self):
+        # every nesting of parentheses, calls, signs and powers passes here
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(self.text, self.peek()[2], f"nested deeper than {_MAX_DEPTH} levels")
         if self.peek()[:2] == ("op", "-"):
             self.eat("op")
-            return Neg(self.unary())
-        if self.peek()[:2] == ("op", "+"):
+            node = Neg(self.unary())
+        elif self.peek()[:2] == ("op", "+"):
             self.eat("op")
-            return self.unary()
-        return self.factor()
+            node = self.unary()
+        else:
+            node = self.factor()
+        self.depth -= 1
+        return node
 
     def factor(self):
         node = self.atom()
@@ -170,6 +184,15 @@ class _Parser:
             self.eat("op", ")")
             return node
         raise ParseError(self.text, pos, f"expected a value, found {v!r}")
+
+
+def _height(root) -> int:
+    """Levels of the expression tree, counted without recursion."""
+    height, level = 0, [root]
+    while level:
+        height += 1
+        level = [c for n in level for c in (getattr(n, "a", None), getattr(n, "b", None)) if c is not None]
+    return height
 
 
 def _ev(node, xs):
@@ -477,10 +500,6 @@ class ModelSpec:
             rows.append(g)
         return np.stack(rows, axis=-2)
 
-    def div_A(self, x):
-        jac = self.A_jacobian(x)
-        return np.trace(jac, axis1=-2, axis2=-1)
-
     @property
     def has_field(self) -> bool:
         return not all(is_zero_expr(a.root) for a in self.A)
@@ -492,13 +511,6 @@ class ModelSpec:
 
     def K_on(self, grid: Grid3):
         return self.K.on_grid(grid)
-
-    def A_on(self, grid: Grid3):
-        xs = grid.meshgrid()
-        out = np.zeros((3,) + tuple(grid.dims))
-        for m, a in enumerate(self.A):
-            out[m] = _bcast(_checked(lambda: _ev(a.root, xs), a.text), tuple(grid.dims))
-        return out
 
     def link_phases(self, grid: Grid3, eps: float) -> LinkPhases:
         """Hop phase factors exp(-i/eps * int A . dl) along each grid edge.

@@ -331,6 +331,24 @@ def test_verify_needs_exactly_one_eps(magnetic_run, tmp_path):
     assert main(["verify", cfg_path, str(magnetic_run["snap"])]) == 2
 
 
+def test_solve_magnetic_decay_window_beyond_the_box_exits_2(tmp_path, capsys):
+    # on 24 nodes at R = 7 the eps = 1 blow-up box reaches sqrt(3) * 7 = 12.1,
+    # so a [40, 60] window is refused before the solve writes anything
+    out = tmp_path / "run"
+    text = (
+        f"[model]\nV = {HARMONIC}\nK = 1\np = 3\n\n"
+        "[solver]\ngrid_radius = 7.0\ngrid_points = 24\neps = 1.0\n\n"
+        "[diagnostics]\nreport = true\ndecay_window = 40, 60\n\n"
+        f"[output]\ndirectory = {out}\n"
+    )
+    cfg_path = write_config(tmp_path / "run.ini", text)
+    assert main(["solve-magnetic", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "decay window" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_non_convergence_exits_4(tmp_path, capsys):
     cfg_path = write_config(
         tmp_path / "short.ini",

@@ -2,23 +2,16 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spikemap.fields import (
-    BoundaryMassWarning,
     ComplexField3,
     Grid3,
+    Hamiltonian,
     RealField3,
-    VectorField3,
     apply_link_kinetic,
-    boundary_mass,
+    boundary_fraction,
     const_link_phases,
-    covariant_derivative,
     gradient,
-    integrate,
-    laplacian,
-    link_kinetic_form,
     make_grid,
     masked_hop,
     read_snapshot,
@@ -51,38 +44,13 @@ def test_make_grid_geometry():
     assert g.spacing == pytest.approx(0.5)
 
 
-def test_gaussian_integral():
-    # box radius 8 sigma: the truncated mass is ~1e-15 of the total
-    sigma = 0.9
-    g = make_grid(radius=8 * sigma, n=97)
-    f = gauss_field(g, sigma)
-    exact = (2 * np.pi * sigma**2) ** 1.5
-    assert integrate(f) == pytest.approx(exact, rel=1e-6)
-
-
-@given(a=st.floats(-50, 50), b=st.floats(-50, 50))
-@settings(max_examples=25, deadline=None)
-def test_integrate_linear(a, b):
-    g = make_grid(radius=4.0, n=17)
-    f1 = gauss_field(g, 0.55)
-    f2 = RealField3(g, np.cos(g.meshgrid()[0]) * gauss_field(g, 0.5).values)
-    lhs = integrate(RealField3(g, a * f1.values + b * f2.values))
-    rhs = a * integrate(f1) + b * integrate(f2)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def test_boundary_mass_warning():
+def test_boundary_fraction_counts_the_outer_shell():
     g = make_grid(radius=3.0, n=24)
-    ones = RealField3(g, np.ones(g.dims))
-    assert boundary_mass(ones.values) > 0.1
-    with pytest.warns(BoundaryMassWarning):
-        integrate(ones)
-
-
-def test_compact_field_no_warning(recwarn):
-    g = make_grid(radius=10.0, n=33)
-    integrate(gauss_field(g, 0.7))
-    assert not any(isinstance(w.message, BoundaryMassWarning) for w in recwarn.list)
+    assert boundary_fraction(np.ones(g.dims)) == pytest.approx(1.0 - (22 / 24) ** 3, rel=1e-14)
+    inner = np.zeros(g.dims)
+    inner[1:-1, 1:-1, 1:-1] = 1.0
+    assert boundary_fraction(inner) == 0.0
+    assert boundary_fraction(np.zeros(g.dims)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -99,66 +67,12 @@ def test_gradient_exact_on_affine():
     assert np.allclose(grad.values[2], 0.5, atol=1e-12)
 
 
-def test_laplacian_exact_on_quadratic():
-    # both the interior stencil and the one-sided face rows are exact here
-    g = make_grid(radius=2.0, n=20)
-    X1, X2, X3 = g.meshgrid()
-    f = RealField3(g, X1**2 + 2.0 * X2**2 - X3**2 + X1 - 4.0)
-    lap = laplacian(f)
-    assert np.allclose(lap.values, 2.0 + 4.0 - 2.0, atol=1e-10)
-
-
-def test_laplacian_second_order():
-    def err(n):
-        g = make_grid(radius=np.pi, n=n)
-        X1, X2, X3 = g.meshgrid()
-        f = RealField3(g, np.sin(X1) * np.sin(X2) * np.sin(X3))
-        lap = laplacian(f)
-        inner = (slice(2, -2),) * 3
-        return np.max(np.abs(lap.values[inner] + 3.0 * f.values[inner]))
-
-    e1, e2 = err(33), err(65)
-    assert e1 / e2 == pytest.approx(4.0, rel=0.25)
-
-
 def test_masked_hop_does_not_wrap():
     g = make_grid(radius=1.0, n=8)
     u = np.arange(8**3, dtype=float).reshape(8, 8, 8)
     h = masked_hop(u, 1, 0)
     assert np.all(h[-1] == 0.0)
     assert np.array_equal(h[:-1], u[1:])
-
-
-def test_covariant_derivative_zero_field():
-    # A = 0 on a real field: D = (eps/i) grad, so values are -i eps grad
-    g = make_grid(radius=3.0, n=24)
-    f = gauss_field(g)
-    A = VectorField3(g, np.zeros((3,) + g.dims))
-    eps = 0.3
-    D = covariant_derivative(ComplexField3(g, f.values.astype(complex)), A, eps)
-    gr = gradient(f)
-    assert np.allclose(D.values.real, 0.0, atol=1e-14)
-    assert np.allclose(D.values.imag, -eps * gr.values, atol=1e-12)
-
-
-def test_covariant_derivative_plane_wave_refines():
-    # u = exp(i a.x / eps) with constant A = a is annihilated in the continuum;
-    # central differences leave an O(h^2) remainder
-    a = np.array([0.4, -0.3, 0.2])
-    eps = 0.5
-
-    def err(n):
-        g = make_grid(radius=2.0, n=n)
-        X = g.meshgrid()
-        phase = (a[0] * X[0] + a[1] * X[1] + a[2] * X[2]) / eps
-        u = ComplexField3(g, np.exp(1j * phase))
-        A = VectorField3(g, np.broadcast_to(a[:, None, None, None], (3,) + g.dims).copy())
-        D = covariant_derivative(u, A, eps)
-        inner = (slice(None), slice(1, -1), slice(1, -1), slice(1, -1))
-        return np.max(np.abs(D.values[inner]))
-
-    e1, e2 = err(25), err(49)
-    assert e1 / e2 == pytest.approx(4.0, rel=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +98,11 @@ def test_link_kinetic_form_positive():
     rng = np.random.default_rng(11)
     g = make_grid(radius=1.5, n=16)
     phases = const_link_phases(g, np.array([0.3, -0.8, 0.1]), 0.7)
+    # with V = 0 the quadratic form is the kinetic form alone
+    H = Hamiltonian(g, 0.7, 0.0, 1.0, None, phases)
     for _ in range(5):
         u = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
-        q = link_kinetic_form(u, phases, 0.7, g.spacing)
+        q = H.quad(u, H.apply(u))
         assert q >= 0.0
 
 
@@ -202,6 +118,17 @@ def test_link_kinetic_matches_free_laplacian_when_gauge_free():
     s2 = 0.25
     cont = -(r2 / s2**2 - 3.0 / s2) * f.values
     assert np.max(np.abs(out[inner] - cont[inner])) < 2e-3 * np.max(np.abs(cont))
+
+
+def test_phase_free_kinetic_keeps_real_fields_real():
+    # no phases is the same stencil as unit phases, without the complex detour
+    g = make_grid(radius=2.0, n=24)
+    f = gauss_field(g, 0.5).values
+    free = apply_link_kinetic(f, None, 0.8, g.spacing)
+    unit = apply_link_kinetic(f, const_link_phases(g, np.zeros(3), 0.8), 0.8, g.spacing)
+    assert free.dtype == np.float64
+    assert np.allclose(free, unit.real, rtol=0.0, atol=1e-13 * np.abs(free).max())
+    assert np.all(unit.imag == 0.0)
 
 
 # ---------------------------------------------------------------------------

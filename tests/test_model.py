@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikemap.fields import h_norm_squared, make_grid, ComplexField3
+from spikemap.fields import ComplexField3, Hamiltonian, make_grid
 from spikemap.model import (
     EvalError,
     ModelError,
@@ -41,7 +41,12 @@ def test_parser_values(text, x, expected):
     assert parse_potential(text).value(pt(*x)) == pytest.approx(expected, rel=1e-14)
 
 
-@pytest.mark.parametrize("bad", ["x1 + * x2", "foo(x1)", "x4", "1 2", "(x1", "", "x1 +"])
+@pytest.mark.parametrize("bad", [
+    "x1 + * x2", "foo(x1)", "x4", "1 2", "(x1", "", "x1 +",
+    # deeper than the nesting limit: recursion in the parser, then in evaluation
+    pytest.param("(" * 400 + "x1" + ")" * 400, id="400-parentheses"),
+    pytest.param("+".join(["1"] * 3000), id="3000-terms"),
+])
 def test_parser_rejects(bad):
     with pytest.raises(ParseError):
         parse_potential(bad)
@@ -161,7 +166,6 @@ def test_A_jacobian_and_divergence():
             e[k] = h
             fd = (model.A_at(x + e)[m] - model.A_at(x - e)[m]) / (2 * h)
             assert jac[m, k] == pytest.approx(fd, rel=1e-7, abs=1e-8)
-    assert model.div_A(x) == pytest.approx(jac[0, 0] + jac[1, 1] + jac[2, 2])
     assert model.has_field
 
 
@@ -185,8 +189,10 @@ def test_gauge_transform_preserves_h_norm():
     u = ComplexField3(g, np.exp(-(X1**2 + X2**2 + X3**2)) * np.exp(1j * X1))
     chi = parse_gauge("0.3*x1*x2 - 0.2*x3^2 + x1")
     u2, model2 = gauge_transform(u, model, chi, eps)
-    n1 = h_norm_squared(u, model, eps)
-    n2 = h_norm_squared(u2, model2, eps)
+    H1 = Hamiltonian.from_model(model, g, eps)
+    H2 = Hamiltonian.from_model(model2, g, eps)
+    n1 = H1.quad(u.values, H1.apply(u.values))
+    n2 = H2.quad(u2.values, H2.apply(u2.values))
     assert abs(n2 - n1) <= 1e-12 * abs(n1)
     assert np.allclose(np.abs(u2.values), np.abs(u.values), rtol=1e-13)
 
