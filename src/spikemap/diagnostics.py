@@ -179,6 +179,15 @@ def pucci_serrin_residual(v: ComplexField3, z0, eps: float, model: ModelSpec):
     return res, rel
 
 
+def _field_moments(U: ComplexField3, nonlin):
+    """int Re(i conj(U) grad U), int |U|^2 and int F(|U|^2) by the grid sum."""
+    vol = U.grid.cell_volume
+    Jfield, _ = current_density(U)
+    m2 = np.abs(U.values) ** 2
+    intF = float(np.asarray(nonlin.F(m2), dtype=np.float64).sum()) * vol
+    return Jfield.values.reshape(3, -1).sum(axis=1) * vol, float(m2.sum()) * vol, intF
+
+
 def limit_identity_residual(U: ComplexField3, z0, model: ModelSpec):
     """Limit form of the translation test: coefficients read at z0 alone.
 
@@ -190,14 +199,8 @@ def limit_identity_residual(U: ComplexField3, z0, model: ModelSpec):
     gradient of the explicit ground-energy map, which is what ties spike
     locations to the critical points of that map.
     """
-    grid = U.grid
-    vol = grid.cell_volume
     z0 = np.asarray(z0, dtype=np.float64)
-    Jfield, _ = current_density(U)
-    Jvec = Jfield.values.reshape(3, -1).sum(axis=1) * vol
-    m2 = np.abs(U.values) ** 2
-    mass = float(m2.sum()) * vol
-    intF = float(np.asarray(model.nonlin.F(m2), dtype=np.float64).sum()) * vol
+    Jvec, mass, intF = _field_moments(U, model.nonlin)
     Aj = model.A_jacobian(z0)
     _, gV = model.V_and_grad(z0)
     _, gK = model.K_and_grad(z0)
@@ -415,13 +418,7 @@ def gamma_pm(z, w, model: ModelSpec, solutions):
     _, gK = model.K_and_grad(z)
     vals = []
     for v in solutions:
-        U = phase_factor_split(v, z, model).U
-        vol = U.grid.cell_volume
-        Jfield, _ = current_density(U)
-        Jvec = Jfield.values.reshape(3, -1).sum(axis=1) * vol
-        m2 = np.abs(U.values) ** 2
-        mass = float(m2.sum()) * vol
-        intF = float(np.asarray(model.nonlin.F(m2), dtype=np.float64).sum()) * vol
+        Jvec, mass, intF = _field_moments(phase_factor_split(v, z, model).U, model.nonlin)
         vals.append(float(dAw @ Jvec) + float(gV @ w) * mass / 2.0 - float(gK @ w) * intF)
     return max(vals), min(vals)
 

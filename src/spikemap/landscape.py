@@ -4,7 +4,9 @@ The map z -> Sigma(z) is scalar and cheap for power nonlinearities (explicit
 formula) and a shooting solve per point otherwise.  Everything else in this
 module is root finding on top of it: the Clarke-critical set S, the algebraic
 set S_p, the weak-concentration set S*, the critical points of K, and the
-drift study that tracks dist(S_p, Crit K) as p approaches 5.
+drift study that tracks dist(S_p, Crit K) as p approaches 5.  S, S_p and
+Crit K share one Newton root search.  The landscape command searches each
+set once; the drift study only measures the results it is given.
 """
 
 from __future__ import annotations
@@ -53,11 +55,10 @@ def _as_resolution(resolution) -> tuple:
     return res
 
 
-def _lattice(region: np.ndarray, res: tuple):
+def _lattice(region: np.ndarray, res: tuple) -> np.ndarray:
     axes = [np.linspace(region[k, 0], region[k, 1], res[k]) for k in range(3)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return axes, pts
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass
@@ -127,7 +128,7 @@ def sweep_sigma(region, resolution, model: ModelSpec, n_shoot: int = 4000) -> Gr
     """
     reg = _as_region(region)
     res = _as_resolution(resolution)
-    _, pts = _lattice(reg, res)
+    pts = _lattice(reg, res)
     region_t = tuple((float(lo), float(hi)) for lo, hi in reg)
 
     if model.nonlin.is_power:
@@ -265,6 +266,31 @@ def _dedupe(points, residuals, tol: float = 1e-6):
     return kept_p, kept_r
 
 
+def _newton_roots(fn, starts, reg: np.ndarray, span: float, accept, rejected=None):
+    """Newton from every start; keeps the clean in-region roots z with
+    residual r that pass accept(z, r), deduplicated.  Starts that yield no
+    such root go to rejected as (start, r) when a list is given."""
+    roots, resids = [], []
+    for z0 in starts:
+        z, r, clean = _newton(fn, z0, span)
+        if clean and _in_region(z, reg, span) and accept(z, r):
+            roots.append(z)
+            resids.append(r)
+        elif rejected is not None:
+            rejected.append((z0, r))
+    return _dedupe(roots, resids)
+
+
+def _seed_points(reg: np.ndarray, seeds) -> np.ndarray:
+    """Newton starts: an int n means the n^3 lattice over the region (None
+    means 9), anything else is an iterable of points."""
+    if seeds is None:
+        seeds = 9
+    if np.isscalar(seeds):
+        return _lattice(reg, _as_resolution(int(seeds)))
+    return np.asarray(list(seeds), dtype=np.float64).reshape(-1, 3)
+
+
 def find_S(emap: GroundEnergyMap, model: ModelSpec, probe: ProbeSpec | None = None) -> CriticalSetResult:
     """Critical points of the ground-energy map in the Clarke sense.
 
@@ -290,7 +316,6 @@ def find_S(emap: GroundEnergyMap, model: ModelSpec, probe: ProbeSpec | None = No
         )
     pts = emap.points()
     span = float(np.linalg.norm([hi - lo for lo, hi in emap.region]))
-    notes = []
 
     if model.nonlin.is_power:
         seeds = _lattice_minima(gnorm)
@@ -299,18 +324,12 @@ def find_S(emap: GroundEnergyMap, model: ModelSpec, probe: ProbeSpec | None = No
             seeds = seeds[order[:200]]
         grad_fn = lambda z: explicit_sigma_and_grad(z, model)[1]
         reg = np.asarray(emap.region, dtype=np.float64)
-        roots, resids = [], []
-        for i in seeds:
-            z, r, clean = _newton(grad_fn, pts[i], span)
-            if clean and r < 1e-8 and _in_region(z, reg, span):
-                roots.append(z)
-                resids.append(r)
-            else:
-                notes.append(f"seed {pts[i].tolist()} did not converge (|grad| {r:.3e})")
-        roots, resids = _dedupe(roots, resids)
+        rejected = []
+        roots, resids = _newton_roots(grad_fn, pts[seeds], reg, span, lambda z, r: r < 1e-8, rejected)
+        notes = [f"seed {z0.tolist()} did not converge (|grad| {r:.3e})" for z0, r in rejected]
         return CriticalSetResult("S", roots, resids, method="newton-explicit", notes=notes)
 
-    roots, resids = [], []
+    roots, resids, notes = [], [], []
     for i in _lattice_minima(sig):
         verdict = clarke_critical_test(pts[i], model, probe)
         if verdict.member:
@@ -346,26 +365,13 @@ def find_Sp(model: ModelSpec, p: float, region, seeds=None) -> CriticalSetResult
         k, gk = model.K_and_grad(np.asarray(z, dtype=np.float64))
         return (5.0 - p) * float(k) * np.asarray(gv) - 4.0 * float(v) * np.asarray(gk)
 
-    if seeds is None:
-        seeds = 9
-    if np.isscalar(seeds):
-        _, seed_pts = _lattice(reg, _as_resolution(int(seeds)))
-    else:
-        seed_pts = np.asarray(list(seeds), dtype=np.float64).reshape(-1, 3)
-
-    roots, resids, notes = [], [], []
-    for z0 in seed_pts:
-        z, r, clean = _newton(G, z0, span)
-        if not clean or not _in_region(z, reg, span):
-            continue
+    def accept(z, r):
         _, gv = model.V_and_grad(z)
         _, gk = model.K_and_grad(z)
-        tol = 1e-8 * (1.0 + float(np.linalg.norm(gv)) + float(np.linalg.norm(gk)))
-        if r < tol:
-            roots.append(z)
-            resids.append(r)
-    roots, resids = _dedupe(roots, resids)
-    return CriticalSetResult("Sp", roots, resids, p=p, method="newton-analytic", notes=notes)
+        return r < 1e-8 * (1.0 + float(np.linalg.norm(gv)) + float(np.linalg.norm(gk)))
+
+    roots, resids = _newton_roots(G, _seed_points(reg, seeds), reg, span, accept)
+    return CriticalSetResult("Sp", roots, resids, p=p, method="newton-analytic")
 
 
 def crit_K(model: ModelSpec, region, seeds=None) -> CriticalSetResult:
@@ -376,16 +382,10 @@ def crit_K(model: ModelSpec, region, seeds=None) -> CriticalSetResult:
     """
     reg = _as_region(region)
     span = float(np.linalg.norm(reg[:, 1] - reg[:, 0]))
-    if seeds is None:
-        seeds = 9
-    if np.isscalar(seeds):
-        _, seed_pts = _lattice(reg, _as_resolution(int(seeds)))
-    else:
-        seed_pts = np.asarray(list(seeds), dtype=np.float64).reshape(-1, 3)
-
+    seed_pts = _seed_points(reg, seeds)
     grad_fn = lambda z: model.K_and_grad(np.asarray(z, dtype=np.float64))[1]
-    kvals = np.array([float(model.K_and_grad(z)[0]) for z in seed_pts])
-    gmax = max(float(np.linalg.norm(grad_fn(z))) for z in seed_pts)
+    kvals, kgrads = model.K_and_grad(seed_pts)
+    gmax = float(np.linalg.norm(kgrads, axis=-1).max())
     if gmax <= 1e-14 * max(1.0, float(np.abs(kvals).max())):
         return CriticalSetResult(
             kind="CritK",
@@ -395,13 +395,7 @@ def crit_K(model: ModelSpec, region, seeds=None) -> CriticalSetResult:
             method="degenerate",
             notes=["K is constant over the seed lattice"],
         )
-    roots, resids = [], []
-    for z0 in seed_pts:
-        z, r, clean = _newton(grad_fn, z0, span)
-        if clean and r < 1e-10 and _in_region(z, reg, span):
-            roots.append(z)
-            resids.append(r)
-    roots, resids = _dedupe(roots, resids)
+    roots, resids = _newton_roots(grad_fn, seed_pts, reg, span, lambda z, r: r < 1e-10)
     return CriticalSetResult("CritK", roots, resids, method="newton-analytic")
 
 
@@ -463,27 +457,25 @@ class DriftStudy:
     monotone_decreasing: bool
 
 
-def p_to_5_study(model: ModelSpec, p_list, region, seeds=None) -> DriftStudy:
-    if not model.nonlin.is_power:
-        raise LandscapeError("the drift study needs the power nonlinearity")
-    p_list = [float(p) for p in p_list]
+def p_to_5_study(crit: CriticalSetResult, sp_results) -> DriftStudy:
+    """dist(S_p, Crit K) over computed sets: one Crit K result and one S_p
+    result per p, in increasing p.  It searches nothing, only measures."""
+    p_list = [float(sp.p) for sp in sp_results]
     if not all(a < b for a, b in zip(p_list, p_list[1:])):
         raise LandscapeError("p_list must increase toward 5")
-    ck = crit_K(model, region, seeds)
-    if not (ck.points or ck.degenerate):
+    if not (crit.points or crit.degenerate):
         return DriftStudy(p_list, [float("nan")] * len(p_list), list(p_list), False)
     distances, gaps = [], []
-    for p in p_list:
-        sp = find_Sp(model, p, region, seeds)
+    for sp in sp_results:
         if not sp.points:
-            gaps.append(p)
+            gaps.append(sp.p)
             distances.append(float("nan"))
-        elif ck.degenerate:
+        elif crit.degenerate:
             distances.append(0.0)
         else:
             distances.append(
                 max(
-                    min(float(np.linalg.norm(z - c)) for c in ck.points)
+                    min(float(np.linalg.norm(z - c)) for c in crit.points)
                     for z in sp.points
                 )
             )

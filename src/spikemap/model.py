@@ -24,7 +24,10 @@ class ModelError(Exception):
 class ParseError(ModelError):
     def __init__(self, text, pos, message):
         self.pos = pos
-        super().__init__(f"parse error at position {pos} in {text!r}: {message}")
+        # an expression over 80 characters is quoted 30 characters each side of pos
+        lo, hi = (max(0, pos - 30), pos + 30) if len(text) > 80 else (0, len(text))
+        quoted = ("..." if lo else "") + repr(text[lo:hi]) + ("..." if hi < len(text) else "")
+        super().__init__(f"parse error at position {pos} in {quoted}: {message}")
 
 
 class EvalError(ModelError):

@@ -316,6 +316,25 @@ def test_verify_flags_boundary_mass(magnetic_run, tmp_path, capsys):
     assert "boundary_decay" in capsys.readouterr().err
 
 
+def test_verify_records_its_verdict_in_the_manifest(magnetic_run, tmp_path, capsys):
+    out = tmp_path / "v"
+    cfg_path = write_config(tmp_path / "v.ini", magnetic_config(out))
+    assert main(["verify", cfg_path, str(magnetic_run["snap"])]) == 0
+    assert json.loads((out / "manifest.json").read_text())["failure"] is None
+
+    u = read_snapshot(str(magnetic_run["snap"]))
+    rng = np.random.default_rng(3)
+    u.values[...] *= 1.0 + 0.05 * rng.standard_normal(u.values.shape)
+    bad = tmp_path / "bad.spkf"
+    write_snapshot(str(bad), u)
+    assert main(["verify", cfg_path, str(bad)]) == 5
+    err = capsys.readouterr().err.strip()
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["failure"] == err
+    assert man["failure"].startswith("invariant failure:") and "pucci_serrin" in man["failure"]
+    assert man["outputs"] == ["verify_report.json"]
+
+
 def test_verify_rejects_grid_mismatch(magnetic_run, tmp_path, capsys):
     cfg_path = write_config(
         tmp_path / "mismatch.ini", magnetic_config(tmp_path / "o", grid_points="24")
@@ -347,6 +366,26 @@ def test_solve_magnetic_decay_window_beyond_the_box_exits_2(tmp_path, capsys):
     assert err.startswith("config error:") and "decay window" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_failed_solve_magnetic_still_writes_its_manifest(tmp_path, capsys):
+    # the eps = 1 box on 24 nodes at R = 7 reaches sqrt(3) * 7 = 12.1, so an
+    # [11, 12] window passes the reach check and is refused by the decay fit
+    # only after the solve has written its snapshot and trace
+    out = tmp_path / "run"
+    text = (
+        f"[model]\nV = {HARMONIC}\nK = 1\np = 3\n\n"
+        "[solver]\ngrid_radius = 7.0\ngrid_points = 24\neps = 1.0\n\n"
+        "[diagnostics]\nreport = true\ndecay_window = 11, 12\n\n"
+        f"[output]\ndirectory = {out}\n"
+    )
+    cfg_path = write_config(tmp_path / "run.ini", text)
+    assert main(["solve-magnetic", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["outputs"] == ["solution_eps1.0.spkf", "trace_eps1.0.csv"]
+    assert man["failure"].startswith("DiagnosticsError:") and "decay window" in man["failure"]
+    assert "solve_eps1.0" in man["wall_times_s"]
 
 
 def test_non_convergence_exits_4(tmp_path, capsys):
@@ -491,6 +530,54 @@ def test_landscape_command_end_to_end(tmp_path):
     assert len(dist) == 4
     assert all(b < a for a, b in zip(dist, dist[1:]))
     assert dist[0] == pytest.approx(0.639643, abs=1e-5)
+
+
+def test_landscape_searches_each_set_once(tmp_path, monkeypatch):
+    # the model's p = 3 is in p_list, so S_p is searched once per listed p
+    # and Crit K once, shared by their JSON files and the drift study
+    import spikemap.cli
+    import spikemap.landscape
+
+    calls = {"crit_K": 0, "find_Sp": 0}
+
+    def counted(name):
+        fn = getattr(spikemap.landscape, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapped = counted(name)
+        monkeypatch.setattr(spikemap.cli, name, wrapped)
+        monkeypatch.setattr(spikemap.landscape, name, wrapped)
+    out = tmp_path / "land"
+    text = (
+        f"[model]\nV = {HARMONIC}\nK = {BUMP_K}\np = 3\n\n"
+        "[landscape]\nregion = -2, 2, -2, 2, -2, 2\nresolution = 3\n"
+        "p_list = 3.0, 4.0\nseeds = 2\n\n"
+        f"[output]\ndirectory = {out}\n"
+    )
+    assert main(["landscape", write_config(tmp_path / "land.ini", text)]) == 0
+    assert calls == {"crit_K": 1, "find_Sp": 2}
+    assert json.loads((out / "manifest.json").read_text())["failure"] is None
+
+
+@pytest.mark.parametrize("p_list", ["4.0, 3.0", "3.0, 3.0", "1.0, 3.0", "3.0, 5.0"])
+def test_landscape_bad_p_list_exits_2_before_any_work(tmp_path, capsys, p_list):
+    out = tmp_path / "land"
+    text = (
+        f"[model]\nV = {HARMONIC}\nK = {BUMP_K}\np = 3\n\n"
+        f"[landscape]\nregion = -2, 2, -2, 2, -2, 2\nresolution = 7\np_list = {p_list}\n"
+        "seeds = 2\n\n"
+        f"[output]\ndirectory = {out}\n"
+    )
+    assert main(["landscape", write_config(tmp_path / "land.ini", text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "p_list" in err
+    assert not out.exists()
 
 
 def test_landscape_requires_region(tmp_path, capsys):

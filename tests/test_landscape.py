@@ -336,24 +336,30 @@ def test_Sstar_provider_route_uses_gamma_brackets():
 # ---------------------------------------------------------------------------
 # drift toward critical points of K
 
+def drift(model, p_list, region, seeds):
+    """The drift study over one Crit K search and one S_p search per p."""
+    sps = [find_Sp(model, p, region, seeds) for p in p_list]
+    return p_to_5_study(crit_K(model, region, seeds), sps)
+
+
 def test_drift_study_flat_potential_sits_at_zero():
     # same Newton iterates for the balance field and for grad K when V is
     # flat, so both sets land on identical floats and the distance is exact
     model = mk_model("1", BUMP_K)
     seeds = [(0.9, 0.1, -0.1), (1.1, 0.0, 0.0)]
-    study = p_to_5_study(model, [3.0, 4.5], BOX2, seeds=seeds)
+    study = drift(model, [3.0, 4.5], BOX2, seeds)
     assert study.distances == [0.0, 0.0]
     assert study.monotone_decreasing
 
 
 def test_drift_study_degenerate_K_reports_zero():
-    study = p_to_5_study(mk_model(BUMP_V), [3.0, 4.5], ((-1, 1),) * 3, seeds=3)
+    study = drift(mk_model(BUMP_V), [3.0, 4.5], ((-1, 1),) * 3, 3)
     assert study.distances == [0.0, 0.0]
 
 
 def test_drift_study_regression_on_bump_model():
     model = mk_model(BUMP_V, BUMP_K)
-    study = p_to_5_study(model, [3.0, 4.0, 4.5, 4.9], BOX2, seeds=5)
+    study = drift(model, [3.0, 4.0, 4.5, 4.9], BOX2, 5)
     want = [0.639643, 0.371253, 0.187907, 0.037508]
     assert study.distances == pytest.approx(want, abs=1e-5)
     assert study.monotone_decreasing
@@ -369,20 +375,18 @@ def test_drift_study_with_empty_crit_K_records_gaps():
     model = mk_model(BUMP_V, BUMP_K)
     ck = crit_K(model, BOX2, seeds=4)
     assert ck.points == [] and not ck.degenerate
-    study = p_to_5_study(model, [3.0, 4.0], BOX2, seeds=4)
+    study = p_to_5_study(ck, [find_Sp(model, p, BOX2, seeds=4) for p in (3.0, 4.0)])
     assert study.gaps == [3.0, 4.0]
     assert all(np.isnan(d) for d in study.distances)
     assert study.monotone_decreasing is False
 
 
 def test_drift_study_guards():
-    model = mk_model(BUMP_V, BUMP_K)
-    with pytest.raises(LandscapeError):
-        p_to_5_study(model, [3.0, 3.0], BOX2)
-    with pytest.raises(LandscapeError):
-        p_to_5_study(model, [4.0, 3.0], BOX2)
-    with pytest.raises(LandscapeError):
-        p_to_5_study(custom_model(), [3.0, 4.0], BOX2)
+    ck = CriticalSetResult("CritK", [np.array([1.0, 0.0, 0.0])], [0.0])
+    for p_list in ([3.0, 3.0], [4.0, 3.0]):
+        sps = [CriticalSetResult("Sp", [], [], p=p) for p in p_list]
+        with pytest.raises(LandscapeError):
+            p_to_5_study(ck, sps)
 
 
 # ---------------------------------------------------------------------------

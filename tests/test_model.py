@@ -58,6 +58,20 @@ def test_parse_error_carries_position():
     assert exc.value.pos == 5
 
 
+@pytest.mark.parametrize("bad, pos", [
+    pytest.param("+".join(["1"] * 3000), 0, id="3000-terms"),
+    pytest.param("+".join(["x1"] * 40) + " + * " + "+".join(["x2"] * 40), 122, id="mid-error"),
+])
+def test_parse_error_of_a_long_expression_stays_short(bad, pos):
+    # a long expression is quoted as a window around the position, not whole
+    with pytest.raises(ParseError) as exc:
+        parse_potential(bad)
+    assert exc.value.pos == pos
+    msg = str(exc.value)
+    assert len(msg) < 200
+    assert f"position {pos}" in msg and "..." in msg
+
+
 def test_eval_is_vectorized():
     V = parse_potential("1 + x1^2 + x2^2 + x3^2")
     xs = np.stack(np.meshgrid(*[np.linspace(-1, 1, 4)] * 3, indexing="ij"), axis=-1)
