@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 import time
 
@@ -134,16 +133,15 @@ def _triple(text: str, key: str) -> tuple:
     return tuple(vals)
 
 
-def _expr_in_s(text: str, key: str):
+def _expr_in_s(text: str):
     """Turn an expression in the scalar variable s into a vectorized callable."""
-    expr = parse_potential(re.sub(r"\bs\b", "x1", text))
+    expr = parse_potential(text, variables=("s",))
 
     def call(s):
         s = np.asarray(s, dtype=np.float64)
-        pts = np.stack([s, np.zeros_like(s), np.zeros_like(s)], axis=-1)
-        return expr.value(pts)
+        # s[()] makes a 0-d s a numpy scalar, as PotentialExpr.value does a point
+        return expr.on_coords((s[()],), s.shape)
 
-    call.text = text
     return call
 
 
@@ -154,8 +152,8 @@ def _build_nonlinearity(sec: dict) -> Nonlinearity:
             raise ConfigError("a custom nonlinearity needs all of f, F, and theta")
         if "p" in sec or "lam" in sec:
             raise ConfigError("give either p/lam or f/F/theta, not both")
-        f = _expr_in_s(sec["f"], "model.f")
-        F = _expr_in_s(sec["F"], "model.F")
+        f = _expr_in_s(sec["f"])
+        F = _expr_in_s(sec["F"])
         theta = _one_float(sec["theta"], "model.theta")
         s = np.linspace(1e-3, 30.0, 4000)
         fs, Fs = np.asarray(f(s)), np.asarray(F(s))
@@ -395,7 +393,6 @@ class _Manifest:
             "inputs": sorted(self.inputs),
             "outputs": sorted(os.path.basename(p) for p in self.outputs),
             "seeds": {"seed": self.cfg.seed, "rng_seed": self.cfg.rng_seed},
-            "workers": os.environ.get("SPIKEMAP_WORKERS", "1"),
             "wall_times_s": {**self.timings, "total": time.perf_counter() - self.t0},
             "failure": self.failure,
         }
@@ -623,18 +620,22 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
         man.inputs.append(str(snapshot_path))
         m2 = np.abs(u.values) ** 2
         vol = u.grid.cell_volume
-        J = energy_J(u, cfg.model, eps)
+        H = Hamiltonian.from_model(cfg.model, u.grid, eps)
+        J = energy_J(u, cfg.model, eps, H)
         sol = MagneticSolution(
             u=u,
             eps=eps,
             energy_J=J,
             scaled_energy=J / eps**3,
-            residual_rms=pde_residual(u, cfg.model, eps)[1],
-            nehari_slack=Hamiltonian.from_model(cfg.model, u.grid, eps).nehari_slack(u.values),
+            residual_rms=pde_residual(u, cfg.model, eps, H)[1],
+            nehari_slack=H.nehari_slack(u.values),
             spike=_spike_location(u),
             scaled_mass=float(m2.sum()) * vol / eps**3,
             iterations=0,
         )
+        vmax = float(np.max(H.V))
+        # the diagnostics build phases of their own; do not hold both at once
+        del H
         try:
             report = run_diagnostics(sol, cfg.model, window=cfg.decay_window)
         except BoundaryMassError as exc:
@@ -646,7 +647,6 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
         failures = []
         if report.diamagnetic_slack_min < -1e-10:
             failures.append("diamagnetic")
-        vmax = float(np.max(cfg.model.V_on(u.grid)))
         rms_u = float(np.sqrt(np.mean(m2)))
         if sol.residual_rms > cfg.tol * max(1.0, vmax) * rms_u:
             failures.append("pde_residual")
@@ -673,7 +673,6 @@ def _parser() -> argparse.ArgumentParser:
         prog="spikemap",
         description="solver and verification toolkit for spike concentration studies",
     )
-    parser.add_argument("--workers", type=int, default=None, help="cap worker processes")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve-frozen", "solve-magnetic", "landscape", "concentration-study"):
         p = sub.add_parser(name)
@@ -686,8 +685,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.workers is not None:
-        os.environ["SPIKEMAP_WORKERS"] = str(max(1, args.workers))
     try:
         cfg = RunConfig.from_file(args.config)
         if args.command == "solve-frozen":

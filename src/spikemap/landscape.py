@@ -1,21 +1,19 @@
 """Sweeps of the ground-energy map and the candidate spike sets.
 
 The map z -> Sigma(z) is scalar and cheap for power nonlinearities (explicit
-formula) and a shooting solve per point otherwise.  Everything else in this
-module is root finding on top of it: the Clarke-critical set S, the algebraic
-set S_p, the weak-concentration set S*, the critical points of K, and the
-drift study that tracks dist(S_p, Crit K) as p approaches 5.  S, S_p and
-Crit K share one Newton root search.  The landscape command searches each
-set once; the drift study only measures the results it is given.
+formula) and a shooting solve per point otherwise, run serially in lattice
+order.  Everything else in this module is root finding on top of it: the
+Clarke-critical set S, the algebraic set S_p, the weak-concentration set S*,
+the critical points of K, and the drift study that tracks dist(S_p, Crit K)
+as p approaches 5.  S, S_p and Crit K share one Newton root search.  The
+landscape command searches each set once; the drift study only measures the
+results it is given.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +97,7 @@ class GroundEnergyMap:
         return np.asarray(rows, dtype=np.float64).reshape(self.resolution + (3,))
 
 
-def _shoot_sample(task):
-    z, model, n = task
+def _shoot_sample(z, model: ModelSpec, n: int):
     try:
         s = sigma_r(FrozenPoint.from_model(model, z), model.nonlin, n=n)
         return ("ok", float(s.sigma), np.asarray(s.grad_sigma, dtype=np.float64))
@@ -108,23 +105,13 @@ def _shoot_sample(task):
         return ("err", f"{type(exc).__name__}: {exc}", None)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SPIKEMAP_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise LandscapeError(f"SPIKEMAP_WORKERS must be an integer, got {raw!r}") from None
-
-
 def sweep_sigma(region, resolution, model: ModelSpec, n_shoot: int = 4000) -> GroundEnergyMap:
     """Sample the ground-energy map over a lattice.
 
     Power nonlinearities go through the explicit formula in one vectorized
-    call.  Anything else is one shooting solve per lattice point, fanned out
-    over SPIKEMAP_WORKERS processes when that is set above 1 (models that do
-    not pickle fall back to serial); results are aggregated in lattice order
-    either way, so the output does not depend on the worker count.  n_shoot
-    is the radial step count for the shooting path.
+    call.  Anything else is one shooting solve per lattice point, in lattice
+    order; a point whose solve fails is recorded in failures with sigma nan.
+    n_shoot is the radial step count for the shooting path.
     """
     reg = _as_region(region)
     res = _as_resolution(resolution)
@@ -139,20 +126,9 @@ def sweep_sigma(region, resolution, model: ModelSpec, n_shoot: int = 4000) -> Gr
         ]
         return GroundEnergyMap(region_t, res, samples)
 
-    tasks = [(pts[i], model, int(n_shoot)) for i in range(len(pts))]
-    workers = _worker_count()
-    if workers > 1:
-        try:
-            pickle.dumps(model)
-        except Exception:
-            workers = 1
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_shoot_sample, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        results = [_shoot_sample(t) for t in tasks]
     samples, failures = [], []
-    for i, (tag, payload, grad) in enumerate(results):
+    for i in range(len(pts)):
+        tag, payload, grad = _shoot_sample(pts[i], model, int(n_shoot))
         if tag == "ok":
             samples.append(GroundEnergySample(pts[i], payload, grad, "shooting"))
         else:

@@ -183,16 +183,17 @@ def _spike_location(u: ComplexField3) -> np.ndarray:
     return out
 
 
-def energy_J(u: ComplexField3, model: ModelSpec, eps: float) -> float:
+def energy_J(u: ComplexField3, model: ModelSpec, eps: float, H: Hamiltonian | None = None) -> float:
     """J(u) = (kinetic form + V-mass)/2 minus the K-weighted potential term.
 
     The kinetic part is the phased quadratic form, so the value is invariant
-    under a gauge change of the pair (u, model).
+    under a gauge change of the pair (u, model).  H, when given, is the
+    Hamiltonian of (model, u.grid, eps) already built.
     """
-    return Hamiltonian.from_model(model, u.grid, eps).energy(u.values)
+    return (H or Hamiltonian.from_model(model, u.grid, eps)).energy(u.values)
 
 
-def pde_residual(u: ComplexField3, model: ModelSpec, eps: float):
+def pde_residual(u: ComplexField3, model: ModelSpec, eps: float, H: Hamiltonian | None = None):
     """Strong-form residual field of the magnetic equation and its rms.
 
     Applies the same phased discrete Hamiltonian the solver descends on, so a
@@ -200,9 +201,9 @@ def pde_residual(u: ComplexField3, model: ModelSpec, eps: float):
     field's A-dependence (the gradient coupling and the divergence term alike)
     rides inside the hop phases, integrated analytically edge by edge.  The
     two-node rim carries the homogeneous Dirichlet data rather than the
-    equation, so its rows are reported as zero.
+    equation, so its rows are reported as zero.  H is as in energy_J.
     """
-    H = Hamiltonian.from_model(model, u.grid, eps)
+    H = H or Hamiltonian.from_model(model, u.grid, eps)
     res, rms = H.residual(u.values, H.apply(u.values))
     return ComplexField3(u.grid, res), rms
 

@@ -1,16 +1,19 @@
 """Problem data: coefficient expressions, nonlinearity, gauge changes.
 
 Coefficients V, K and the three components of A are given as closed-form
-expressions in x1, x2, x3.  A tiny recursive-descent parser builds an AST;
-evaluation is vectorized over numpy arrays and carries forward-mode
-gradients, and there is a symbolic derivative for building gauge-shifted
-vector potentials and coefficient Jacobians exactly.
+expressions in x1, x2, x3.  A tiny recursive-descent parser builds an AST.
+Each expression is compiled once into a straight-line numpy function, which
+evaluates vectorized over arrays.  Derivatives come from the symbolic diff
+alone: gradients, gauge-shifted vector potentials and coefficient Jacobians
+are compiled from its trees.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +71,7 @@ class Fun:
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 _NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
 
-_COORDS = {"x1": 0, "x2": 1, "x3": 2}
+_COORDS = ("x1", "x2", "x3")  # the variable table of a coefficient
 _FUNCS = ("exp", "sin", "cos")
 
 # Deepest accepted nesting and expression tree: parsing and every tree walk
@@ -103,8 +106,9 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text):
+    def __init__(self, text, variables):
         self.text = text
+        self.variables = variables
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -170,11 +174,13 @@ class _Parser:
         k, v, pos = self.peek()
         if k == "num":
             self.eat("num")
+            if not math.isfinite(float(v)):
+                raise ParseError(self.text, pos, f"number {v} overflows to inf")
             return Num(float(v))
         if k == "ident":
             self.eat("ident")
-            if v in _COORDS:
-                return Coord(_COORDS[v])
+            if v in self.variables:
+                return Coord(self.variables.index(v))
             if v in _FUNCS:
                 self.eat("op", "(")
                 arg = self.expr()
@@ -196,74 +202,6 @@ def _height(root) -> int:
         height += 1
         level = [c for n in level for c in (getattr(n, "a", None), getattr(n, "b", None)) if c is not None]
     return height
-
-
-def _ev(node, xs):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Coord):
-        return xs[node.k]
-    if isinstance(node, Neg):
-        return -_ev(node.a, xs)
-    if isinstance(node, Fun):
-        a = _ev(node.a, xs)
-        if node.name == "exp":
-            return np.exp(a)
-        if node.name == "sin":
-            return np.sin(a)
-        if node.name == "cos":
-            return np.cos(a)
-        return np.log(a)
-    a = _ev(node.a, xs)
-    b = _ev(node.b, xs)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        return a / b
-    return a**b
-
-
-def _ev_grad(node, xs):
-    """Forward-mode value and three partials, all broadcast together."""
-    if isinstance(node, Num):
-        return node.value, [0.0, 0.0, 0.0]
-    if isinstance(node, Coord):
-        g = [0.0, 0.0, 0.0]
-        g[node.k] = 1.0
-        return xs[node.k], g
-    if isinstance(node, Neg):
-        v, g = _ev_grad(node.a, xs)
-        return -v, [-gi for gi in g]
-    if isinstance(node, Fun):
-        v, g = _ev_grad(node.a, xs)
-        if node.name == "exp":
-            e = np.exp(v)
-            return e, [e * gi for gi in g]
-        if node.name == "sin":
-            return np.sin(v), [np.cos(v) * gi for gi in g]
-        if node.name == "cos":
-            return np.cos(v), [-np.sin(v) * gi for gi in g]
-        return np.log(v), [gi / v for gi in g]
-    va, ga = _ev_grad(node.a, xs)
-    vb, gb = _ev_grad(node.b, xs)
-    if node.op == "+":
-        return va + vb, [x + y for x, y in zip(ga, gb)]
-    if node.op == "-":
-        return va - vb, [x - y for x, y in zip(ga, gb)]
-    if node.op == "*":
-        return va * vb, [x * vb + va * y for x, y in zip(ga, gb)]
-    if node.op == "/":
-        return va / vb, [(x * vb - va * y) / (vb * vb) for x, y in zip(ga, gb)]
-    if isinstance(node.b, Num):
-        n = node.b.value
-        v = va**n
-        return v, [n * va ** (n - 1.0) * x for x in ga]
-    v = va**vb
-    return v, [v * (y * np.log(va) + vb * x / va) for x, y in zip(ga, gb)]
 
 
 def diff(node, k):
@@ -328,12 +266,61 @@ def is_zero_expr(node) -> bool:
     return isinstance(node, Num) and node.value == 0.0
 
 
+def _compile(roots):
+    """One numpy function of the coordinate arrays xs returning each root's value.
+
+    The source is straight-line, one assignment per distinct subtree, so a
+    deep tree costs lines, not nesting.  Constants are bound as np.float64,
+    so their arithmetic reports through np.errstate like the rest, and they
+    are keyed by their bits, so that 0.0 and -0.0 stay apart.
+    """
+    env = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log}
+    names, by_id, lines = {}, {}, []
+
+    def emit(node):
+        if id(node) not in by_id:
+            if isinstance(node, Num):
+                rhs = node.value.hex()
+            elif isinstance(node, Coord):
+                rhs = f"xs[{node.k}]"
+            elif isinstance(node, Neg):
+                rhs = f"-{emit(node.a)}"
+            elif isinstance(node, Fun):
+                rhs = f"{node.name}({emit(node.a)})"
+            else:
+                rhs = f"{emit(node.a)} {'**' if node.op == '^' else node.op} {emit(node.b)}"
+            if rhs not in names:
+                name = names[rhs] = f"t{len(names)}"
+                if isinstance(node, Num):
+                    env[name] = np.float64(node.value)
+                else:
+                    lines.append(f"    {name} = {rhs}\n")
+            by_id[id(node)] = names[rhs]
+        return by_id[id(node)]
+
+    outs = ", ".join(emit(r) for r in roots)
+    exec(compile(f"def _fn(xs):\n{''.join(lines)}    return ({outs},)\n", "<expression>", "exec"), env)
+    return env["_fn"]
+
+
 @dataclass
 class PotentialExpr:
-    """A parsed scalar coefficient. Evaluate with .value / .value_and_gradient."""
+    """A parsed scalar coefficient, compiled once when it is built.
+
+    value and on_grid run the compiled root; value_and_gradient runs one
+    compiled function of the root and its partials diff(root, k).
+    """
 
     text: str
     root: object
+    _fn: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._fn = _compile([self.root])
+
+    @cached_property
+    def _fn_grad(self):
+        return _compile([self.root] + [diff(self.root, k) for k in range(3)])
 
     def _xs(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -341,21 +328,21 @@ class PotentialExpr:
             raise ValueError(f"expected points with trailing dimension 3, got shape {x.shape}")
         return (x[..., 0], x[..., 1], x[..., 2]), x.shape[:-1]
 
+    def on_coords(self, xs, shape):
+        """The value at coordinate arrays xs, broadcast to shape."""
+        return _bcast(_checked(lambda: self._fn(xs)[0], self.text), shape)
+
     def value(self, x):
-        xs, shape = self._xs(x)
-        out = _checked(lambda: _ev(self.root, xs), self.text)
-        return _bcast(out, shape)
+        return self.on_coords(*self._xs(x))
 
     def value_and_gradient(self, x):
         xs, shape = self._xs(x)
-        v, g = _checked(lambda: _ev_grad(self.root, xs), self.text)
+        v, *g = _checked(lambda: self._fn_grad(xs), self.text)
         grad = np.stack([_bcast(gi, shape) for gi in g], axis=-1)
         return _bcast(v, shape), grad
 
     def on_grid(self, grid: Grid3):
-        xs = grid.meshgrid()
-        out = _checked(lambda: _ev(self.root, xs), self.text)
-        return _bcast(out, tuple(grid.dims))
+        return self.on_coords(grid.meshgrid(), tuple(grid.dims))
 
     def derivative(self, k) -> "PotentialExpr":
         root = diff(self.root, k)
@@ -379,8 +366,9 @@ def _checked(fn, text):
         raise EvalError(f"evaluation of {text!r} failed: {exc}") from None
 
 
-def parse_potential(text: str) -> PotentialExpr:
-    return PotentialExpr(text, _Parser(text).parse())
+def parse_potential(text: str, variables=_COORDS) -> PotentialExpr:
+    """Parse text whose variables, in coordinate order, are named by variables."""
+    return PotentialExpr(text, _Parser(text, variables).parse())
 
 
 ZERO_EXPR = PotentialExpr("0", Num(0.0))
@@ -534,7 +522,7 @@ class ModelSpec:
             for q, w in zip(_GL_NODES, _GL_WEIGHTS):
                 xs = list(X)
                 xs[m] = X[m] + q * h
-                theta += w * _bcast(_checked(lambda: _ev(self.A[m].root, tuple(xs)), self.A[m].text), tuple(grid.dims))
+                theta += w * self.A[m].on_coords(tuple(xs), tuple(grid.dims))
             theta *= h / eps
             p1 = np.exp(-1j * theta)
             p2 = p1 * np.roll(p1, -1, axis=m)
@@ -547,8 +535,7 @@ def gauge_transform(u, model: ModelSpec, chi: GaugeFunction, eps: float):
     """Return (u * exp(i chi/eps), model with A replaced by A + grad chi)."""
     from .fields import ComplexField3
 
-    xs = u.grid.meshgrid()
-    chi_vals = _bcast(_checked(lambda: _ev(chi.chi.root, xs), chi.chi.text), tuple(u.grid.dims))
+    chi_vals = chi.chi.on_coords(u.grid.meshgrid(), tuple(u.grid.dims))
     u2 = ComplexField3(u.grid, u.values * np.exp(1j * chi_vals / eps))
     new_A = []
     for m in range(3):

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 from textwrap import dedent
 
 import numpy as np
@@ -194,6 +193,31 @@ def test_config_error_exits_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "bad.ini", frozen_config(tmp_path, extra="speed = fast\n"))
     assert main(["solve-frozen", cfg_path]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("V, what", [
+    ("1/0", "divide by zero"),
+    ("1 + 10^400", "overflow"),
+    ("1 + 2^5000", "overflow"),
+    ("1 + (0-1)^0.5", "invalid value"),
+    ("1e400 + x1^2", "parse error at position 0"),
+])
+def test_constant_subexpression_errors_exit_2(tmp_path, capsys, V, what):
+    text = frozen_config(tmp_path / "out").replace(f"V = {HARMONIC}", f"V = {V}")
+    assert main(["solve-frozen", write_config(tmp_path / "bad.ini", text)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and what in err[0]
+
+
+@pytest.mark.parametrize("f, what", [
+    ("s + x1", "unknown identifier 'x1'"),
+    ("s + q", "position 4 in 's + q'"),
+])
+def test_custom_f_is_parsed_in_s(tmp_path, capsys, f, what):
+    text = frozen_config(tmp_path / "out").replace("p = 3", f"f = {f}\nF = s^2/4\ntheta = 4.0")
+    assert main(["solve-frozen", write_config(tmp_path / "bad.ini", text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and what in err
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +419,6 @@ def test_non_convergence_exits_4(tmp_path, capsys):
     )
     assert main(["solve-magnetic", cfg_path]) == 4
     assert capsys.readouterr().err.startswith("non-convergence:")
-
-
-def test_workers_flag_is_recorded(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPIKEMAP_WORKERS", "1")
-    out = tmp_path / "run"
-    cfg_path = write_config(tmp_path / "run.ini", frozen_config(out))
-    assert main(["--workers", "2", "solve-frozen", cfg_path]) == 0
-    assert os.environ["SPIKEMAP_WORKERS"] == "2"
-    man = json.loads((out / "manifest.json").read_text())
-    assert man["workers"] == "2"
 
 
 # ---------------------------------------------------------------------------

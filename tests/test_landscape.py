@@ -38,7 +38,7 @@ def mk_model(Vtxt="1", Ktxt="1", A=None, lam=1.0, p=3.0):
     )
 
 
-# the cubic power in disguise, module level so worker processes can unpickle it
+# the cubic power in disguise, as plain Python functions
 def _plain_f(s):
     return np.asarray(s, dtype=np.float64)
 
@@ -125,27 +125,6 @@ def test_sweep_custom_nonlinearity_matches_power_twin(custom_sweep):
     assert np.allclose(sig_got, sig_want, rtol=1e-6)
     grad_got = np.stack([s.grad_sigma for s in custom_sweep.samples])
     assert np.allclose(grad_got, grad_want, rtol=0, atol=1e-6 * np.abs(grad_want).max())
-
-
-def test_sweep_worker_count_does_not_change_values(monkeypatch):
-    region = ((-0.8, 0.8),) * 3
-    monkeypatch.setenv("SPIKEMAP_WORKERS", "1")
-    serial = sweep_sigma(region, 2, custom_model(), n_shoot=250)
-    monkeypatch.setenv("SPIKEMAP_WORKERS", "3")
-    pooled = sweep_sigma(region, 2, custom_model(), n_shoot=250)
-    s1 = np.array([s.sigma for s in serial.samples])
-    s2 = np.array([s.sigma for s in pooled.samples])
-    assert np.array_equal(s1, s2)
-    assert np.array_equal(
-        np.stack([s.grad_sigma for s in serial.samples]),
-        np.stack([s.grad_sigma for s in pooled.samples]),
-    )
-
-
-def test_sweep_rejects_bad_worker_env(monkeypatch):
-    monkeypatch.setenv("SPIKEMAP_WORKERS", "many")
-    with pytest.raises(LandscapeError):
-        sweep_sigma(((-0.5, 0.5),) * 3, 1, custom_model(), n_shoot=250)
 
 
 def test_sweep_rejects_bad_region_and_resolution():

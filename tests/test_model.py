@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikemap.fields import ComplexField3, Hamiltonian, make_grid
@@ -90,6 +92,75 @@ def test_eval_error_on_overflow():
     V = parse_potential("exp(x1)")
     with pytest.raises(EvalError):
         V.value(pt(1e6, 0.0, 0.0))
+
+
+def _texts(depth):
+    """Expression texts of the grammar, nested at most depth levels."""
+    leaf = st.one_of(
+        st.sampled_from(["x1", "x2", "x3"]),
+        st.builds("{}.{}".format, st.integers(0, 3), st.integers(0, 9)),
+    )
+    if depth == 0:
+        return leaf
+    sub = _texts(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds("{} {} {}".format, sub, st.sampled_from("+-*/^"), sub),
+        st.builds("-{}".format, sub),
+        st.builds("{}({})".format, st.sampled_from(["exp", "sin", "cos"]), sub),
+        st.builds("({})".format, sub),
+    )
+
+
+def _python_value(text, x):
+    """The oracle: Python's own parser on the same text, ^ read as **, with
+    float64 literals and numpy functions; underflow is no error on either side."""
+    src = re.sub(r"\d+\.\d+", lambda m: f"F({m.group()})", text).replace("^", "**")
+    env = {"F": np.float64, "exp": np.exp, "sin": np.sin, "cos": np.cos,
+           "x1": x[..., 0], "x2": x[..., 1], "x3": x[..., 2]}
+    with np.errstate(all="raise", under="ignore"):
+        return eval(src, env)
+
+
+def _bits(v, shape):
+    return np.broadcast_to(np.asarray(v, dtype=np.float64), shape).tobytes()
+
+
+ARRAY_POINTS = np.random.default_rng(1).uniform(-3.0, 3.0, size=(5, 3))
+
+
+@given(text=_texts(6), x=st.tuples(*[st.floats(-3, 3)] * 3))
+@example(text="1.0 / 0.0", x=(0.0, 0.0, 0.0))  # errors of constant subtrees
+@example(text="2.0 ^ 999.0 - x1", x=(0.0, 0.0, 0.0))
+@example(text="(-1.5) ^ 0.5 + x1", x=(0.0, 0.0, 0.0))
+@settings(max_examples=300, deadline=None)
+def test_compiled_value_matches_python_parser(text, x):
+    expr = parse_potential(text)
+    for pts in (pt(*x), ARRAY_POINTS):
+        shape = pts.shape[:-1]
+        try:
+            want = _python_value(text, pts)
+        except FloatingPointError:
+            with pytest.raises(EvalError):
+                expr.value(pts)
+            continue
+        got = expr.value(pts)
+        assert _bits(got, shape) == _bits(want, shape)
+        try:
+            v, _ = expr.value_and_gradient(pts)
+        except EvalError:  # a partial can fail where the value does not
+            continue
+        assert _bits(v, shape) == _bits(got, shape)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("sin(" * 98 + "x1" + ")" * 98, id="98-nested-sin"),
+    pytest.param("(1+x1/" * 48 + "(1+x1)" + ")" * 48, id="48-level-fraction"),
+])
+def test_deepest_accepted_expressions_compile(text):
+    # their derivative trees are about three times as deep as the text
+    v, g = parse_potential(text).value_and_gradient(pt(0.3, 0.2, 0.1))
+    assert np.isfinite(v) and np.all(np.isfinite(g))
 
 
 EXPRS = [
@@ -248,7 +319,7 @@ def test_validate_flags_bad_theta():
 
 
 def test_subs_affine_recenters():
-    from spikemap.model import subs_affine, _ev
+    from spikemap.model import PotentialExpr, subs_affine
 
     V = parse_potential("x1^2 + 2*x2 + x3")
     z0 = (1.0, -2.0, 0.5)
@@ -256,4 +327,4 @@ def test_subs_affine_recenters():
     moved = subs_affine(V.root, z0, eps)
     x = pt(0.3, 0.8, -0.1)
     direct = V.value(pt(*(z0[k] + eps * x[k] for k in range(3))))
-    assert _ev(moved, tuple(x)) == pytest.approx(direct, rel=1e-14)
+    assert PotentialExpr("moved", moved).value(x) == pytest.approx(direct, rel=1e-14)
