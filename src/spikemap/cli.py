@@ -38,7 +38,6 @@ from .fields import ComplexField3, Hamiltonian, make_grid, read_snapshot, write_
 from .frozen_solver import (
     ConvergenceError,
     FrozenPoint,
-    GroundEnergySample,
     SolverError,
     explicit_sigma_and_grad,
     ground_state,
@@ -98,9 +97,12 @@ _SCHEMA = {
 
 def _floats(text: str, key: str) -> list:
     try:
-        return [float(tok) for tok in text.split(",")]
+        vals = [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ConfigError(f"{key} must be a comma-separated list of numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return vals
 
 
 def _one_float(text: str, key: str) -> float:
@@ -209,6 +211,8 @@ class RunConfig:
 
         sol = sections.get("solver", {})
         self.grid_radius = _one_float(sol["grid_radius"], "solver.grid_radius") if "grid_radius" in sol else None
+        if self.grid_radius is not None and self.grid_radius <= 0:
+            raise ConfigError(f"solver.grid_radius must be positive, got {self.grid_radius}")
         self.grid_points = _one_int(sol["grid_points"], "solver.grid_points") if "grid_points" in sol else None
         if self.grid_points is not None and self.grid_points < 8:
             raise ConfigError(f"solver.grid_points must be at least 8, got {self.grid_points}")
@@ -216,6 +220,8 @@ class RunConfig:
         if self.eps_list is not None and any(e <= 0 for e in self.eps_list):
             raise ConfigError("solver.eps values must be positive")
         self.tol = _one_float(sol.get("tol", "1e-6"), "solver.tol")
+        if self.tol <= 0:
+            raise ConfigError(f"solver.tol must be positive, got {self.tol}")
         self.max_iters = _one_int(sol.get("max_iters", "20000"), "solver.max_iters")
         self.seed = sol.get("seed", "frozen")
         self.rng_seed = _one_int(sol.get("rng_seed", "0"), "solver.rng_seed")
@@ -300,6 +306,8 @@ class RunConfig:
 
     def grid(self):
         self.require("grid_radius", "grid_points")
+        if not 0.0 < 2.0 * self.grid_radius / (self.grid_points - 1) < math.inf:
+            raise ConfigError("solver.grid_radius and solver.grid_points give no finite positive spacing")
         return make_grid(self.grid_radius, self.grid_points)
 
 
@@ -321,15 +329,6 @@ def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _sample_payload(sample: GroundEnergySample) -> dict:
-    return {
-        "z": [float(c) for c in sample.z],
-        "sigma": float(sample.sigma),
-        "grad_sigma": None if sample.grad_sigma is None else [float(c) for c in sample.grad_sigma],
-        "method": sample.method,
-    }
 
 
 def _report_payload(report) -> dict:
@@ -422,8 +421,6 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
     fit = decay_fit(prof, cfg.decay_window or (2.0, 0.8 * prof.r_max))
     mom = profile_moments(prof, cfg.model.nonlin)
     grad = sigma_bracket(mom, np.asarray(point.grad_Vz), np.asarray(point.grad_Kz))
-    method = "rescaled" if cfg.model.nonlin.is_power else "shooting"
-    sample = GroundEnergySample(z, prof.energy, grad, method)
 
     with man:
         _write_rows(
@@ -431,7 +428,15 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
             ["r", "u", "du"],
             ([_fmt(r), _fmt(u), _fmt(du)] for r, u, du in zip(prof.r, prof.u, prof.du)),
         )
-        _write_json(man.out("sigma.json"), _sample_payload(sample))
+        _write_json(
+            man.out("sigma.json"),
+            {
+                "z": [float(c) for c in z],
+                "sigma": float(prof.energy),
+                "grad_sigma": [float(c) for c in grad],
+                "method": prof.method,
+            },
+        )
         _write_json(
             man.out("frozen_report.json"),
             {

@@ -26,11 +26,10 @@ from .fields import (
 )
 from .frozen_solver import (
     FrozenPoint,
+    ground_energy,
     ground_state,
     profile_moments,
     sigma_bracket,
-    sigma_r,
-    sigma_r_explicit,
 )
 from .magnetic_solver import (
     BoundaryMassError,
@@ -295,9 +294,8 @@ class ProbeSpec:
     Difference quotients (sigma(xi + lam w) - sigma(xi)) / lam are taken for
     xi in {z, z - rho w, z + rho w} and lam on a shrinking ladder, over a
     direction net of the 26 lattice directions plus n_random seeded unit
-    vectors.  sigma overrides the evaluator (signature (m, 3) -> (m,)); by
-    default the explicit formula is used for power nonlinearities and the
-    shooting solver otherwise.
+    vectors.  sigma overrides the evaluator (signature (m, 3) -> (m,)); the
+    default is frozen_solver.ground_energy.
     """
 
     rho: float = 1e-3
@@ -334,36 +332,19 @@ def _direction_net(probe: ProbeSpec) -> np.ndarray:
     return np.asarray(dirs)
 
 
-def _sigma_evaluator(model: ModelSpec, probe: ProbeSpec):
-    if probe.sigma is not None:
-        return probe.sigma
-    if model.nonlin.is_power:
-        from .frozen_solver import explicit_sigma_and_grad
-
-        return lambda pts: explicit_sigma_and_grad(pts, model)[0]
-
-    def by_shooting(pts):
-        out = np.empty(len(pts))
-        for i, p in enumerate(pts):
-            out[i] = sigma_r(FrozenPoint.from_model(model, p), model.nonlin).sigma
-        return out
-
-    return by_shooting
-
-
 def clarke_critical_test(z, model: ModelSpec, probe: ProbeSpec | None = None) -> ClarkeVerdict:
     """Sampled test of 0 being a generalized gradient of the energy map at z.
 
     The membership margin is the worst direction's best difference quotient;
     membership requires it to clear a noise threshold proportional to the
-    probe radii times a sampled curvature scale.  For power nonlinearities
-    the exact gradient norm rides along as grad_norm, so the smooth verdict
+    probe radii times a sampled curvature scale.  With the default sigma,
+    grad_norm is |grad Sigma(z)| from ground_energy, so the smooth verdict
     can be compared against the sampled one.
     """
     probe = probe if probe is not None else ProbeSpec()
     z = np.asarray(z, dtype=np.float64)
     dirs = _direction_net(probe)
-    ev = _sigma_evaluator(model, probe)
+    ev = probe.sigma if probe.sigma is not None else (lambda pts: ground_energy(pts, model)[0])
     nd = len(dirs)
     offs = np.array([0.0, -probe.rho, probe.rho])
     xi = z[None, None, :] + offs[None, :, None] * dirs[:, None, :]
@@ -384,9 +365,8 @@ def clarke_critical_test(z, model: ModelSpec, probe: ProbeSpec | None = None) ->
         curv = 0.0
     threshold = probe.kappa * (probe.rho + lams.max()) * curv + 1e-12
     grad_norm = None
-    if probe.sigma is None and model.nonlin.is_power:
-        gn = sigma_r_explicit(z, model).grad_sigma
-        grad_norm = float(np.linalg.norm(gn))
+    if probe.sigma is None:
+        grad_norm = float(np.linalg.norm(ground_energy(z, model)[1]))
     return ClarkeVerdict(
         member=bool(margin >= -threshold),
         margin=margin,
@@ -497,11 +477,7 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
     """
     eps_list = [s.eps for s in family]
     z0 = np.asarray(z0, dtype=np.float64)
-    point = FrozenPoint.from_model(model, z0)
-    if model.nonlin.is_power:
-        sig = sigma_r_explicit(z0, model).sigma
-    else:
-        sig = sigma_r(point, model.nonlin).sigma
+    sig = float(ground_energy(z0, model)[0])
     spikes, pointwise, tails, fixed, floors, gaps = [], [], [], [], [], []
     fixed_radii = [eps_list[0] * rho for rho in _RHO_LADDER]
     for s in family:

@@ -2,16 +2,17 @@
 
 At a point z the problem is -Lap u + V(z) u = K(z) f(u^2) u on R^3, and the
 least energy among nontrivial solutions defines the ground-energy landscape
-over z.  Independent routes to that number live side by side here: radial
-shooting, the closed-form rescaling to the canonical V=K=1 problem for power
-nonlinearities, a constrained minimization of the kinetic term, and a 3D
-gradient flow on a box grid.  They deliberately share as little code as
-possible so they can check each other.
+over z.  ground_energy is the production route to Sigma and the one place
+that picks the closed form or shooting for it.  The other routes are
+cross-checks: radial shooting (sigma_r), the closed-form rescaling to the
+canonical V=K=1 problem for powers, a constrained minimization of the
+kinetic term, and a 3D gradient flow on a box grid.  They deliberately
+share as little code as possible so they can check each other.
 
 For a power nonlinearity the ground state at z is an exact rescaling of the
 cached canonical profile, so ground_state shoots nothing there; shooting is
 the oracle the other routes are checked against and the only route to a
-profile for a custom f.
+profile for a custom f.  A profile's method records which route made it.
 
 Every 3D quadratic form, Nehari projection, energy and residual, here and
 in magnetic_solver, comes from fields.Hamiltonian, and the real 3D flow and
@@ -94,7 +95,8 @@ class RadialProfile:
 
     du holds the integrator's derivative at the same nodes.  Beyond
     splice_index the profile is the exact linear tail c exp(-sqrt(V) r) / r,
-    value-matched to the integrated solution.
+    value-matched to the integrated solution.  method says how it was made:
+    "shooting", or "rescaled" from the canonical profile by ground_state.
     """
 
     r_max: float
@@ -104,6 +106,7 @@ class RadialProfile:
     energy: float
     point: FrozenPoint
     splice_index: int
+    method: str = "shooting"
 
     @property
     def dr(self) -> float:
@@ -123,14 +126,6 @@ class RadialProfile:
             wr.writerow(["r", "u"])
             for rj, uj in zip(self.r, self.u):
                 wr.writerow([repr(float(rj)), repr(float(uj))])
-
-
-@dataclass
-class GroundEnergySample:
-    z: np.ndarray
-    sigma: float
-    grad_sigma: np.ndarray | None
-    method: str
 
 
 @dataclass
@@ -157,7 +152,7 @@ def _amplitude_scale(point: FrozenPoint, nonlin) -> float:
         return (point.Vz / (point.Kz * nonlin.lam)) ** (1.0 / (nonlin.p - 1.0))
     s = np.logspace(-12, 12, 97)
     bal = point.Kz * np.asarray(nonlin.f(s), dtype=np.float64) - point.Vz
-    idx = np.nonzero(np.sign(bal[:-1]) * np.sign(bal[1:]) < 0)[0]
+    idx = np.nonzero(np.sign(bal[:-1]) * np.sign(bal[1:]) <= 0)[0]
     if idx.size == 0:
         raise BracketError("K f(s) never crosses V; cannot scale the shooting ladder")
     root = brentq(lambda t: point.Kz * float(nonlin.f(t)) - point.Vz, s[idx[0]], s[idx[0] + 1])
@@ -485,16 +480,16 @@ def frozen_action(u, point: FrozenPoint, nonlin) -> float:
 # ---------------------------------------------------------------------------
 # ground energy routes
 
-def sigma_r(point: FrozenPoint, nonlin, n: int = 4000) -> GroundEnergySample:
-    """Ground energy at z by shooting; gradient via the coefficient brackets
-    (d/dw) Sigma = <grad V, w> mass2/2 - <grad K, w> intF when the point
-    carries coefficient gradients."""
+def sigma_r(point: FrozenPoint, nonlin, n: int = 4000):
+    """(Sigma, grad Sigma) at z by shooting; the gradient comes from the
+    coefficient brackets (d/dw) Sigma = <grad V, w> mass2/2 - <grad K, w> intF
+    and is None when the point carries no coefficient gradients."""
     prof = shoot_radial(point, nonlin, n=n)
     mom = profile_moments(prof, nonlin)
     grad = None
     if point.grad_Vz is not None and point.grad_Kz is not None:
         grad = sigma_bracket(mom, np.asarray(point.grad_Vz), np.asarray(point.grad_Kz))
-    return GroundEnergySample(np.asarray(point.z, dtype=np.float64), prof.energy, grad, "shooting")
+    return prof.energy, grad
 
 
 _CANON_CACHE: dict = {}
@@ -541,7 +536,7 @@ def ground_state(point: FrozenPoint, nonlin) -> RadialProfile:
     return _with_energy(
         RadialProfile(
             r_max=Q.r_max / s, n=Q.n, u=amp * Q.u, du=amp * s * Q.du,
-            energy=0.0, point=point, splice_index=Q.splice_index,
+            energy=0.0, point=point, splice_index=Q.splice_index, method="rescaled",
         ),
         nonlin,
     )
@@ -567,11 +562,25 @@ def explicit_sigma_and_grad(z, model):
     return sigma, grad
 
 
-def sigma_r_explicit(z, model) -> GroundEnergySample:
-    """Explicit-formula ground energy at a single point z."""
+def ground_energy(z, model, n: int = 4000, failures: list | None = None):
+    """(Sigma, grad Sigma, method) at the points z, shape (..., 3).  Powers
+    take the explicit formula in one vectorized call ("explicit"); any other
+    f is shot at each point with n radial steps ("shooting"), stacked to the
+    shape of z.  A failed shot raises, unless failures is a list: then the
+    point keeps nan and (flat index, message) is appended to it."""
+    if model.nonlin.is_power:
+        return (*explicit_sigma_and_grad(z, model), "explicit")
     z = np.asarray(z, dtype=np.float64)
-    sigma, grad = explicit_sigma_and_grad(z, model)
-    return GroundEnergySample(z, float(sigma), np.asarray(grad, dtype=np.float64), "explicit")
+    flat = z.reshape(-1, 3)
+    sig, grad = np.full(len(flat), np.nan), np.full(flat.shape, np.nan)
+    for i, zi in enumerate(flat):
+        try:
+            sig[i], grad[i] = sigma_r(FrozenPoint.from_model(model, zi), model.nonlin, n)
+        except Exception as exc:
+            if failures is None:
+                raise
+            failures.append((i, f"{type(exc).__name__}: {exc}"))
+    return sig.reshape(z.shape[:-1]), grad.reshape(z.shape), "shooting"
 
 
 # ---------------------------------------------------------------------------
@@ -691,12 +700,14 @@ def sample_profile_on_grid(prof: RadialProfile, grid: Grid3, center=None, scale:
     return np.interp(rr.ravel(), prof.r, prof.u, right=0.0).reshape(grid.dims)
 
 
-def _descend(H: Hamiltonian, u, tol, max_iters, step_scale, beta, trace, what):
+def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
     """Heavy-ball descent of the action of H on its Nehari manifold, from u.
 
-    Each step moves against the residual plus a heavy-ball term (reset
-    whenever it points uphill) and projects back onto the manifold, which
-    hands over t Tu: one stencil application per iteration.  Returns the
+    Each step moves against the residual plus a heavy-ball term with
+    momentum 0.95 (reset whenever it points uphill), with step 1.8 / L for
+    the bound L = 18.14 eps^2 / h^2 + (1 + p) sup V, and projects back onto
+    the manifold, which hands over t Tu: one stencil application per
+    iteration.  Returns the
     first iterate whose residual rms is below tol * max(1, sup V) * rms(u).
     Appends {iter, energy, residual, nehari_slack} to trace per iteration;
     ConvergenceError carries it on divergence or when max_iters runs out.
@@ -705,7 +716,7 @@ def _descend(H: Hamiltonian, u, tol, max_iters, step_scale, beta, trace, what):
     h, eps = H.grid.spacing, H.eps
     p_curv = nonlin.p if nonlin.is_power else 3.0
     vmax = float(np.max(H.V))
-    eta = step_scale / (18.14 * eps * eps / (h * h) + (1.0 + p_curv) * vmax)
+    eta = 1.8 / (18.14 * eps * eps / (h * h) + (1.0 + p_curv) * vmax)
     scale = max(1.0, vmax)
     u, Tu, Q, slack = H.project(u * H.mask)
     mom = np.zeros_like(u)
@@ -726,7 +737,7 @@ def _descend(H: Hamiltonian, u, tol, max_iters, step_scale, beta, trace, what):
             return u
         if float(np.real(np.vdot(mom, res))) < 0.0:
             mom[:] = 0.0
-        mom = beta * mom + res
+        mom = 0.95 * mom + res
         u, Tu, Q, slack = H.project((u - eta * mom) * H.mask)
     raise ConvergenceError(f"{what} did not reach tol={tol} in {max_iters} iterations", trace)
 
@@ -737,7 +748,6 @@ def gradient_flow_3d_real(
     grid: Grid3,
     tol: float = 1e-6,
     max_iters: int = 20000,
-    beta: float = 0.95,
     trace: list | None = None,
     seed_profile: RadialProfile | None = None,
 ) -> RealField3:
@@ -750,6 +760,6 @@ def gradient_flow_3d_real(
     """
     prof = seed_profile if seed_profile is not None else shoot_radial(point, nonlin)
     H = Hamiltonian(grid, 1.0, point.Vz, point.Kz, nonlin, None)
-    u = _descend(H, sample_profile_on_grid(prof, grid), tol, max_iters, 1.8, beta,
+    u = _descend(H, sample_profile_on_grid(prof, grid), tol, max_iters,
                  trace if trace is not None else [], "frozen 3D flow")
     return RealField3(grid, u)

@@ -1,13 +1,15 @@
 """Sweeps of the ground-energy map and the candidate spike sets.
 
-The map z -> Sigma(z) is scalar and cheap for power nonlinearities (explicit
-formula) and a shooting solve per point otherwise, run serially in lattice
-order.  Everything else in this module is root finding on top of it: the
-Clarke-critical set S, the algebraic set S_p, the weak-concentration set S*,
-the critical points of K, and the drift study that tracks dist(S_p, Crit K)
-as p approaches 5.  S, S_p and Crit K share one Newton root search.  The
-landscape command searches each set once; the drift study only measures the
-results it is given.
+The map z -> Sigma(z) comes from frozen_solver.ground_energy, which alone
+picks the route: the explicit formula for power nonlinearities, and a
+shooting solve per point otherwise, run serially in lattice order.  A sweep keeps
+Sigma and its gradient as arrays over the lattice.  Everything else in this
+module is root finding on top of it: the Clarke-critical set S, the
+algebraic set S_p, the weak-concentration set S*, the critical points of K,
+and the drift study that tracks dist(S_p, Crit K) as p approaches 5.  S,
+S_p and Crit K share one Newton root search.  The landscape command
+searches each set once; the drift study only measures the results it is
+given.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import numpy as np
 from .diagnostics import ProbeSpec, _direction_net, clarke_critical_test, gamma_pm
 from .frozen_solver import (
     FrozenPoint,
-    GroundEnergySample,
+    SolverError,
     explicit_sigma_and_grad,
+    ground_energy,
     ground_state,
     profile_moments,
     sigma_bracket,
-    sigma_r,
 )
 from .model import ModelSpec
 
@@ -63,14 +65,18 @@ def _lattice(region: np.ndarray, res: tuple) -> np.ndarray:
 class GroundEnergyMap:
     """Sigma sampled on a rectangular lattice, row-major over the axes.
 
-    failures lists (lattice index, message) pairs for samples whose solve
-    failed; those samples carry sigma = nan and stay in place so the lattice
-    shape survives.
+    points (N, 3) holds the nodes, samples (N,) Sigma and grad (N, 3) its
+    gradient there; method names the route.  failures lists (lattice index,
+    message) pairs for nodes whose solve failed; those nodes carry nan and
+    stay in place so the lattice shape survives.
     """
 
     region: tuple
     resolution: tuple
-    samples: list
+    points: np.ndarray
+    samples: np.ndarray
+    grad: np.ndarray
+    method: str
     failures: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -79,62 +85,35 @@ class GroundEnergyMap:
             raise LandscapeError(
                 f"lattice of {self.resolution} needs {want} samples, got {len(self.samples)}"
             )
-        for s in self.samples:
-            if np.isfinite(s.sigma) and s.sigma <= 0.0:
-                raise LandscapeError(f"ground energy must be positive, got {s.sigma} at {s.z}")
-
-    def points(self) -> np.ndarray:
-        return np.stack([s.z for s in self.samples])
+        if np.any(self.samples <= 0.0):
+            i = np.nanargmin(self.samples)
+            raise LandscapeError(f"ground energy must be positive, got {self.samples[i]} at {self.points[i]}")
 
     def sigma_lattice(self) -> np.ndarray:
-        return np.array([s.sigma for s in self.samples]).reshape(self.resolution)
+        return self.samples.reshape(self.resolution)
 
     def grad_lattice(self) -> np.ndarray:
-        rows = [
-            s.grad_sigma if s.grad_sigma is not None else (np.nan, np.nan, np.nan)
-            for s in self.samples
-        ]
-        return np.asarray(rows, dtype=np.float64).reshape(self.resolution + (3,))
-
-
-def _shoot_sample(z, model: ModelSpec, n: int):
-    try:
-        s = sigma_r(FrozenPoint.from_model(model, z), model.nonlin, n=n)
-        return ("ok", float(s.sigma), np.asarray(s.grad_sigma, dtype=np.float64))
-    except Exception as exc:
-        return ("err", f"{type(exc).__name__}: {exc}", None)
+        return self.grad.reshape(self.resolution + (3,))
 
 
 def sweep_sigma(region, resolution, model: ModelSpec, n_shoot: int = 4000) -> GroundEnergyMap:
-    """Sample the ground-energy map over a lattice.
+    """Sample the ground-energy map over a lattice with ground_energy.
 
-    Power nonlinearities go through the explicit formula in one vectorized
-    call.  Anything else is one shooting solve per lattice point, in lattice
-    order; a point whose solve fails is recorded in failures with sigma nan.
-    n_shoot is the radial step count for the shooting path.
+    One call over all nodes: the explicit formula for powers, otherwise a
+    shot per node, in lattice order, with n_shoot radial steps; a node whose
+    solve fails is recorded in failures with nan values.  If every node
+    fails, SolverError names the first node and its message.
     """
     reg = _as_region(region)
     res = _as_resolution(resolution)
     pts = _lattice(reg, res)
     region_t = tuple((float(lo), float(hi)) for lo, hi in reg)
 
-    if model.nonlin.is_power:
-        sig, grad = explicit_sigma_and_grad(pts, model)
-        samples = [
-            GroundEnergySample(pts[i], float(sig[i]), np.asarray(grad[i]), "explicit")
-            for i in range(len(pts))
-        ]
-        return GroundEnergyMap(region_t, res, samples)
-
-    samples, failures = [], []
-    for i in range(len(pts)):
-        tag, payload, grad = _shoot_sample(pts[i], model, int(n_shoot))
-        if tag == "ok":
-            samples.append(GroundEnergySample(pts[i], payload, grad, "shooting"))
-        else:
-            failures.append((i, payload))
-            samples.append(GroundEnergySample(pts[i], float("nan"), None, "failed"))
-    return GroundEnergyMap(region_t, res, samples, failures)
+    failures = []
+    sig, grad, method = ground_energy(pts, model, int(n_shoot), failures)
+    if len(failures) == len(pts):
+        raise SolverError(f"the sweep solved no node; node 0 at {pts[0].tolist()}: {failures[0][1]}")
+    return GroundEnergyMap(region_t, res, pts, sig, grad, method, failures)
 
 
 @dataclass
@@ -290,7 +269,7 @@ def find_S(emap: GroundEnergyMap, model: ModelSpec, probe: ProbeSpec | None = No
             method="degenerate",
             notes=["sigma is constant over the sweep region"],
         )
-    pts = emap.points()
+    pts = emap.points
     span = float(np.linalg.norm([hi - lo for lo, hi in emap.region]))
 
     if model.nonlin.is_power:
@@ -465,18 +444,18 @@ def p_to_5_study(crit: CriticalSetResult, sp_results) -> DriftStudy:
 
 def write_sweep_csv(emap: GroundEnergyMap, path) -> None:
     """One row per lattice sample, in lattice order: position, sigma,
-    gradient, method.  Floats are written as their shortest round-trip
-    representation, so equal sweeps produce identical bytes."""
+    gradient, and the map's method, or failed on a nan row.  Floats are
+    written as their shortest round-trip representation, so equal sweeps
+    produce identical bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["z1", "z2", "z3", "sigma", "grad1", "grad2", "grad3", "method"])
-        for s in emap.samples:
-            g = s.grad_sigma if s.grad_sigma is not None else [float("nan")] * 3
+        for z, sig, g in zip(emap.points, emap.samples, emap.grad):
             writer.writerow(
-                [repr(float(c)) for c in s.z]
-                + [repr(float(s.sigma))]
+                [repr(float(c)) for c in z]
+                + [repr(float(sig))]
                 + [repr(float(c)) for c in g]
-                + [s.method]
+                + ["failed" if np.isnan(sig) else emap.method]
             )
 
 

@@ -62,18 +62,16 @@ class MagneticSolveConfig:
     """Knobs for a single magnetic solve.
 
     tol is relative: the iteration stops when the residual rms falls below
-    tol * max(1, sup V) * rms(u).  step_scale and beta set the descent rule
-    (normalized gradient step with a heavy-ball term that resets whenever it
-    points uphill).  seed is "frozen" (modulated frozen ground state),
-    "random" (deterministic in rng_seed), or a path to a field snapshot.
+    tol * max(1, sup V) * rms(u).  The descent's step and momentum are
+    constants of frozen_solver._descend, not knobs.  seed is "frozen"
+    (modulated frozen ground state), "random" (deterministic in rng_seed),
+    or a path to a field snapshot.
     """
 
     eps: float
     grid: Grid3
     max_iters: int = 20000
     tol: float = 1e-5
-    step_scale: float = 1.8
-    beta: float = 0.95
     seed: str = "frozen"
     rng_seed: int = 0
     center: tuple | None = None
@@ -287,8 +285,7 @@ def solve_magnetic(model: ModelSpec, cfg: MagneticSolveConfig) -> MagneticSoluti
             f"seed field keeps {bm:.2e} of its mass on the box boundary; enlarge the box"
         )
     trace: list = []
-    u = _descend(H, seed, cfg.tol, cfg.max_iters, cfg.step_scale, cfg.beta, trace,
-                 "magnetic descent")
+    u = _descend(H, seed, cfg.tol, cfg.max_iters, trace, "magnetic descent")
     _warn_if_pinned(u)
     last = trace[-1]
     sol_u = ComplexField3(grid, u)

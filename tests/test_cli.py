@@ -4,12 +4,15 @@ from textwrap import dedent
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from spikemap.cli import ConfigError, RunConfig, main
 from spikemap.fields import read_snapshot, write_snapshot
 from spikemap.frozen_solver import canonical_profile
 from spikemap.magnetic_solver import energy_J
+from spikemap.model import ModelError
 
 # the p = 3 ground energy for V = K = 1: test_frozen_solver.py derives it
 E3 = 18.897251302545
@@ -133,6 +136,7 @@ def test_solve_frozen_outputs(tmp_path):
     assert sig["z"] == [0.0, 0.0, 0.0]
     assert sig["sigma"] == pytest.approx(E3, abs=1e-9)
     assert np.allclose(sig["grad_sigma"], 0.0, atol=1e-9)
+    assert sig["method"] == "rescaled"
 
     rep = json.loads((out / "frozen_report.json").read_text())
     assert rep["sigma"] == sig["sigma"]
@@ -218,6 +222,77 @@ def test_custom_f_is_parsed_in_s(tmp_path, capsys, f, what):
     assert main(["solve-frozen", write_config(tmp_path / "bad.ini", text)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and what in err
+
+
+# a config with every numeric key set to a usable value
+def numeric_sections(out_dir):
+    return {
+        "model": {"V": HARMONIC, "K": "1", "lam": "1", "p": "3"},
+        "solver": {"grid_radius": "9.0", "grid_points": "16", "eps": "1.0", "tol": "1e-6",
+                   "max_iters": "50", "rng_seed": "0", "center": "0, 0, 0"},
+        "diagnostics": {"decay_window": "2, 6", "target": "0, 0, 0"},
+        "landscape": {"region": "-1, 1, -1, 1, -1, 1", "resolution": "3", "p_list": "3.0, 4.0",
+                      "seeds": "2"},
+        "output": {"directory": str(out_dir)},
+    }
+
+
+def config_text(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items()) + "\n"
+        for name, sec in sections.items()
+    )
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("solve-magnetic", "solver", "grid_points", "nan"),
+    ("solve-magnetic", "solver", "grid_points", "inf"),
+    ("solve-magnetic", "solver", "grid_points", "1e400"),
+    ("solve-magnetic", "solver", "max_iters", "inf"),
+    ("solve-magnetic", "solver", "rng_seed", "nan"),
+    ("solve-magnetic", "solver", "grid_radius", "nan"),
+    ("solve-magnetic", "solver", "grid_radius", "0"),
+    ("solve-magnetic", "solver", "grid_radius", "-5"),
+    ("solve-magnetic", "solver", "tol", "-1"),
+    ("solve-magnetic", "solver", "eps", "nan"),
+    ("landscape", "landscape", "resolution", "nan"),
+    ("landscape", "landscape", "seeds", "inf"),
+    ("solve-frozen", "diagnostics", "target", "nan, 0, 0"),
+])
+def test_bad_numbers_exit_2_naming_the_key(tmp_path, capsys, command, section, key, value):
+    sections = numeric_sections(tmp_path / "out")
+    sections[section][key] = value
+    assert main([command, write_config(tmp_path / "bad.ini", config_text(sections))]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and f"{section}.{key}" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+NUMERIC_KEYS = [
+    (name, key) for name, sec in numeric_sections("o").items() if name != "output"
+    for key in sec if key not in ("V", "K")
+]
+NUMBER_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "", "x", "1e", "0x10", "--1", "1 2"]),
+)
+
+
+@given(st.dictionaries(st.sampled_from(NUMERIC_KEYS),
+                       st.lists(NUMBER_TOKENS, min_size=1, max_size=6).map(", ".join), max_size=4))
+@example({("solver", "grid_radius"): "5e-324"})
+@example({("solver", "grid_radius"): "1e308"})
+@settings(max_examples=300, deadline=None)
+def test_config_numbers_fail_only_with_config_or_model_errors(picks):
+    sections = numeric_sections("o")
+    for (name, key), value in picks.items():
+        sections[name][key] = value
+    try:
+        cfg = RunConfig.from_text(config_text(sections))
+        cfg.grid()
+    except (ConfigError, ModelError):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +667,21 @@ def test_landscape_bad_p_list_exits_2_before_any_work(tmp_path, capsys, p_list):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "p_list" in err
     assert not out.exists()
+
+
+def test_landscape_that_solves_no_node_exits_3(tmp_path, capsys):
+    # V / K = 1e30 is far beyond the shooting ladder at every node
+    out = tmp_path / "land"
+    text = (
+        "[model]\nV = 1e30 + x1^2\nK = 1\nf = s\nF = s^2/4\ntheta = 4\n\n"
+        "[landscape]\nregion = -1, 1, -1, 1, -1, 1\nresolution = 3\n\n"
+        f"[output]\ndirectory = {out}\n"
+    )
+    assert main(["landscape", write_config(tmp_path / "land.ini", text)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("solver failure:") and "node 0" in err[0]
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure.startswith("SolverError:") and "BracketError" in failure
 
 
 def test_landscape_requires_region(tmp_path, capsys):

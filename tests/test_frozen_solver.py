@@ -16,6 +16,7 @@ from spikemap.frozen_solver import (
     canonical_energy,
     canonical_profile,
     constrained_sigma,
+    explicit_sigma_and_grad,
     frozen_action,
     gradient_flow_3d_real,
     ground_state,
@@ -24,13 +25,20 @@ from spikemap.frozen_solver import (
     profile_moments,
     radial_residual,
     sample_profile_on_grid,
+    ground_energy,
     shoot_radial,
     sigma_r,
-    sigma_r_explicit,
 )
 from spikemap.model import ModelSpec, Nonlinearity, ZERO_EXPR, parse_potential
 
 P0 = FrozenPoint((0.0, 0.0, 0.0), 1.0, 1.0)
+
+# f(s) = s with F(s) = s^2 / 4: the cubic power as a custom pair
+CUBIC_AS_CUSTOM = Nonlinearity.custom(
+    lambda s: np.asarray(s, dtype=np.float64),
+    lambda s: np.asarray(s, dtype=np.float64) ** 2 / 4.0,
+    theta=4.0,
+)
 
 # Frozen reference values, produced by this same shooting code run at doubled
 # resolution (drift 6e-14) and corroborated by the Pohozaev and Nehari
@@ -105,10 +113,10 @@ def test_K_and_lambda_scalings(prof3):
 def test_scaling_law_on_lattice(p, V, K):
     # sigma(V, K) = E(p) V^((5-p)/(2p-2)) K^(-2/(p-1)), shooting vs closed form
     nl = Nonlinearity.power(1.0, p)
-    sample = sigma_r(FrozenPoint((0.0, 0.0, 0.0), V, K), nl)
+    sigma, _ = sigma_r(FrozenPoint((0.0, 0.0, 0.0), V, K), nl)
     a = (5.0 - p) / (2.0 * p - 2.0)
     b = 2.0 / (p - 1.0)
-    assert sample.sigma == pytest.approx(canonical_energy(p) * V**a * K**(-b), rel=1e-6)
+    assert sigma == pytest.approx(canonical_energy(p) * V**a * K**(-b), rel=1e-6)
 
 
 @pytest.mark.parametrize("p, V, K", [(2.4, 0.7, 0.6), (2.4, 1.9, 2.2),
@@ -120,6 +128,7 @@ def test_ground_state_rescaling_matches_shooting(p, V, K):
     got = ground_state(point, nl)
     shot = shoot_radial(point, nl)
     assert got.point == point
+    assert (got.method, shot.method) == ("rescaled", "shooting")
     assert got.energy == pytest.approx(shot.energy, rel=1e-12)
     m_got, m_shot = profile_moments(got, nl), profile_moments(shot, nl)
     for key in ("mass2", "intF"):
@@ -242,12 +251,12 @@ def test_sigma_gradient_matches_finite_differences():
     gK = np.array([-0.21, 0.05, 0.11])
     w = np.array([1.0, 0.0, 0.0])
     point = FrozenPoint((0.0, 0.0, 0.0), 1.3, 0.8, grad_Vz=tuple(gV), grad_Kz=tuple(gK))
-    sample = sigma_r(point, nl)
-    predicted = float(sample.grad_sigma @ w)
+    _, grad = sigma_r(point, nl)
+    predicted = float(grad @ w)
     d = 1e-3
     a, b = float(gV @ w), float(gK @ w)
-    sp = sigma_r(FrozenPoint((0.0, 0.0, 0.0), 1.3 + d * a, 0.8 + d * b), nl).sigma
-    sm = sigma_r(FrozenPoint((0.0, 0.0, 0.0), 1.3 - d * a, 0.8 - d * b), nl).sigma
+    sp = sigma_r(FrozenPoint((0.0, 0.0, 0.0), 1.3 + d * a, 0.8 + d * b), nl)[0]
+    sm = sigma_r(FrozenPoint((0.0, 0.0, 0.0), 1.3 - d * a, 0.8 - d * b), nl)[0]
     assert predicted == pytest.approx((sp - sm) / (2 * d), rel=1e-6)
 
 
@@ -259,12 +268,39 @@ def test_explicit_route_matches_shooting():
         nonlin=Nonlinearity.power(1.0, 3.0),
     )
     z = np.array([0.4, -0.3, 0.2])
-    ex = sigma_r_explicit(z, model)
-    sh = sigma_r(FrozenPoint.from_model(model, z), model.nonlin)
-    assert ex.sigma == pytest.approx(sh.sigma, rel=1e-6)
-    assert np.allclose(ex.grad_sigma, sh.grad_sigma, rtol=1e-6)
-    assert ex.method == "explicit"
-    assert sh.method == "shooting"
+    ex_sigma, ex_grad, method = ground_energy(z, model)
+    sh_sigma, sh_grad = sigma_r(FrozenPoint.from_model(model, z), model.nonlin)
+    assert ex_sigma == pytest.approx(sh_sigma, rel=1e-6)
+    assert np.allclose(ex_grad, sh_grad, rtol=1e-6)
+    assert method == "explicit"
+
+
+def test_ground_energy_returns_the_bits_of_the_route_it_picks():
+    # powers get the closed form and any other f a shot per point, bit for
+    # bit, stacked to the shape of z
+    V, K = parse_potential("1 + x1^2 + x2^2 + x3^2"), parse_potential("1 + x1")
+    power = ModelSpec(V=V, K=K, A=(ZERO_EXPR,) * 3, nonlin=Nonlinearity.power(1.0, 3.0))
+    custom = ModelSpec(V=V, K=K, A=(ZERO_EXPR,) * 3, nonlin=CUBIC_AS_CUSTOM)
+    zs = np.array([[0.4, -0.3, 0.2], [0.0, 0.1, 0.0]])
+    sig, grad, method = ground_energy(zs, power)
+    want_sig, want_grad = explicit_sigma_and_grad(zs, power)
+    assert np.array_equal(sig, want_sig) and np.array_equal(grad, want_grad)
+    assert method == "explicit"
+    sig, grad, method = ground_energy(zs, custom, n=250)
+    assert sig.shape == (2,) and grad.shape == (2, 3)
+    assert method == "shooting"
+    for i, z in enumerate(zs):
+        s1, g1 = sigma_r(FrozenPoint.from_model(custom, z), custom.nonlin, n=250)
+        assert sig[i] == s1 and np.array_equal(grad[i], g1)
+
+
+def test_balance_point_on_a_ladder_node_is_found():
+    # K f(s) = V falls on s = 1 = 10^0, a node of the balance ladder; f = s
+    # is the cubic power written out, so the shot is the power shot exactly
+    assert frozen_solver._amplitude_scale(P0, CUBIC_AS_CUSTOM) == 1.0
+    custom = shoot_radial(P0, CUBIC_AS_CUSTOM, n=600, refine=2)
+    power = shoot_radial(P0, Nonlinearity.power(1.0, 3.0), n=600, refine=2)
+    assert custom.energy == power.energy
 
 
 def test_explicit_route_is_vectorized():
@@ -274,8 +310,6 @@ def test_explicit_route_is_vectorized():
         A=(ZERO_EXPR,) * 3,
         nonlin=Nonlinearity.power(1.0, 3.0),
     )
-    from spikemap.frozen_solver import explicit_sigma_and_grad
-
     zs = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5], [0.2, 0.1, -0.7], [2.0, 0.0, 1.0]])
     sig, grad = explicit_sigma_and_grad(zs, model)
     assert sig.shape == (4,)

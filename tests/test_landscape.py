@@ -5,8 +5,8 @@ import pytest
 from scipy.optimize import brentq
 
 from spikemap.diagnostics import ProbeSpec
-from spikemap.fields import make_grid
-from spikemap.frozen_solver import GroundEnergySample, explicit_sigma_and_grad
+from spikemap.fields import SolverError, make_grid
+from spikemap.frozen_solver import BracketError, explicit_sigma_and_grad, ground_energy
 from spikemap.landscape import (
     CriticalSetResult,
     GroundEnergyMap,
@@ -92,19 +92,19 @@ def test_sweep_constant_model_is_flat():
     assert sig.shape == (3, 3, 3)
     assert np.allclose(sig, E3, rtol=0, atol=1e-9)
     assert np.allclose(emap.grad_lattice(), 0.0, atol=1e-12)
-    assert all(s.method == "explicit" for s in emap.samples)
+    assert emap.method == "explicit"
     assert emap.failures == []
 
 
 def test_sweep_matches_closed_form_on_harmonic():
     model = mk_model(BUMP_V)
     emap = sweep_sigma(((-1.5, 1.5),) * 3, 5, model)
-    pts = emap.points()
+    pts = emap.points
     V = 1.0 + np.sum(pts**2, axis=1)
     want = E3 * np.sqrt(V)
-    got = np.array([s.sigma for s in emap.samples])
+    got = emap.samples
     assert np.allclose(got, want, rtol=1e-10)
-    grads = np.stack([s.grad_sigma for s in emap.samples])
+    grads = emap.grad
     want_g = E3 * pts / np.sqrt(V)[:, None]
     assert np.allclose(grads, want_g, rtol=0, atol=1e-9 * E3)
     # the lattice minimum sits at the well bottom
@@ -117,14 +117,48 @@ def test_sweep_custom_nonlinearity_matches_power_twin(custom_sweep):
     # the custom pair is the cubic power written out by hand, so shooting
     # must land on the explicit formula at every lattice point
     twin = mk_model(CUSTOM_V, CUSTOM_K)
-    pts = custom_sweep.points()
+    pts = custom_sweep.points
     sig_want, grad_want = explicit_sigma_and_grad(pts, twin)
-    sig_got = np.array([s.sigma for s in custom_sweep.samples])
+    sig_got = custom_sweep.samples
     assert custom_sweep.failures == []
-    assert all(s.method == "shooting" for s in custom_sweep.samples)
+    assert custom_sweep.method == "shooting"
     assert np.allclose(sig_got, sig_want, rtol=1e-6)
-    grad_got = np.stack([s.grad_sigma for s in custom_sweep.samples])
+    grad_got = custom_sweep.grad
     assert np.allclose(grad_got, grad_want, rtol=0, atol=1e-6 * np.abs(grad_want).max())
+
+
+def unsolvable_model(Vtxt, Ktxt):
+    # K f(s) = V has no root on the ladder s in [1e-12, 1e12] where V/K > 1e12
+    return ModelSpec(
+        V=parse_potential(Vtxt),
+        K=parse_potential(Ktxt),
+        A=(ZERO_EXPR, ZERO_EXPR, ZERO_EXPR),
+        nonlin=Nonlinearity.custom(_plain_f, _plain_F, theta=4.0),
+    )
+
+
+def test_sweep_keeps_failed_nodes_as_nan_rows(tmp_path):
+    # V/K = 5e12 at x1 = -1 and 1 cannot be shot; x1 = 0 is the cubic power
+    # at V = 1, K = 2, whose ground energy is E3 / 2
+    model = unsolvable_model("1 + 1e13*x1^2", "2")
+    emap = sweep_sigma(((-1.0, 1.0),) * 3, (3, 1, 1), model, n_shoot=250)
+    assert [i for i, _ in emap.failures] == [0, 2]
+    assert all(msg.startswith("BracketError:") for _, msg in emap.failures)
+    assert np.isnan(emap.samples[[0, 2]]).all() and np.isnan(emap.grad[[0, 2]]).all()
+    assert emap.samples[1] == pytest.approx(E3 / 2.0, rel=1e-6)
+    write_sweep_csv(emap, tmp_path / "sweep.csv")
+    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[-1] for r in rows] == ["failed", "shooting", "failed"]
+    assert rows[0].split(",")[3:7] == ["nan"] * 4
+    # without a failures list the same shot raises
+    with pytest.raises(BracketError):
+        ground_energy(emap.points[0], model, 250)
+
+
+def test_sweep_that_solves_no_node_raises():
+    model = unsolvable_model("1e30 + x1^2", "1")
+    with pytest.raises(SolverError, match=r"node 0 at \[-1.0, -1.0, -1.0\]: BracketError"):
+        sweep_sigma(((-1.0, 1.0),) * 3, 2, model, n_shoot=250)
 
 
 def test_sweep_rejects_bad_region_and_resolution():
@@ -135,12 +169,11 @@ def test_sweep_rejects_bad_region_and_resolution():
 
 
 def test_ground_energy_map_validates_samples():
-    sample = GroundEnergySample(z=(0.0, 0.0, 0.0), sigma=E3, grad_sigma=(0.0, 0.0, 0.0), method="explicit")
+    z, g = np.zeros((1, 3)), np.zeros((1, 3))
     with pytest.raises(LandscapeError):
-        GroundEnergyMap(((-1, 1),) * 3, (2, 1, 1), [sample])
-    bad = GroundEnergySample(z=(0.0, 0.0, 0.0), sigma=-1.0, grad_sigma=None, method="explicit")
+        GroundEnergyMap(((-1, 1),) * 3, (2, 1, 1), z, np.array([E3]), g, "explicit")
     with pytest.raises(LandscapeError):
-        GroundEnergyMap(((-1, 1),) * 3, (1, 1, 1), [bad])
+        GroundEnergyMap(((-1, 1),) * 3, (1, 1, 1), z, np.array([-1.0]), g, "explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +413,7 @@ def test_write_sweep_csv_round_trip(tmp_path):
     assert lines[0] == "z1,z2,z3,sigma,grad1,grad2,grad3,method"
     assert len(lines) == 1 + 27
     first = lines[1].split(",")
-    assert float(first[3]) == emap.samples[0].sigma
+    assert float(first[3]) == emap.samples[0]
     write_sweep_csv(emap, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
