@@ -7,9 +7,10 @@ Sigma and its gradient as arrays over the lattice.  Everything else in this
 module is root finding on top of it: the Clarke-critical set S, the
 algebraic set S_p, the weak-concentration set S*, the critical points of K,
 and the drift study that tracks dist(S_p, Crit K) as p approaches 5.  S,
-S_p and Crit K share one Newton root search.  The landscape command
-searches each set once; the drift study only measures the results it is
-given.
+S_p and Crit K share one Newton root search, which runs Newton from all
+starts at once: one batched kernel call per search, each evaluation of the
+field covering every start still running.  The landscape command searches
+each set once; the drift study only measures the results it is given.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .frozen_solver import (
     profile_moments,
     sigma_bracket,
 )
-from .model import ModelSpec
+from .model import EvalError, ModelSpec
 
 
 class LandscapeError(Exception):
@@ -142,62 +143,106 @@ class CriticalSetResult:
             raise LandscapeError("one residual per point is required")
 
 
-def _in_region(z: np.ndarray, reg: np.ndarray, span: float) -> bool:
-    """Whether z lies in the region box, up to a hairline boundary margin."""
-    if not np.all(np.isfinite(z)):
-        return False
-    overshoot = float(np.linalg.norm(z - np.clip(z, reg[:, 0], reg[:, 1])))
-    return overshoot <= 1e-9 + 1e-6 * span
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis.  vecdot takes the BLAS dot, as
+    np.linalg.norm does for one vector, so each norm has the bits of the
+    vector's own norm whatever the batch around it."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _in_region(z: np.ndarray, reg: np.ndarray, span: float) -> np.ndarray:
+    """Which rows of z (N, 3) lie in the region box, up to a hairline
+    boundary margin; a non-finite row never does."""
+    inside = np.all(np.isfinite(z), axis=-1)
+    zf = z[inside]
+    inside[inside] = _norm(zf - np.clip(zf, reg[:, 0], reg[:, 1])) <= 1e-9 + 1e-6 * span
+    return inside
+
+
+def _each_row(fn, error, *stacks) -> np.ndarray:
+    """fn on stacks of rows, returning an array shaped like the last stack.
+    When the whole stack raises error, each row is taken alone and a row
+    that raises reads nan, so that a failure ends only its own Newton run:
+    an iterate outside the range where the coefficients evaluate, or a
+    singular Jacobian."""
+    try:
+        return np.asarray(fn(*stacks), dtype=np.float64)
+    except error:
+        out = np.full(stacks[-1].shape, np.nan)
+        for i in range(len(out)):
+            try:
+                out[i] = fn(*(s[i : i + 1] for s in stacks))[0]
+            except error:
+                pass
+        return out
+
+
+def _solve(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(jac, g[..., None])[..., 0]
+
+
+_SHIFTS = np.concatenate([np.eye(3), -np.eye(3)])
 
 
 def _fd_jacobian(grad_fn, z: np.ndarray) -> np.ndarray:
-    d = 1e-6 * (1.0 + float(np.abs(z).max()))
-    cols = []
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = d
-        cols.append((np.asarray(grad_fn(z + e)) - np.asarray(grad_fn(z - e))) / (2.0 * d))
-    return np.stack(cols, axis=-1)
+    """Central-difference Jacobians (N, 3, 3) of grad_fn at the rows of z
+    (N, 3), jac[n, i, k] = d g_i / d z_k, from one evaluation on the
+    (N, 6, 3) stack of z +- d e_k, with each row's own d = 1e-6 (1 + max|z|)."""
+    d = 1e-6 * (1.0 + np.abs(z).max(axis=-1))
+    g = _each_row(grad_fn, EvalError, z[:, None, :] + d[:, None, None] * _SHIFTS)
+    return np.swapaxes(g[:, :3] - g[:, 3:], 1, 2) / (2.0 * d)[:, None, None]
 
 
 def _newton(grad_fn, z0, span: float, max_iter: int = 40):
-    """Damped Newton on a 3-vector field, Jacobian by differencing grad_fn.
+    """Damped Newton on a 3-vector field from all starts z0 (N, 3) at once,
+    Jacobian by differencing grad_fn, which maps points (..., 3) to values
+    (..., 3).  Each evaluation covers the rows still running.
 
-    Returns (z, |grad_fn(z)|, clean).  clean goes False when the iteration
-    ended for a structural reason: a singular or vanishing Jacobian, a
-    non-finite value, or an iterate running more than 10 spans from its
-    seed.  Flat tails of decaying coefficients produce tiny gradients over
-    huge sets, and there Newton stalls rather than converges; the flag is
-    what lets callers tell a root from a stall, since the gradient norm
-    alone cannot.
+    Returns arrays over the rows: z, |grad_fn(z)| and clean.  A row stops
+    at |g| = 0; clean goes False when it ended for a structural reason: a
+    non-finite value, a singular Jacobian, a non-finite step or one longer
+    than 10 spans, or an iterate more than 10 spans from its start.  Flat
+    tails of decaying coefficients produce tiny gradients over huge sets,
+    and there Newton stalls rather than converges; the flag is what lets
+    callers tell a root from a stall, since the gradient norm alone cannot.
+    The line search tries t = 1, 1/2, ... until |g| stops growing or
+    t < 1e-3, the same schedule for every row, so each row ends where it
+    would alone.
     """
-    z = np.asarray(z0, dtype=np.float64).copy()
-    g = np.asarray(grad_fn(z), dtype=np.float64)
-    for _ in range(max_iter):
-        gn = float(np.linalg.norm(g))
-        if not np.isfinite(gn):
-            return z, gn, False
-        if gn == 0.0:
-            break
-        jac = _fd_jacobian(grad_fn, z)
-        try:
-            step = np.linalg.solve(jac, g)
-        except np.linalg.LinAlgError:
-            return z, gn, False
-        if not np.all(np.isfinite(step)) or float(np.linalg.norm(step)) > 10.0 * span:
-            return z, gn, False
-        t = 1.0
-        zn, gnew = z, g
-        for _ in range(12):
-            zn = z - t * step
-            gnew = np.asarray(grad_fn(zn), dtype=np.float64)
-            if float(np.linalg.norm(gnew)) <= gn or t < 1e-3:
+    z0 = np.asarray(z0, dtype=np.float64).reshape(-1, 3)
+    z = z0.copy()
+    clean = np.ones(len(z), dtype=bool)
+    run = np.arange(len(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _each_row(grad_fn, EvalError, z)
+        for _ in range(max_iter):
+            gn = _norm(g[run])
+            clean[run[~np.isfinite(gn)]] = False
+            keep = np.isfinite(gn) & (gn != 0.0)
+            run, gn = run[keep], gn[keep]
+            if not run.size:
                 break
-            t *= 0.5
-        z, g = zn, gnew
-        if float(np.linalg.norm(z - np.asarray(z0))) > 10.0 * span:
-            return z, float(np.linalg.norm(g)), False
-    return z, float(np.linalg.norm(g)), True
+            zr = z[run]
+            step = _each_row(_solve, np.linalg.LinAlgError, _fd_jacobian(grad_fn, zr), g[run])
+            bad = ~np.all(np.isfinite(step), axis=-1) | (_norm(step) > 10.0 * span)
+            clean[run[bad]] = False
+            run, zr, gn, step = run[~bad], zr[~bad], gn[~bad], step[~bad]
+            if not run.size:
+                break
+            zn, gnew = zr.copy(), g[run]
+            t, look = 1.0, np.arange(len(run))
+            while True:
+                zn[look] = zr[look] - t * step[look]
+                gnew[look] = _each_row(grad_fn, EvalError, zn[look])
+                look = look[~(_norm(gnew[look]) <= gn[look])]
+                if not look.size or t < 1e-3:
+                    break
+                t *= 0.5
+            z[run], g[run] = zn, gnew
+            far = _norm(zn - z0[run]) > 10.0 * span
+            clean[run[far]] = False
+            run = run[~far]
+    return z, _norm(g), clean
 
 
 def _lattice_minima(values: np.ndarray) -> np.ndarray:
@@ -222,18 +267,17 @@ def _dedupe(points, residuals, tol: float = 1e-6):
 
 
 def _newton_roots(fn, starts, reg: np.ndarray, span: float, accept, rejected=None):
-    """Newton from every start; keeps the clean in-region roots z with
-    residual r that pass accept(z, r), deduplicated.  Starts that yield no
-    such root go to rejected as (start, r) when a list is given."""
-    roots, resids = [], []
-    for z0 in starts:
-        z, r, clean = _newton(fn, z0, span)
-        if clean and _in_region(z, reg, span) and accept(z, r):
-            roots.append(z)
-            resids.append(r)
-        elif rejected is not None:
-            rejected.append((z0, r))
-    return _dedupe(roots, resids)
+    """One batched _newton from all starts; keeps the clean in-region roots,
+    in start order, whose roots z (M, 3) and residuals r (M,) pass the mask
+    accept(z, r), deduplicated.  Starts that yield no such root go to
+    rejected as (start, r), in start order, when a list is given."""
+    starts = np.asarray(starts, dtype=np.float64).reshape(-1, 3)
+    z, r, ok = _newton(fn, starts, span)
+    ok &= _in_region(z, reg, span)
+    ok[ok] = accept(z[ok], r[ok])
+    if rejected is not None:
+        rejected.extend(zip(starts[~ok], r[~ok].tolist()))
+    return _dedupe(list(z[ok]), r[ok].tolist())
 
 
 def _seed_points(reg: np.ndarray, seeds) -> np.ndarray:
@@ -316,14 +360,14 @@ def find_Sp(model: ModelSpec, p: float, region, seeds=None) -> CriticalSetResult
     p = float(p)
 
     def G(z):
-        v, gv = model.V_and_grad(np.asarray(z, dtype=np.float64))
-        k, gk = model.K_and_grad(np.asarray(z, dtype=np.float64))
-        return (5.0 - p) * float(k) * np.asarray(gv) - 4.0 * float(v) * np.asarray(gk)
+        v, gv = model.V_and_grad(z)
+        k, gk = model.K_and_grad(z)
+        return (5.0 - p) * k[..., None] * gv - 4.0 * v[..., None] * gk
 
     def accept(z, r):
         _, gv = model.V_and_grad(z)
         _, gk = model.K_and_grad(z)
-        return r < 1e-8 * (1.0 + float(np.linalg.norm(gv)) + float(np.linalg.norm(gk)))
+        return r < 1e-8 * (1.0 + _norm(gv) + _norm(gk))
 
     roots, resids = _newton_roots(G, _seed_points(reg, seeds), reg, span, accept)
     return CriticalSetResult("Sp", roots, resids, p=p, method="newton-analytic")
@@ -338,7 +382,7 @@ def crit_K(model: ModelSpec, region, seeds=None) -> CriticalSetResult:
     reg = _as_region(region)
     span = float(np.linalg.norm(reg[:, 1] - reg[:, 0]))
     seed_pts = _seed_points(reg, seeds)
-    grad_fn = lambda z: model.K_and_grad(np.asarray(z, dtype=np.float64))[1]
+    grad_fn = lambda z: model.K_and_grad(z)[1]
     kvals, kgrads = model.K_and_grad(seed_pts)
     gmax = float(np.linalg.norm(kgrads, axis=-1).max())
     if gmax <= 1e-14 * max(1.0, float(np.abs(kvals).max())):

@@ -607,7 +607,8 @@ def validate_assumptions(model: ModelSpec, lattice: SampleLattice | None = None)
                 mag = float(np.max(np.abs(jac))) if model.has_field else 0.0
             else:
                 _, g = (model.V_and_grad if name == "V" else model.K_and_grad)(ring)
-                mag = float(np.max(np.linalg.norm(g, axis=-1)))
+                with np.errstate(over="ignore"):  # a norm past the float range is the inf rate
+                    mag = float(np.max(np.linalg.norm(g, axis=-1)))
             rates.append((float(r), mag))
         growth[name] = rates
 

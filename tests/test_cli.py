@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from textwrap import dedent
 
 import numpy as np
@@ -627,7 +628,8 @@ def test_landscape_searches_each_set_once(tmp_path, monkeypatch):
     import spikemap.cli
     import spikemap.landscape
 
-    calls = {"crit_K": 0, "find_Sp": 0}
+    # and each search is one batched Newton call: S, Crit K, S_p at 3 and 4
+    calls = {"crit_K": 0, "find_Sp": 0, "_newton": 0}
 
     def counted(name):
         fn = getattr(spikemap.landscape, name)
@@ -640,7 +642,8 @@ def test_landscape_searches_each_set_once(tmp_path, monkeypatch):
 
     for name in calls:
         wrapped = counted(name)
-        monkeypatch.setattr(spikemap.cli, name, wrapped)
+        if hasattr(spikemap.cli, name):
+            monkeypatch.setattr(spikemap.cli, name, wrapped)
         monkeypatch.setattr(spikemap.landscape, name, wrapped)
     out = tmp_path / "land"
     text = (
@@ -650,8 +653,40 @@ def test_landscape_searches_each_set_once(tmp_path, monkeypatch):
         f"[output]\ndirectory = {out}\n"
     )
     assert main(["landscape", write_config(tmp_path / "land.ini", text)]) == 0
-    assert calls == {"crit_K": 1, "find_Sp": 2}
+    assert calls == {"crit_K": 1, "find_Sp": 2, "_newton": 4}
     assert json.loads((out / "manifest.json").read_text())["failure"] is None
+
+
+def test_landscape_newton_iterate_past_the_float_range_ends_its_own_run(tmp_path, capsys):
+    # V = exp(0.16 |x|^2) overflows where some S_p iterates wander; those
+    # runs end unclean and the axis root of G still comes out
+    out = tmp_path / "land"
+    text = (
+        "[model]\nV = exp(0.16*(x1^2 + x2^2 + x3^2))\n"
+        f"K = {BUMP_K}\np = 3\n\n"
+        "[landscape]\nregion = -2, 2, -2, 2, -2, 2\nresolution = 5\n"
+        "p_list = 3.0, 4.9\nseeds = 4\n\n"
+        f"[output]\ndirectory = {out}\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["landscape", write_config(tmp_path / "land.ini", text)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "manifest.json").read_text())["failure"] is None
+
+    # on the x1 axis G_1 / V = 0.64 x K + 4 (x - 1) exp(-(x - 1)^2) at p = 3
+    def g(x):
+        e = np.exp(-((x - 1.0) ** 2))
+        return 0.64 * x * (1.0 + 0.5 * e) + 4.0 * (x - 1.0) * e
+
+    lo, hi = 0.0, 1.0
+    assert g(lo) < 0.0 < g(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if g(mid) < 0.0 else (lo, mid)
+    Sp = json.loads((out / "critical_Sp.json").read_text())
+    assert Sp["p"] == 3.0 and len(Sp["points"]) == 1
+    assert np.allclose(Sp["points"][0], [lo, 0.0, 0.0], rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("p_list", ["4.0, 3.0", "3.0, 3.0", "1.0, 3.0", "3.0, 5.0"])

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from spikemap.diagnostics import ProbeSpec
 from spikemap.fields import SolverError, make_grid
 from spikemap.frozen_solver import BracketError, explicit_sigma_and_grad, ground_energy
+import spikemap.landscape
 from spikemap.landscape import (
     CriticalSetResult,
     GroundEnergyMap,
@@ -21,7 +22,7 @@ from spikemap.landscape import (
     write_sweep_csv,
 )
 from spikemap.magnetic_solver import solve_frozen_magnetic
-from spikemap.model import ModelSpec, Nonlinearity, ZERO_EXPR, parse_potential
+from spikemap.model import EvalError, ModelSpec, Nonlinearity, ZERO_EXPR, parse_potential
 
 E3 = 18.897251302545
 
@@ -313,6 +314,73 @@ def test_S_and_Sp_agree_on_smooth_model():
     sp = find_Sp(model, 3.0, BOX2, seeds=5)
     assert len(s.points) == len(sp.points) == 1
     assert np.linalg.norm(np.asarray(s.points[0]) - sp.points[0]) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the batched Newton kernel
+
+def _search_fields(monkeypatch):
+    """The vector fields find_S, crit_K and find_Sp hand to _newton on the
+    bump model: grad Sigma, grad K, and G at p = 3 and at p = 4.9."""
+    fields = []
+    newton = spikemap.landscape._newton
+
+    def record(grad_fn, z0, span, *args, **kwargs):
+        fields.append(grad_fn)
+        return newton(grad_fn, z0, span, *args, **kwargs)
+
+    monkeypatch.setattr(spikemap.landscape, "_newton", record)
+    model = mk_model(BUMP_V, BUMP_K)
+    find_S(sweep_sigma(BOX2, 5, model), model)
+    crit_K(model, BOX2, seeds=2)
+    for p in (3.0, 4.9):
+        find_Sp(model, p, BOX2, seeds=2)
+    monkeypatch.setattr(spikemap.landscape, "_newton", newton)
+    return dict(zip(["grad_sigma", "grad_K", "G_3", "G_4.9"], fields))
+
+
+def _same_rows(batch, alone):
+    assert all(np.array_equal(b, a, equal_nan=True) for b, a in zip(batch, alone))
+
+
+def test_batched_newton_rows_equal_their_lone_runs(monkeypatch):
+    span = float(np.linalg.norm([4.0, 4.0, 4.0]))
+    starts = spikemap.landscape._lattice(np.asarray(BOX2), (5, 5, 5))
+    fields = _search_fields(monkeypatch)
+    assert len(fields) == 4
+    unclean = {}
+    for name, fn in fields.items():
+        z, r, clean = spikemap.landscape._newton(fn, starts, span)
+        for i, z0 in enumerate(starts):
+            _same_rows((z[i : i + 1], r[i : i + 1], clean[i : i + 1]),
+                       spikemap.landscape._newton(fn, z0[None], span))
+        unclean[name] = int(np.count_nonzero(~clean))
+    # near p = 5 most starts run off, so the batch mixes stopped and running rows
+    assert unclean["G_4.9"] > 100 and unclean["G_3"] < unclean["G_4.9"]
+
+
+def test_singular_jacobian_ends_only_its_row():
+    # the difference Jacobian of (z1^2, z2, z3) is exactly singular at z1 = 0
+    field = lambda z: np.stack([z[..., 0] ** 2, z[..., 1], z[..., 2]], axis=-1)
+    starts = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    z, r, clean = spikemap.landscape._newton(field, starts, 1.0)
+    assert not clean[0]
+    assert np.array_equal(z[0], starts[0]) and r[0] == np.sqrt(2.0)
+    _same_rows((z[1:], r[1:], clean[1:]), spikemap.landscape._newton(field, starts[1:], 1.0))
+    assert clean[1] and r[1] < 1e-10
+
+
+def test_evaluation_error_ends_only_its_row():
+    def field(z):
+        if np.any(np.abs(z) > 3.0):
+            raise EvalError("outside the range of the stub")
+        return z - np.array([0.5, -0.25, 0.0])
+
+    starts = np.array([[5.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    z, r, clean = spikemap.landscape._newton(field, starts, 1.0)
+    assert not clean[0] and np.isnan(r[0])
+    _same_rows((z[1:], r[1:], clean[1:]), spikemap.landscape._newton(field, starts[1:], 1.0))
+    assert clean[1] and np.allclose(z[1], (0.5, -0.25, 0.0), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

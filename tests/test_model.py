@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,16 @@ def test_validate_rejects_nonpositive_V():
     model = make_model(Vtxt="x1^2")  # vanishes at the origin
     with pytest.raises(ModelError):
         validate_assumptions(model)
+
+
+def test_validate_records_a_growth_rate_past_the_float_range_as_inf():
+    # |grad V| at r = 64 is about 3e285, finite, but its square overflows
+    model = make_model(Vtxt="exp(0.16*(x1^2 + x2^2 + x3^2))")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = validate_assumptions(model)
+    assert rep.growth["V"][-1] == (64.0, np.inf)
+    assert all(np.isfinite(mag) for _, mag in rep.growth["V"][:-1])
 
 
 def test_validate_flags_bad_theta():
