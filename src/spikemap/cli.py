@@ -423,11 +423,7 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
     grad = sigma_bracket(mom, np.asarray(point.grad_Vz), np.asarray(point.grad_Kz))
 
     with man:
-        _write_rows(
-            man.out("profile.csv"),
-            ["r", "u", "du"],
-            ([_fmt(r), _fmt(u), _fmt(du)] for r, u, du in zip(prof.r, prof.u, prof.du)),
-        )
+        prof.write_csv(man.out("profile.csv"))
         _write_json(
             man.out("sigma.json"),
             {

@@ -38,7 +38,7 @@ from .magnetic_solver import (
     phase_factor_split,
     rescale,
 )
-from .model import ModelSpec
+from .model import LATTICE_DIRECTIONS, ModelSpec
 
 
 class DiagnosticsError(Exception):
@@ -80,7 +80,8 @@ def diamagnetic_check(u: ComplexField3, model: ModelSpec, eps: float) -> float:
 
 
 def current_density(U: ComplexField3):
-    """Re(i conj(U) grad U) and its sup norm over sup|U| sup|grad U|.
+    """Re(i conj(U) grad U), its sup norm over sup|U| sup|grad U|, and that
+    denominator.
 
     Least-energy profiles carry no current, so the normalized norm is a
     directly testable smallness certificate for a computed candidate.
@@ -90,7 +91,7 @@ def current_density(U: ComplexField3):
     sup_J = float(np.sqrt(np.sum(J**2, axis=0)).max())
     denom = float(np.abs(U.values).max()) * float(np.sqrt(np.sum(np.abs(g) ** 2, axis=0)).max())
     norm = sup_J / denom if denom > 0.0 else 0.0
-    return VectorField3(U.grid, J), norm
+    return VectorField3(U.grid, J), norm, denom
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +182,7 @@ def pucci_serrin_residual(v: ComplexField3, z0, eps: float, model: ModelSpec):
 def _field_moments(U: ComplexField3, nonlin):
     """int Re(i conj(U) grad U), int |U|^2 and int F(|U|^2) by the grid sum."""
     vol = U.grid.cell_volume
-    Jfield, _ = current_density(U)
+    Jfield, _, _ = current_density(U)
     m2 = np.abs(U.values) ** 2
     intF = float(np.asarray(nonlin.F(m2), dtype=np.float64).sum()) * vol
     return Jfield.values.reshape(3, -1).sum(axis=1) * vol, float(m2.sum()) * vol, intF
@@ -288,25 +289,6 @@ def directional_derivative_sigma(z, w, model: ModelSpec):
 
 
 @dataclass
-class ProbeSpec:
-    """Sampling plan for the generalized directional derivative.
-
-    Difference quotients (sigma(xi + lam w) - sigma(xi)) / lam are taken for
-    xi in {z, z - rho w, z + rho w} and lam on a shrinking ladder, over a
-    direction net of the 26 lattice directions plus n_random seeded unit
-    vectors.  sigma overrides the evaluator (signature (m, 3) -> (m,)); the
-    default is frozen_solver.ground_energy.
-    """
-
-    rho: float = 1e-3
-    lambdas: tuple = (1e-3, 5e-4, 2.5e-4)
-    n_random: int = 50
-    rng_seed: int = 0
-    kappa: float = 3.0
-    sigma: object = None
-
-
-@dataclass
 class ClarkeVerdict:
     member: bool
     margin: float
@@ -315,40 +297,29 @@ class ClarkeVerdict:
     directions: int
 
 
-def _direction_net(probe: ProbeSpec) -> np.ndarray:
-    axes = [-1.0, 0.0, 1.0]
-    dirs = []
-    for a in axes:
-        for b in axes:
-            for c in axes:
-                if a == b == c == 0.0:
-                    continue
-                v = np.array([a, b, c])
-                dirs.append(v / np.linalg.norm(v))
-    if probe.n_random > 0:
-        rng = np.random.default_rng(probe.rng_seed)
-        raw = rng.standard_normal((probe.n_random, 3))
-        dirs.extend(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-    return np.asarray(dirs)
-
-
-def clarke_critical_test(z, model: ModelSpec, probe: ProbeSpec | None = None) -> ClarkeVerdict:
+def clarke_critical_test(z, model: ModelSpec, sigma=None) -> ClarkeVerdict:
     """Sampled test of 0 being a generalized gradient of the energy map at z.
 
+    The sampling plan is fixed.  Difference quotients
+    (sigma(xi + lam w) - sigma(xi)) / lam are taken for xi in
+    {z, z - rho w, z + rho w}, rho = 1e-3, and lam in (1e-3, 5e-4, 2.5e-4),
+    over the 26 lattice directions w plus 50 unit vectors drawn with seed 0.
     The membership margin is the worst direction's best difference quotient;
-    membership requires it to clear a noise threshold proportional to the
-    probe radii times a sampled curvature scale.  With the default sigma,
-    grad_norm is |grad Sigma(z)| from ground_energy, so the smooth verdict
-    can be compared against the sampled one.
+    membership requires it to clear the noise threshold
+    3 (rho + max lam) curv, curv being a curvature scale sampled from the
+    lambda ladder.  sigma overrides the evaluator (signature (m, 3) -> (m,)).
+    With the default, frozen_solver.ground_energy, grad_norm is
+    |grad Sigma(z)|, so the smooth verdict can be compared against the
+    sampled one; with another evaluator it is None.
     """
-    probe = probe if probe is not None else ProbeSpec()
     z = np.asarray(z, dtype=np.float64)
-    dirs = _direction_net(probe)
-    ev = probe.sigma if probe.sigma is not None else (lambda pts: ground_energy(pts, model)[0])
+    rho, lams = 1e-3, np.array([1e-3, 5e-4, 2.5e-4])
+    raw = np.random.default_rng(0).standard_normal((50, 3))
+    dirs = np.concatenate([LATTICE_DIRECTIONS, raw / np.linalg.norm(raw, axis=1, keepdims=True)])
+    ev = sigma if sigma is not None else (lambda pts: ground_energy(pts, model)[0])
     nd = len(dirs)
-    offs = np.array([0.0, -probe.rho, probe.rho])
+    offs = np.array([0.0, -rho, rho])
     xi = z[None, None, :] + offs[None, :, None] * dirs[:, None, :]
-    lams = np.asarray(probe.lambdas)
     tips = xi[:, :, None, :] + lams[None, None, :, None] * dirs[:, None, None, :]
     base = ev(xi.reshape(-1, 3)).reshape(nd, 3)
     tip = ev(tips.reshape(-1, 3)).reshape(nd, 3, lams.size)
@@ -358,14 +329,10 @@ def clarke_critical_test(z, model: ModelSpec, probe: ProbeSpec | None = None) ->
     # curvature scale from the lambda ladder at fixed xi: zero for piecewise
     # linear kinks (where the quotients are exact), Hessian-sized for smooth
     # sheets (where they carry an O(rho + lambda) bias)
-    span = float(lams.max() - lams.min())
-    if span > 0.0:
-        curv = float((quot.max(axis=2) - quot.min(axis=2)).max()) / span
-    else:
-        curv = 0.0
-    threshold = probe.kappa * (probe.rho + lams.max()) * curv + 1e-12
+    curv = float((quot.max(axis=2) - quot.min(axis=2)).max()) / float(lams.max() - lams.min())
+    threshold = 3.0 * (rho + lams.max()) * curv + 1e-12
     grad_norm = None
-    if probe.sigma is None:
+    if sigma is None:
         grad_norm = float(np.linalg.norm(ground_energy(z, model)[1]))
     return ClarkeVerdict(
         member=bool(margin >= -threshold),
@@ -556,19 +523,17 @@ def run_diagnostics(sol: MagneticSolution, model: ModelSpec, window=None) -> Dia
     dia = diamagnetic_check(sol.u, model, sol.eps)
     v = rescale(sol, z0)
     split = phase_factor_split(v, z0, model)
-    _, cnorm = current_density(split.U)
+    _, cnorm, cdenom = current_density(split.U)
     ps_vec, ps_rel = pucci_serrin_residual(v, z0, sol.eps, model)
     if window is None:
         r_box = float(v.grid.half_extent())
         window = (2.0 * _shell_fwhm(v), 0.8 * r_box)
     fit = decay_fit(v, window)
-    g = gradient(split.U).values
     notes = {
         "pucci_serrin_terms_sum": (
             float(np.linalg.norm(ps_vec)) / ps_rel if ps_rel > 0.0 else 0.0
         ),
-        "current_density_denominator": float(np.abs(split.U.values).max())
-        * float(np.sqrt(np.sum(np.abs(g) ** 2, axis=0)).max()),
+        "current_density_denominator": cdenom,
         "decay_points": fit.n_points,
         "phase_imag_fraction": split.imag_fraction,
     }

@@ -25,8 +25,8 @@ of it.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +72,6 @@ class FrozenPoint:
     z: tuple
     Vz: float
     Kz: float
-    Az: tuple = (0.0, 0.0, 0.0)
     grad_Vz: tuple | None = None
     grad_Kz: tuple | None = None
 
@@ -85,8 +84,7 @@ class FrozenPoint:
         z = np.asarray(z, dtype=np.float64)
         v, gv = model.V_and_grad(z)
         k, gk = model.K_and_grad(z)
-        a = model.A_at(z)
-        return cls(tuple(z), float(v), float(k), tuple(a), tuple(gv), tuple(gk))
+        return cls(tuple(z), float(v), float(k), tuple(gv), tuple(gk))
 
 
 @dataclass
@@ -123,9 +121,9 @@ class RadialProfile:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
-            wr.writerow(["r", "u"])
-            for rj, uj in zip(self.r, self.u):
-                wr.writerow([repr(float(rj)), repr(float(uj))])
+            wr.writerow(["r", "u", "du"])
+            for row in zip(self.r, self.u, self.du):
+                wr.writerow([repr(float(x)) for x in row])
 
 
 @dataclass
@@ -246,16 +244,14 @@ def _integrate(u0, dr, nsteps, force, keep=False):
     return 0, nsteps, us, vs
 
 
-def shoot_radial(
-    point: FrozenPoint, nonlin, n: int = 4000, tol: float = 1e-10, refine: int = 8
-) -> RadialProfile:
+def shoot_radial(point: FrozenPoint, nonlin, n: int = 4000, refine: int = 8) -> RadialProfile:
     """Bisection shooting for the radial ground state at a frozen point.
 
     The amplitude ladder spans [0.1, 100] times the balance scale; the first
     adjacent (undershoot, overshoot) pair is bisected until its ends are
-    adjacent floats, at most 80 times.  tol bounds the admissible relative
-    bracket width at the end (float resolution is about 1e-16, so this only
-    trips if no bracket existed).  Classification runs at n steps; the kept
+    adjacent floats, at most 80 times.  A relative bracket width above 1e-10
+    at the end raises (float resolution is about 1e-16, so this only trips
+    if no bracket existed).  Classification runs at n steps; the kept
     profile is re-integrated at refine * n steps, which is what pushes its
     finite-difference residual below the contract threshold.  Both bisections
     stop once the midpoint rounds onto an end: every further halving would
@@ -285,8 +281,8 @@ def shoot_radial(
             hi = mid
         else:
             lo = mid
-    if hi - lo > tol * hi:
-        raise SolverError(f"shooting bracket failed to shrink below tol={tol}")
+    if hi - lo > 1e-10 * hi:
+        raise SolverError("shooting bracket failed to shrink below 1e-10 relative width")
 
     # Second stage: re-bisect at the profile resolution.  The coarse critical
     # amplitude is off the fine integrator's one by its truncation error, and
@@ -436,16 +432,16 @@ def _grid_hamiltonian(u, point: FrozenPoint, nonlin) -> Hamiltonian:
 def _quadratic_and_pairing(u, point: FrozenPoint, nonlin):
     """Q = kinetic + V mass at the frozen point, and t -> int K f(t^2 u^2) u^2."""
     if isinstance(u, RadialProfile):
+        mom = profile_moments(u, nonlin)
         r = u.r
         w = 4.0 * np.pi * r * r
-        Q = float(simpson(u.du**2 * w, x=r)) + point.Vz * float(simpson(u.u**2 * w, x=r))
         u2 = u.u**2
 
         def pairing(t):
             ft = np.asarray(nonlin.f(t * t * u2), dtype=np.float64)
             return point.Kz * float(simpson(ft * u2 * w, x=r))
 
-        return Q, pairing
+        return mom["T"] + point.Vz * mom["mass2"], pairing
 
     H = _grid_hamiltonian(u, point, nonlin)
     m2 = _abs2(u.values)
@@ -492,32 +488,25 @@ def sigma_r(point: FrozenPoint, nonlin, n: int = 4000):
     return prof.energy, grad
 
 
-_CANON_CACHE: dict = {}
-_CANON_LOCK = threading.Lock()
-
-
 def canonical_energy(p: float, lam: float = 1.0, n: int = 4000) -> float:
-    """Ground energy of the canonical problem V = K = 1, cached per (p, lam, n)."""
-    return _canonical(p, lam, n)[0]
+    """Ground energy of the canonical problem V = K = 1.
+
+    One shot per process for each (p, lam, n), however the arguments are
+    spelled: canonical_energy(2.6, n=600) and canonical_energy(2.6, 1.0, 600)
+    share it, and so does canonical_profile.
+    """
+    return _canonical(float(p), float(lam), int(n)).energy
 
 
 def canonical_profile(p: float, lam: float = 1.0, n: int = 4000) -> RadialProfile:
-    return _canonical(p, lam, n)[1]
+    return _canonical(float(p), float(lam), int(n))
 
 
+@functools.cache
 def _canonical(p, lam, n):
     from .model import Nonlinearity
 
-    key = (float(p), float(lam), int(n))
-    with _CANON_LOCK:
-        hit = _CANON_CACHE.get(key)
-    if hit is not None:
-        return hit
-    prof = shoot_radial(FrozenPoint((0.0, 0.0, 0.0), 1.0, 1.0), Nonlinearity.power(lam, p), n=n)
-    entry = (prof.energy, prof)
-    with _CANON_LOCK:
-        _CANON_CACHE[key] = entry
-    return entry
+    return shoot_radial(FrozenPoint((0.0, 0.0, 0.0), 1.0, 1.0), Nonlinearity.power(lam, p), n=n)
 
 
 def ground_state(point: FrozenPoint, nonlin) -> RadialProfile:
@@ -608,14 +597,14 @@ def _radial_gradT(u, a2, dr):
     return g
 
 
-def constrained_sigma(point: FrozenPoint, nonlin, n: int = 3000, max_steps: int = 300) -> ConstrainedSigma:
+def constrained_sigma(point: FrozenPoint, nonlin, n: int = 3000) -> ConstrainedSigma:
     """Minimize int |grad u|^2 subject to int (K F(u^2) - V u^2 / 2) = 1.
 
     Starts from the dilation of the shooting profile that lands on the
     constraint, keeps the constraint pinned by an amplitude correction after
-    every tangential exact-line-search step, and reports both the raw
-    constrained minimum and its dilation identification with the ground
-    energy, sigma_raw^(3/2) / (3 sqrt 6).
+    every tangential exact-line-search step (at most 300), and reports both
+    the raw constrained minimum and its dilation identification with the
+    ground energy, sigma_raw^(3/2) / (3 sqrt 6).
     """
     prof = shoot_radial(point, nonlin, n=n)
     u = prof.u.copy()
@@ -659,7 +648,7 @@ def constrained_sigma(point: FrozenPoint, nonlin, n: int = 3000, max_steps: int 
     T_hist = [_radial_T(u, a2, dr)]
     max_drift = drift
     steps = 0
-    for steps in range(1, max_steps + 1):
+    for steps in range(1, 301):
         g = _radial_gradT(u, a2, dr)
         f = np.asarray(nonlin.f(u * u), dtype=np.float64)
         # dP/du_j = w_j (K f(u^2) u - V u), since dF(s)/ds = f(s)/2

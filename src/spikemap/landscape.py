@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import ProbeSpec, _direction_net, clarke_critical_test, gamma_pm
+from .diagnostics import clarke_critical_test, gamma_pm
 from .frozen_solver import (
     FrozenPoint,
     SolverError,
@@ -31,7 +31,7 @@ from .frozen_solver import (
     profile_moments,
     sigma_bracket,
 )
-from .model import EvalError, ModelSpec
+from .model import LATTICE_DIRECTIONS, EvalError, ModelSpec
 
 
 class LandscapeError(Exception):
@@ -193,10 +193,11 @@ def _fd_jacobian(grad_fn, z: np.ndarray) -> np.ndarray:
     return np.swapaxes(g[:, :3] - g[:, 3:], 1, 2) / (2.0 * d)[:, None, None]
 
 
-def _newton(grad_fn, z0, span: float, max_iter: int = 40):
+def _newton(grad_fn, z0, span: float):
     """Damped Newton on a 3-vector field from all starts z0 (N, 3) at once,
     Jacobian by differencing grad_fn, which maps points (..., 3) to values
-    (..., 3).  Each evaluation covers the rows still running.
+    (..., 3), for at most 40 iterations.  Each evaluation covers the rows
+    still running.
 
     Returns arrays over the rows: z, |grad_fn(z)| and clean.  A row stops
     at |g| = 0; clean goes False when it ended for a structural reason: a
@@ -215,7 +216,7 @@ def _newton(grad_fn, z0, span: float, max_iter: int = 40):
     run = np.arange(len(z))
     with np.errstate(over="ignore", invalid="ignore"):
         g = _each_row(grad_fn, EvalError, z)
-        for _ in range(max_iter):
+        for _ in range(40):
             gn = _norm(g[run])
             clean[run[~np.isfinite(gn)]] = False
             keep = np.isfinite(gn) & (gn != 0.0)
@@ -257,10 +258,10 @@ def _lattice_minima(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ok.ravel())
 
 
-def _dedupe(points, residuals, tol: float = 1e-6):
+def _dedupe(points, residuals):
     kept_p, kept_r = [], []
     for z, r in zip(points, residuals):
-        if all(float(np.linalg.norm(z - q)) > tol for q in kept_p):
+        if all(float(np.linalg.norm(z - q)) > 1e-6 for q in kept_p):
             kept_p.append(z)
             kept_r.append(r)
     return kept_p, kept_r
@@ -290,13 +291,14 @@ def _seed_points(reg: np.ndarray, seeds) -> np.ndarray:
     return np.asarray(list(seeds), dtype=np.float64).reshape(-1, 3)
 
 
-def find_S(emap: GroundEnergyMap, model: ModelSpec, probe: ProbeSpec | None = None) -> CriticalSetResult:
+def find_S(emap: GroundEnergyMap, model: ModelSpec, sigma=None) -> CriticalSetResult:
     """Critical points of the ground-energy map in the Clarke sense.
 
     Power case: Newton on the analytic gradient, seeded from lattice minima
     of |grad Sigma|, accepted at |grad Sigma| < 1e-8.  Other nonlinearities:
-    the sampled generalized-gradient test at lattice minima of Sigma itself
-    (probe forwards a sampling plan to it).  A map whose sampled gradient
+    diagnostics.clarke_critical_test at lattice minima of Sigma itself, with
+    its fixed sampling plan; sigma, when given, replaces its evaluator of
+    Sigma (tests pass a closed form there).  A map whose sampled gradient
     never leaves rounding noise is reported as degenerate: every point is
     critical and a list would be meaningless.
     """
@@ -330,7 +332,7 @@ def find_S(emap: GroundEnergyMap, model: ModelSpec, probe: ProbeSpec | None = No
 
     roots, resids, notes = [], [], []
     for i in _lattice_minima(sig):
-        verdict = clarke_critical_test(pts[i], model, probe)
+        verdict = clarke_critical_test(pts[i], model, sigma)
         if verdict.member:
             roots.append(pts[i])
             resids.append(max(0.0, -verdict.margin))
@@ -398,23 +400,22 @@ def crit_K(model: ModelSpec, region, seeds=None) -> CriticalSetResult:
     return CriticalSetResult("CritK", roots, resids, method="newton-analytic")
 
 
-def find_Sstar(model: ModelSpec, candidates, solutions_provider=None, tol: float = 1e-4) -> CriticalSetResult:
+def find_Sstar(model: ModelSpec, candidates, solutions_provider=None) -> CriticalSetResult:
     """Weak-concentration membership of finitely many candidate points.
 
     For each candidate the directional brackets are evaluated over the 26
-    lattice directions; membership needs the upper bracket above -tol and
-    the lower below +tol in every direction (the brackets are linear in the
-    direction for a single orbit, so the lattice net decides membership up
-    to the tolerance scale).  The reported residual is the worst violation
-    max(-sup, inf) over the net.
+    lattice directions (model.LATTICE_DIRECTIONS); membership needs the
+    upper bracket above -1e-4 and the lower below +1e-4 in every direction
+    (the brackets are linear in the direction for a single orbit, so the
+    lattice net decides membership up to that tolerance).  The reported
+    residual is the worst violation max(-sup, inf) over the net.
 
     With no solutions_provider the brackets come from the moments of the
     radial ground state, which is exact for the least-energy representation
-    and the only route whose quadrature error sits below tol.  A provider
+    and the only route whose quadrature error sits below 1e-4.  A provider
     mapping z to a list of computed 3D solutions switches to the sampled
     bracket; its failures propagate.
     """
-    net = _direction_net(ProbeSpec(n_random=0))
     points, resids, notes = [], [], []
     for cand in candidates:
         z = np.asarray(cand, dtype=np.float64)
@@ -422,14 +423,14 @@ def find_Sstar(model: ModelSpec, candidates, solutions_provider=None, tol: float
             point = FrozenPoint.from_model(model, z)
             mom = profile_moments(ground_state(point, model.nonlin), model.nonlin)
             bvec = sigma_bracket(mom, np.asarray(point.grad_Vz), np.asarray(point.grad_Kz))
-            his = los = net @ bvec
+            his = los = LATTICE_DIRECTIONS @ bvec
         else:
             sols = solutions_provider(z)
-            pairs = [gamma_pm(tuple(z), tuple(w), model, sols) for w in net]
+            pairs = [gamma_pm(tuple(z), tuple(w), model, sols) for w in LATTICE_DIRECTIONS]
             his = np.array([hi for hi, _ in pairs])
             los = np.array([lo for _, lo in pairs])
         residual = float(np.maximum(-his, los).max())
-        if np.all(his >= -tol) and np.all(los <= tol):
+        if np.all(his >= -1e-4) and np.all(los <= 1e-4):
             points.append(z)
             resids.append(residual)
         else:

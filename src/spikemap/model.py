@@ -68,7 +68,6 @@ class Fun:
     a: object
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 _NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
 
 _COORDS = ("x1", "x2", "x3")  # the variable table of a coefficient
@@ -272,9 +271,12 @@ def _compile(roots):
     The source is straight-line, one assignment per distinct subtree, so a
     deep tree costs lines, not nesting.  Constants are bound as np.float64,
     so their arithmetic reports through np.errstate like the rest, and they
-    are keyed by their bits, so that 0.0 and -0.0 stay apart.
+    are keyed by their bits, so that 0.0 and -0.0 stay apart.  ^ is the
+    np.power ufunc, not **: on scalar operands ** calls libm pow, which can
+    differ in the last bit from the array loop, and a point must evaluate to
+    the same bits as its row in a batch.
     """
-    env = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log}
+    env = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log, "power": np.power}
     names, by_id, lines = {}, {}, []
 
     def emit(node):
@@ -287,8 +289,10 @@ def _compile(roots):
                 rhs = f"-{emit(node.a)}"
             elif isinstance(node, Fun):
                 rhs = f"{node.name}({emit(node.a)})"
+            elif node.op == "^":
+                rhs = f"power({emit(node.a)}, {emit(node.b)})"
             else:
-                rhs = f"{emit(node.a)} {'**' if node.op == '^' else node.op} {emit(node.b)}"
+                rhs = f"{emit(node.a)} {node.op} {emit(node.b)}"
             if rhs not in names:
                 name = names[rhs] = f"t{len(names)}"
                 if isinstance(node, Num):
@@ -554,13 +558,6 @@ def gauge_transform(u, model: ModelSpec, chi: GaugeFunction, eps: float):
 # assumption checks
 
 @dataclass
-class SampleLattice:
-    radius: float = 8.0
-    n: int = 17
-    ladder: tuple = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
-
-@dataclass
 class ValidationReport:
     v_min: float
     k_min: float
@@ -572,22 +569,29 @@ class ValidationReport:
     notes: list
 
 
-_DIRS26 = np.array(
+# The 26 lattice directions (a, b, c) / |(a, b, c)|, a, b, c in {-1, 0, 1}
+# and not all zero, in np.ndindex order.
+LATTICE_DIRECTIONS = np.array(
     [d for d in np.ndindex(3, 3, 3) if d != (1, 1, 1)], dtype=np.float64
 ) - 1.0
-_DIRS26 /= np.linalg.norm(_DIRS26, axis=1)[:, None]
+LATTICE_DIRECTIONS /= np.linalg.norm(LATTICE_DIRECTIONS, axis=1)[:, None]
+
+_BOX_RADIUS, _BOX_NODES = 8.0, 17
+_RING_RADII = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
-def validate_assumptions(model: ModelSpec, lattice: SampleLattice | None = None) -> ValidationReport:
+def validate_assumptions(model: ModelSpec) -> ValidationReport:
     """Sample positivity of V and K, the theta bound, and coefficient growth.
 
-    Fails hard (ModelError) when V or K dips to zero or below anywhere in the
-    sample set; everything else is reported.  Fills model.V0 and model.K0.
+    The sample set is the 17^3 box lattice over [-8, 8]^3 plus rings of the
+    26 lattice directions at radii 1, 2, 4, ..., 64; the growth rates are
+    the largest coefficient derivatives on each ring.  Fails hard (ModelError)
+    when V or K dips to zero or below anywhere in the sample set; everything
+    else is reported.  Fills model.V0 and model.K0.
     """
-    lat = lattice or SampleLattice()
-    ax = np.linspace(-lat.radius, lat.radius, lat.n)
+    ax = np.linspace(-_BOX_RADIUS, _BOX_RADIUS, _BOX_NODES)
     box = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    rings = [r * _DIRS26 for r in lat.ladder]
+    rings = [r * LATTICE_DIRECTIONS for r in _RING_RADII]
     pts = np.concatenate([box] + rings, axis=0)
 
     v = model.V_at(pts)
@@ -601,7 +605,7 @@ def validate_assumptions(model: ModelSpec, lattice: SampleLattice | None = None)
     growth = {}
     for name in ("V", "K", "A"):
         rates = []
-        for r, ring in zip(lat.ladder, rings):
+        for r, ring in zip(_RING_RADII, rings):
             if name == "A":
                 jac = model.A_jacobian(ring)
                 mag = float(np.max(np.abs(jac))) if model.has_field else 0.0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from spikemap.diagnostics import (
     ClarkeVerdict,
     DiagnosticsError,
-    ProbeSpec,
     clarke_critical_test,
     concentration_metrics,
     current_density,
@@ -165,7 +164,7 @@ def test_current_density_real_field_is_zero():
     grid = make_grid(6.0, 24)
     X = grid.meshgrid()
     w = np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 3.0)
-    J, norm = current_density(ComplexField3(grid, w.astype(complex)))
+    J, norm, _ = current_density(ComplexField3(grid, w.astype(complex)))
     assert norm == 0.0
     assert np.all(J.values == 0.0)
 
@@ -178,7 +177,7 @@ def test_current_density_constant_twist():
     w = np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 4.0)
     a = np.array([0.2, -0.3, 0.15])
     U = ComplexField3(grid, w * np.exp(1j * (a[0] * X[0] + a[1] * X[1] + a[2] * X[2])))
-    J, norm = current_density(U)
+    J, norm, _ = current_density(U)
     for k in range(3):
         assert np.abs(J.values[k] + a[k] * w**2).max() < 0.05 * abs(a[k])
     assert norm == pytest.approx(0.7791015187980086, rel=1e-6)
@@ -412,10 +411,10 @@ def test_clarke_two_sheet_kink():
 
         return sig
 
-    straddle = clarke_critical_test((0.0, 0.0, 0.0), model, ProbeSpec(sigma=sheet(-0.7)))
+    straddle = clarke_critical_test((0.0, 0.0, 0.0), model, sigma=sheet(-0.7))
     assert straddle.member
     assert straddle.threshold < 1e-10
-    one_sided = clarke_critical_test((0.0, 0.0, 0.0), model, ProbeSpec(sigma=sheet(0.5)))
+    one_sided = clarke_critical_test((0.0, 0.0, 0.0), model, sigma=sheet(0.5))
     assert not one_sided.member
     assert one_sided.margin < -0.2
 

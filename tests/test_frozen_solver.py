@@ -351,9 +351,10 @@ def test_profile_csv(tmp_path, prof3):
     prof3.write_csv(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["r", "u"]
+    assert rows[0] == ["r", "u", "du"]
     assert len(rows) == prof3.n + 2
     assert float(rows[1][1]) == prof3.u0
+    assert float(rows[1][2]) == prof3.du[0]
     assert float(rows[-1][0]) == pytest.approx(prof3.r_max)
 
 
@@ -369,6 +370,16 @@ def test_canonical_cache_is_thread_safe():
     for t in threads:
         t.join()
     assert len(set(results)) == 1
+
+
+def test_canonical_argument_spellings_share_one_shot(monkeypatch):
+    calls = []
+    shoot = frozen_solver.shoot_radial
+    monkeypatch.setattr(frozen_solver, "shoot_radial", lambda *a, **k: calls.append(a) or shoot(*a, **k))
+    e = canonical_energy(2.65, n=600)
+    assert canonical_energy(2.65, 1.0, 600) == e
+    assert canonical_profile(np.float64(2.65), lam=1, n=600).energy == e
+    assert len(calls) == 1
 
 
 def test_sample_profile_on_grid(prof3):

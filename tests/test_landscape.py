@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spikemap.diagnostics import ProbeSpec
 from spikemap.fields import SolverError, make_grid
 from spikemap.frozen_solver import BracketError, explicit_sigma_and_grad, ground_energy
 import spikemap.landscape
@@ -211,10 +210,10 @@ def test_find_S_constant_sigma_is_degenerate():
 
 def test_find_S_custom_route_reports_clarke_members(custom_sweep):
     # no closed form for a custom pair, so membership is decided by the
-    # sampled Clarke test; the probe carries the twin's exact sigma
+    # sampled Clarke test; sigma is the twin's exact one
     twin = mk_model(CUSTOM_V, CUSTOM_K)
-    probe = ProbeSpec(sigma=lambda z: explicit_sigma_and_grad(np.asarray(z, dtype=np.float64), twin)[0])
-    out = find_S(custom_sweep, custom_model(), probe=probe)
+    sigma = lambda z: explicit_sigma_and_grad(np.asarray(z, dtype=np.float64), twin)[0]
+    out = find_S(custom_sweep, custom_model(), sigma=sigma)
     assert out.method == "clarke-sampled"
     assert len(out.points) == 1
     assert np.allclose(out.points[0], 0.0)

@@ -13,7 +13,7 @@ from spikemap.model import (
     ModelSpec,
     Nonlinearity,
     ParseError,
-    SampleLattice,
+    PotentialExpr,
     ZERO_EXPR,
     gauge_transform,
     parse_gauge,
@@ -115,12 +115,15 @@ def _texts(depth):
 
 def _python_value(text, x):
     """The oracle: Python's own parser on the same text, ^ read as **, with
-    float64 literals and numpy functions; underflow is no error on either side."""
+    float64 literals and numpy functions; underflow is no error on either side.
+    Points and literals are one-dimensional arrays, so every operation takes
+    numpy's array loops, as compiled code does on one point and on many."""
     src = re.sub(r"\d+\.\d+", lambda m: f"F({m.group()})", text).replace("^", "**")
-    env = {"F": np.float64, "exp": np.exp, "sin": np.sin, "cos": np.cos,
-           "x1": x[..., 0], "x2": x[..., 1], "x3": x[..., 2]}
+    rows = np.reshape(x, (-1, 3))
+    env = {"F": lambda v: np.array([v]), "exp": np.exp, "sin": np.sin, "cos": np.cos,
+           "x1": rows[:, 0], "x2": rows[:, 1], "x3": rows[:, 2]}
     with np.errstate(all="raise", under="ignore"):
-        return eval(src, env)
+        return np.broadcast_to(eval(src, env), rows.shape[:-1]).reshape(x.shape[:-1])
 
 
 def _bits(v, shape):
@@ -134,6 +137,7 @@ ARRAY_POINTS = np.random.default_rng(1).uniform(-3.0, 3.0, size=(5, 3))
 @example(text="1.0 / 0.0", x=(0.0, 0.0, 0.0))  # errors of constant subtrees
 @example(text="2.0 ^ 999.0 - x1", x=(0.0, 0.0, 0.0))
 @example(text="(-1.5) ^ 0.5 + x1", x=(0.0, 0.0, 0.0))
+@example(text="(x1 + 1.0) ^ 2.5", x=(1.5, 0.0, 0.0))
 @settings(max_examples=300, deadline=None)
 def test_compiled_value_matches_python_parser(text, x):
     expr = parse_potential(text)
@@ -152,6 +156,50 @@ def test_compiled_value_matches_python_parser(text, x):
         except EvalError:  # a partial can fail where the value does not
             continue
         assert _bits(v, shape) == _bits(got, shape)
+
+
+def test_bench_K_gradient_at_each_point_equals_its_row_in_a_batch():
+    # on one point the operands of ^ are numpy scalars, on a stack arrays;
+    # the bits agree only if both take numpy's power loop
+    K = parse_potential("1 + 0.5*exp(-((x1-1)^2 + x2^2 + x3^2))")
+    z = np.random.default_rng(0).uniform(-3.0, 3.0, size=(3000, 3))
+    v, g = K.value_and_gradient(z)
+    singles = [K.value_and_gradient(zi) for zi in z]
+    assert np.array([vi for vi, _ in singles]).tobytes() == v.tobytes()
+    assert np.array([gi for _, gi in singles]).tobytes() == g.tobytes()
+
+
+@given(text=_texts(5), rows=st.lists(st.tuples(*[st.floats(-3, 3)] * 3), min_size=1, max_size=6))
+@example(text="(x1 + 1.0) ^ 2.5", rows=[(1.5, 0.0, 0.0)])  # scalar ** is 1 ulp off here
+@settings(max_examples=200, deadline=None)
+def test_a_point_evaluates_to_its_row_of_a_stack(text, rows):
+    expr = parse_potential(text)
+    stack = np.array(rows)
+    singles = []
+    for x in stack:
+        try:
+            singles.append(expr.value_and_gradient(x))
+        except EvalError:
+            singles.append(None)
+    try:
+        v, g = expr.value_and_gradient(stack)
+    except EvalError:
+        assert any(s is None for s in singles)
+        return
+    for i, single in enumerate(singles):
+        assert single is not None
+        assert np.float64(single[0]).tobytes() == v[i].tobytes()
+        assert single[1].tobytes() == g[i].tobytes()
+
+
+@given(text=st.one_of(st.text(max_size=40), st.text("x0123.eE+-*/^() expsincolg_", max_size=40)))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_text_parses_or_raises_a_model_error(text):
+    try:
+        expr = parse_potential(text)
+    except ModelError:
+        return
+    assert isinstance(expr, PotentialExpr)
 
 
 @pytest.mark.parametrize("text", [
