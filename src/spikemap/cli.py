@@ -42,6 +42,7 @@ from .frozen_solver import (
     explicit_sigma_and_grad,
     ground_state,
     profile_moments,
+    radial_residual,
     sigma_bracket,
 )
 from .landscape import (
@@ -64,6 +65,7 @@ from .magnetic_solver import (
     solve_magnetic,
 )
 from .model import (
+    EvalError,
     ModelError,
     ModelSpec,
     Nonlinearity,
@@ -147,6 +149,28 @@ def _expr_in_s(text: str):
     return call
 
 
+def _reject_critical_growth(f, text: str) -> None:
+    """Refuse an f that grows like s^2 or faster as s -> infinity.
+
+    f(s) ~ s^2 makes f(|u|^2) u ~ |u|^4 u, the H^1-critical power in R^3.
+    That is outside the subcritical growth f(s) = o(s^2) the problem
+    assumes, and shooting loses its bracket there.  The test is a log-slope
+    of at least 1.999 between s = 1e6 and 1e12; an f that overflows there
+    counts as faster.
+    """
+    try:
+        f1, f2 = float(f(1e6)), float(f(1e12))
+    except EvalError:
+        f1, f2 = 1.0, math.inf
+    if f1 > 0.0 and f2 > 0.0:
+        slope = math.log(f2 / f1) / math.log(1e6)
+        if slope >= 1.999:
+            raise ConfigError(
+                f"f = {text} grows like s^{slope:.4g} at large s; shooting needs "
+                "subcritical growth, f(s) = o(s^2)"
+            )
+
+
 def _build_nonlinearity(sec: dict) -> Nonlinearity:
     custom_keys = [k for k in ("f", "F", "theta") if k in sec]
     if custom_keys:
@@ -165,6 +189,7 @@ def _build_nonlinearity(sec: dict) -> Nonlinearity:
         half += Fs[0] - half[0]
         if float(np.max(np.abs(half - Fs))) > 1e-5 * float(np.max(np.abs(Fs))):
             raise ConfigError("F is not the half-antiderivative of f (F' = f/2 fails)")
+        _reject_critical_growth(f, sec["f"])
         try:
             return Nonlinearity.custom(f, F, theta)
         except ModelError as exc:
@@ -443,6 +468,7 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
                 "decay_points": fit.n_points,
                 "sqrt_V_at_z": float(np.sqrt(point.Vz)),
                 "mass2": mom["mass2"],
+                "radial_residual": radial_residual(prof, point, cfg.model.nonlin),
             },
         )
     return 0

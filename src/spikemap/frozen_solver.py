@@ -14,6 +14,13 @@ cached canonical profile, so ground_state shoots nothing there; shooting is
 the oracle the other routes are checked against and the only route to a
 profile for a custom f.  A profile's method records which route made it.
 
+Shooting keeps a bracket of amplitudes u(0) by the verdicts of its
+integrations (overshoot: u crosses zero; undershoot: u turns back up) and
+closes it by secant steps on the tail miss v + (sqrt V + 1/r) u, which is
+smooth in the amplitude: at n steps down to a relative width of 1e-9, then
+at the profile's step down to 1e-14.  The profile is the stored trajectory
+of the fine bracket's lower end, so no integration runs twice.
+
 Every 3D quadratic form, Nehari projection, energy and residual, here and
 in magnetic_solver, comes from fields.Hamiltonian, and the real 3D flow and
 the magnetic solve run one descent, _descend.  The flow stays an independent
@@ -193,36 +200,21 @@ def _series_start(u0, dr, force):
     return uval, vval
 
 
-def _integrate(u0, dr, nsteps, force, keep=False):
+def _integrate(u0, dr, nsteps, force):
     """March u' = v, v' = -2v/r + force(u) outward from r = 0.
 
     The first two nodes come from the Taylor series (an RK4 step across the
     coordinate singularity loses two orders there); RK4 takes over from
-    r = 2 dr.  Returns (status, m, us, vs): status +1 once u crosses zero
-    (overshoot), -1 once v turns nonnegative (undershoot), 0 if neither
-    happened; nodes 0..m are the monotone part kept for the profile.
+    r = 2 dr, its four stages written out in the loop.  Returns (status, m,
+    us, vs): status +1 once u crosses zero (overshoot), -1 once v turns
+    nonnegative (undershoot), 0 if neither happened; nodes 0..m of the
+    stored trajectory us, vs are the monotone part.
     """
-    uval, vval = _series_start(u0, dr, force)
     u, v = float(u0), 0.0
-    us = vs = None
-    if keep:
-        us = np.empty(nsteps + 1)
-        vs = np.empty(nsteps + 1)
-        us[0], vs[0] = u, v
-
-    def acc(r, uu, vv):
-        return -2.0 * vv / r + force(uu)
-
-    def step(r, uu, vv, h):
-        k1u, k1v = vv, acc(r, uu, vv)
-        k2u, k2v = vv + 0.5 * h * k1v, acc(r + 0.5 * h, uu + 0.5 * h * k1u, vv + 0.5 * h * k1v)
-        k3u, k3v = vv + 0.5 * h * k2v, acc(r + 0.5 * h, uu + 0.5 * h * k2u, vv + 0.5 * h * k2v)
-        k4u, k4v = vv + h * k3v, acc(r + h, uu + h * k3u, vv + h * k3v)
-        return (
-            uu + h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0,
-            vv + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0,
-        )
-
+    uval, vval = _series_start(u, dr, force)
+    us = np.empty(nsteps + 1)
+    vs = np.empty(nsteps + 1)
+    us[0], vs[0] = u, v
     for i in range(nsteps):
         if i < 2:
             u, v = uval((i + 1) * dr), vval((i + 1) * dr)
@@ -231,12 +223,24 @@ def _integrate(u0, dr, nsteps, force, keep=False):
             # the 2v/r term reduces the RK4 order near the axis, and steep
             # profiles amplify whatever error the first full steps inject
             m = 1 if i >= 256 else -(-256 // i)
-            hh = dr / m
+            h = dr / m
+            half = 0.5 * h
             r = i * dr
             for q in range(m):
-                u, v = step(r + q * hh, u, v, hh)
-        if keep:
-            us[i + 1], vs[i + 1] = u, v
+                r0 = r + q * h
+                rh = r0 + half
+                k1v = -2.0 * v / r0 + force(u)
+                k2u = v + half * k1v
+                k2v = -2.0 * k2u / rh + force(u + half * v)
+                k3u = v + half * k2v
+                k3v = -2.0 * k3u / rh + force(u + half * k2u)
+                k4u = v + h * k3v
+                k4v = -2.0 * k4u / (r0 + h) + force(u + h * k3u)
+                u, v = (
+                    u + h * (v + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0,
+                    v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0,
+                )
+        us[i + 1], vs[i + 1] = u, v
         if u <= 0.0:
             return 1, i, us, vs
         if v >= 0.0:
@@ -244,99 +248,161 @@ def _integrate(u0, dr, nsteps, force, keep=False):
     return 0, nsteps, us, vs
 
 
-def shoot_radial(point: FrozenPoint, nonlin, n: int = 4000, refine: int = 8) -> RadialProfile:
-    """Bisection shooting for the radial ground state at a frozen point.
+@dataclass
+class _Shot:
+    """One integration from the amplitude a, as _integrate returned it."""
 
-    The amplitude ladder spans [0.1, 100] times the balance scale; the first
-    adjacent (undershoot, overshoot) pair is bisected until its ends are
-    adjacent floats, at most 80 times.  A relative bracket width above 1e-10
-    at the end raises (float resolution is about 1e-16, so this only trips
-    if no bracket existed).  Classification runs at n steps; the kept
-    profile is re-integrated at refine * n steps, which is what pushes its
-    finite-difference residual below the contract threshold.  Both bisections
-    stop once the midpoint rounds onto an end: every further halving would
-    repeat an integration already done, so the result is the same.
+    a: float
+    status: int
+    m: int
+    u: np.ndarray
+    v: np.ndarray
+
+
+def _secant_root(lo: _Shot, hi: _Shot, dr: float, s: float):
+    """Amplitude where the line through the two ends' tail misses is zero.
+
+    The miss v + (s + 1/r) u vanishes on the decaying linear tail
+    c exp(-s r) / r and measures the growing mode e^{+s r}, whose sign is
+    what tells overshoot from undershoot, so it is smooth in the amplitude
+    with its root at the critical one.  It is read at the node 7/8 of the
+    way along the shorter monotone run of the two, where both trajectories
+    exist.  None when that node is on the series start or the misses tie.
+    """
+    j = min(lo.m, hi.m)
+    j -= j // 8
+    if j < 2:
+        return None
+    c = s + 1.0 / (j * dr)
+    m_lo = lo.v[j] + c * lo.u[j]
+    m_hi = hi.v[j] + c * hi.u[j]
+    if m_lo == m_hi:
+        return None
+    return float(hi.a - m_hi * (hi.a - lo.a) / (m_hi - m_lo))
+
+
+def _narrow(lo: _Shot, hi: _Shot, shoot, dr: float, s: float, tol: float, prev: float):
+    """Shrink the (undershoot, overshoot) bracket until hi - lo <= tol hi.
+
+    Each round puts a guess x at the secant root of the tail misses and
+    shoots one amplitude on each side of it, at x -/+ d with d the distance
+    x moved since the previous round's root prev, and at least 0.45 tol x,
+    so that a round whose two shots straddle the root ends the search.  The
+    verdict of each shot decides which end it replaces, so the bracket
+    always holds the critical amplitude.  A root outside the bracket, or two
+    rounds that together failed to halve it, make the next shot the
+    midpoint, so the width at least halves every three rounds.  Only the two
+    ends' trajectories are kept.  Returns the lower end and the last root.
+    """
+    width1 = width2 = math.inf  # the widths one and two rounds back
+    for _ in range(100):
+        width = hi.a - lo.a
+        if width <= tol * hi.a:
+            return lo, prev
+        x = None if width > 0.5 * width2 else _secant_root(lo, hi, dr, s)
+        width1, width2 = width, width1
+        if x is not None and lo.a < x < hi.a:
+            d = max(abs(x - prev), 0.45 * tol * x)
+            prev = x
+            guesses = (x - d, x + d)
+        else:
+            guesses = (0.5 * (lo.a + hi.a),)
+        for g in guesses:
+            if lo.a < g < hi.a:
+                shot = shoot(g)
+                if shot.status == 1:
+                    hi = shot
+                else:
+                    lo = shot
+    raise SolverError(f"shooting bracket failed to shrink below {tol:g} relative width")
+
+
+def shoot_radial(point: FrozenPoint, nonlin, n: int = 4000, refine: int = 8) -> RadialProfile:
+    """Shooting for the radial ground state at a frozen point.
+
+    The amplitude ladder spans [0.1, 100] times the balance scale and is
+    shot upward until its first (undershoot, overshoot) pair.  _narrow
+    closes that bracket by secant steps on the smooth tail miss, the
+    verdicts keeping it: at n steps down to a relative width of 1e-9, inside
+    the fine stage's starting window of 1e-8, then at refine * n steps,
+    integrated out to 1.35 refine * n, down to 1e-14, near where rounding
+    makes the verdicts themselves noisy.  The kept profile is the fine
+    bracket's lower end, its stored trajectory cut at refine * n nodes: bit
+    for bit the integration a new run to refine * n steps would make.  The
+    fine step is what pushes the profile's finite-difference residual below
+    the contract threshold.
     """
     dr = _R0 / math.sqrt(point.Vz) / n
+    s = math.sqrt(point.Vz)
     force = _make_force(point, nonlin)
-    scale = _amplitude_scale(point, nonlin)
-    ladder = scale * 10.0 ** np.linspace(-1.0, 2.0, 25)
-    cls = [_integrate(a, dr, n, force)[0] for a in ladder]
-    pair = None
-    for i in range(len(ladder) - 1):
-        if cls[i] in (-1, 0) and cls[i + 1] == 1:
-            pair = i
+
+    def coarse(a):
+        return _Shot(a, *_integrate(a, dr, n, force))
+
+    lo = None
+    for a in _amplitude_scale(point, nonlin) * 10.0 ** np.linspace(-1.0, 2.0, 25):
+        hi = coarse(float(a))
+        if lo is not None and lo.status != 1 and hi.status == 1:
             break
-    if pair is None:
+        lo = hi
+    else:
         raise BracketError(
             "no undershoot/overshoot pair on the amplitude ladder; "
             "the frozen problem has no bracketable ground state at this point"
         )
-    lo, hi = float(ladder[pair]), float(ladder[pair + 1])
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _integrate(mid, dr, n, force)[0] == 1:
-            hi = mid
-        else:
-            lo = mid
-    if hi - lo > 1e-10 * hi:
-        raise SolverError("shooting bracket failed to shrink below 1e-10 relative width")
+    lo, prev = _narrow(lo, hi, coarse, dr, s, 1e-9, 0.5 * (lo.a + hi.a))
 
-    # Second stage: re-bisect at the profile resolution.  The coarse critical
-    # amplitude is off the fine integrator's one by its truncation error, and
-    # that offset feeds the growing mode e^{+sr}, which would put a visible
+    # Second stage at the profile resolution.  The coarse critical amplitude
+    # is off the fine integrator's one by its truncation error, and that
+    # offset feeds the growing mode e^{+sr}, which would put a visible
     # derivative kink at the tail splice.  The extended domain keeps verdicts
     # arriving while the bracket narrows toward the fine critical amplitude.
     refine = max(1, int(refine))
     n_f, dr_f = n * refine, dr / refine
     n_ext = int(1.35 * n_f)
 
-    def fine_cls(a):
-        return _integrate(a, dr_f, n_ext, force)[0]
+    def fine(a):
+        return _Shot(a, *_integrate(a, dr_f, n_ext, force))
 
-    w = 1e-8 * lo
-    if fine_cls(lo) == 1:
-        f_lo, f_hi = None, lo
-        for _ in range(14):
-            cand = f_hi - w
-            if fine_cls(cand) != 1:
-                f_lo = cand
-                break
-            w *= 4.0
-    else:
-        f_lo, f_hi = lo, None
-        for _ in range(14):
-            cand = f_lo + w
-            if fine_cls(cand) == 1:
-                f_hi = cand
-                break
-            w *= 4.0
-    if f_lo is None or f_hi is None:
-        raise SolverError("fine-stage shooting lost the overshoot/undershoot bracket")
-    for _ in range(34):
-        mid = 0.5 * (f_lo + f_hi)
-        if not f_lo < mid < f_hi:
-            break
-        if fine_cls(mid) == 1:
-            f_hi = mid
+    lo, prev = _narrow(*_fine_bracket(lo.a, fine), fine, dr_f, s, 1e-14, prev)
+    m = min(lo.m, n_f)
+    return _with_energy(_spliced_profile(point, lo.u[: m + 1], lo.v[: m + 1], dr_f), nonlin)
+
+
+def _fine_bracket(a0: float, fine):
+    """(undershoot, overshoot) shots of fine around a0: a window of 1e-8 a0
+    on the side a0's verdict points to, widened fourfold up to 14 times."""
+    w = 1e-8 * a0
+    shot = fine(a0)
+    down = shot.status == 1
+    lo, hi = (None, shot) if down else (shot, None)
+    for _ in range(14):
+        shot = fine(a0 - w if down else a0 + w)
+        if shot.status == 1:
+            hi = shot
         else:
-            f_lo = mid
+            lo = shot
+        if lo is not None and hi is not None:
+            return lo, hi
+        w *= 4.0
+    raise SolverError("fine-stage shooting lost the overshoot/undershoot bracket")
 
-    dr = dr_f
-    status, m, us, vs = _integrate(f_lo, dr_f, n_f, force, keep=True)
-    us, vs = us[: m + 1], vs[: m + 1]
+
+def _spliced_profile(point: FrozenPoint, us, vs, dr) -> RadialProfile:
+    """The profile of the monotone run us, vs (step dr) with its linear tail.
+
+    The run is kept up to the first node below _SPLICE_RATIO u(0); from there
+    the exact linear tail c exp(-s r) / r, value-matched at that node, carries
+    the profile out to where it is _TAIL_RATIO u(0).
+    """
     u0 = us[0]
-
     below = np.nonzero(us < _SPLICE_RATIO * u0)[0]
-    t = int(below[0]) if below.size else m
+    t = int(below[0]) if below.size else us.size - 1
     if t < 2:
         raise SolverError("profile drops below the splice ratio immediately; n too small")
 
     s = math.sqrt(point.Vz)
     rt = t * dr
-    # linear tail c e^{-s r} / r solves the frozen linear ODE exactly
     r_end = rt + math.log(us[t] / (_TAIL_RATIO * u0)) / s
     n_tot = int(math.ceil(r_end / dr))
     r_full = np.arange(n_tot + 1) * dr
@@ -347,13 +413,9 @@ def shoot_radial(point: FrozenPoint, nonlin, n: int = 4000, refine: int = 8) -> 
     tail_r = r_full[t + 1 :]
     u_full[t + 1 :] = us[t] * (rt / tail_r) * np.exp(-s * (tail_r - rt))
     du_full[t + 1 :] = u_full[t + 1 :] * (-s - 1.0 / tail_r)
-
-    return _with_energy(
-        RadialProfile(
-            r_max=n_tot * dr, n=n_tot, u=u_full, du=du_full,
-            energy=0.0, point=point, splice_index=t,
-        ),
-        nonlin,
+    return RadialProfile(
+        r_max=n_tot * dr, n=n_tot, u=u_full, du=du_full,
+        energy=0.0, point=point, splice_index=t,
     )
 
 

@@ -330,7 +330,11 @@ class PotentialExpr:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1:] != (3,):
             raise ValueError(f"expected points with trailing dimension 3, got shape {x.shape}")
-        return (x[..., 0], x[..., 1], x[..., 2]), x.shape[:-1]
+        # a point runs as a one-row stack, through the loops a stack's rows
+        # take: np.power has exact paths for a scalar exponent of 2, 0.5 or
+        # -1 that its array loop lacks, so 0.1 ^ x2 at x2 = 2 would differ
+        rows = x.reshape(1, 3) if x.ndim == 1 else x
+        return (rows[..., 0], rows[..., 1], rows[..., 2]), x.shape[:-1]
 
     def on_coords(self, xs, shape):
         """The value at coordinate arrays xs, broadcast to shape."""
@@ -355,10 +359,10 @@ class PotentialExpr:
 
 def _bcast(v, shape):
     arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != shape:
-        arr = np.broadcast_to(arr, shape).copy() if shape else np.float64(arr)
     if shape == ():
-        return float(arr)
+        return float(arr.reshape(-1)[0])
+    if arr.shape != shape:
+        arr = np.broadcast_to(arr, shape).copy()
     return arr
 
 

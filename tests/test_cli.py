@@ -11,7 +11,7 @@ from scipy.integrate import simpson
 
 from spikemap.cli import ConfigError, RunConfig, main
 from spikemap.fields import read_snapshot, write_snapshot
-from spikemap.frozen_solver import canonical_profile
+from spikemap.frozen_solver import FrozenPoint, canonical_profile, shoot_radial
 from spikemap.magnetic_solver import energy_J
 from spikemap.model import ModelError
 
@@ -144,6 +144,7 @@ def test_solve_frozen_outputs(tmp_path):
     assert rep["sqrt_V_at_z"] == pytest.approx(1.0)
     assert rep["decay_rate_corrected"] == pytest.approx(1.0, rel=1e-3)
     assert rep["decay_points"] > 50
+    assert 0.0 < rep["radial_residual"] < 1e-8  # the shooting contract, p = 3
 
     lines = (out / "profile.csv").read_text().strip().splitlines()
     assert lines[0] == "r,u,du"
@@ -223,6 +224,31 @@ def test_custom_f_is_parsed_in_s(tmp_path, capsys, f, what):
     assert main(["solve-frozen", write_config(tmp_path / "bad.ini", text)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and what in err
+
+
+@pytest.mark.parametrize("f, F", [
+    ("s + 0.5*s^2", "s^2/4 + s^3/12"),
+    ("s*exp(s)", "((s - 1)*exp(s) + 1)/2"),  # overflows at s = 1e6
+])
+def test_custom_f_of_critical_growth_exits_2(tmp_path, capsys, f, F):
+    # f ~ s^2 is the H^1-critical |u|^4 u: shooting finds no ground state
+    out = tmp_path / "out"
+    text = frozen_config(out).replace("p = 3", f"f = {f}\nF = {F}\ntheta = 4.0")
+    assert main(["solve-frozen", write_config(tmp_path / "crit.ini", text)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "grows like s^" in err[0]
+    assert not out.exists()
+
+
+def test_custom_f_of_subcritical_growth_shoots():
+    # s^1.5 in place of s^2 passes the growth check and shoots
+    text = frozen_config("/tmp/out").replace(
+        "p = 3", "f = s + 0.5*s^1.5\nF = s^2/4 + s^2.5/10\ntheta = 4.0"
+    )
+    nonlin = RunConfig.from_text(text).model.nonlin
+    prof = shoot_radial(FrozenPoint((0.0, 0.0, 0.0), 1.0, 1.0), nonlin, n=600, refine=2)
+    assert prof.energy > 0.0
+    assert np.all(prof.u > 0.0) and np.all(np.diff(prof.u) <= 0.0)
 
 
 # a config with every numeric key set to a usable value

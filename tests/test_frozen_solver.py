@@ -146,8 +146,8 @@ def test_ground_state_at_unit_coefficients_is_the_canonical_profile(prof3):
 
 
 def test_ground_state_shoots_a_custom_nonlinearity(monkeypatch):
-    # a real custom shot at the default resolution takes minutes; a sentinel
-    # shows the route is taken
+    # a real shot of this custom f at the default resolution takes 1.7 s
+    # (2-core x86 VM, Python 3.11); a sentinel shows the route is taken
     calls = []
     sentinel = object()
 
@@ -186,19 +186,142 @@ def test_power_callers_take_the_rescaling(monkeypatch, tmp_path, prof3):
 
 
 def test_shooting_never_repeats_an_integration(monkeypatch):
-    # once a bisection bracket spans adjacent floats its midpoint rounds onto
-    # an end, and integrating there again would only repeat a verdict
+    # every shot lands strictly inside the bracket, and the profile is the
+    # lower end's stored trajectory, so no run is made twice
     seen = []
     integrate = frozen_solver._integrate
 
-    def recording(u0, dr, nsteps, force, keep=False):
+    def recording(u0, dr, nsteps, force):
         seen.append((u0, dr, nsteps))
-        return integrate(u0, dr, nsteps, force, keep)
+        return integrate(u0, dr, nsteps, force)
 
     monkeypatch.setattr(frozen_solver, "_integrate", recording)
     prof = shoot_radial(P0, Nonlinearity.power(1.0, 3.0))
     assert len(seen) == len(set(seen))
     assert prof.energy == pytest.approx(E3, rel=1e-12)
+
+
+def test_canonical_shot_work_is_bounded(monkeypatch):
+    # the secant search on the tail miss needs few runs at the fine step;
+    # bisecting to float resolution needs 29 there and 1,073,309 steps
+    runs = []
+    integrate = frozen_solver._integrate
+
+    def recording(u0, dr, nsteps, force):
+        out = integrate(u0, dr, nsteps, force)
+        runs.append((dr, out[1]))
+        return out
+
+    monkeypatch.setattr(frozen_solver, "_integrate", recording)
+    shoot_radial(P0, Nonlinearity.power(1.0, 3.0))
+    fine_dr = min(dr for dr, _ in runs)
+    assert sum(1 for dr, _ in runs if dr == fine_dr) <= 8
+    assert sum(steps for _, steps in runs) <= 400_000
+
+
+def _stepwise_integrate(u0, dr, nsteps, force):
+    """_integrate with RK4 as a stage function, the form it was written in."""
+    uval, vval = frozen_solver._series_start(u0, dr, force)
+    u, v = u0, 0.0
+    us, vs = [u], [v]
+
+    def acc(r, uu, vv):
+        return -2.0 * vv / r + force(uu)
+
+    def step(r, uu, vv, h):
+        k1u, k1v = vv, acc(r, uu, vv)
+        k2u, k2v = vv + 0.5 * h * k1v, acc(r + 0.5 * h, uu + 0.5 * h * k1u, vv + 0.5 * h * k1v)
+        k3u, k3v = vv + 0.5 * h * k2v, acc(r + 0.5 * h, uu + 0.5 * h * k2u, vv + 0.5 * h * k2v)
+        k4u, k4v = vv + h * k3v, acc(r + h, uu + h * k3u, vv + h * k3v)
+        return (
+            uu + h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0,
+            vv + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0,
+        )
+
+    for i in range(nsteps):
+        if i < 2:
+            u, v = uval((i + 1) * dr), vval((i + 1) * dr)
+        else:
+            m = 1 if i >= 256 else -(-256 // i)
+            for q in range(m):
+                u, v = step(i * dr + q * (dr / m), u, v, dr / m)
+        us.append(u)
+        vs.append(v)
+        if u <= 0.0:
+            return 1, i, us, vs
+        if v >= 0.0:
+            return -1, i, us, vs
+    return 0, nsteps, us, vs
+
+
+@pytest.mark.parametrize("nonlin", [Nonlinearity.power(1.0, 3.0), Nonlinearity.power(1.0, 4.5),
+                                    CUBIC_AS_CUSTOM], ids=["p3", "p4.5", "custom"])
+@pytest.mark.parametrize("rel", [-1e-3, -1e-9, 0.0, 1e-9, 1e-3])
+def test_integrate_matches_the_stepwise_reference(nonlin, rel):
+    # the inlined stages do the same float operations in the same order
+    point = FrozenPoint((0.0, 0.0, 0.0), 1.3, 0.9)
+    force = frozen_solver._make_force(point, nonlin)
+    a = frozen_solver._amplitude_scale(point, nonlin) * 1.6 * (1.0 + rel)
+    dr = 15.0 / math.sqrt(point.Vz) / 1200
+    status, m, us, vs = frozen_solver._integrate(a, dr, 1620, force)
+    ref = _stepwise_integrate(a, dr, 1620, force)
+    assert (status, m) == ref[:2]
+    assert us[: m + 2].tolist() == ref[2] and vs[: m + 2].tolist() == ref[3]
+
+
+def _bisection_shot(point, nonlin, n, refine):
+    """The two-stage bisection shot the secant search replaced, the oracle for
+    it: the ladder's first (undershoot, overshoot) pair bisected at n steps
+    down to adjacent floats, then a window of 1e-8 around the coarse lower
+    end widened fourfold until it brackets at refine * n steps, bisected 34
+    times, and the lower end integrated again for the profile."""
+    dr = frozen_solver._R0 / math.sqrt(point.Vz) / n
+    force = frozen_solver._make_force(point, nonlin)
+
+    def bisect(lo, hi, overshoots, rounds):
+        for _ in range(rounds):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            lo, hi = (lo, mid) if overshoots(mid) else (mid, hi)
+        return lo, hi
+
+    def coarse(a):
+        return frozen_solver._integrate(a, dr, n, force)[0] == 1
+
+    ladder = frozen_solver._amplitude_scale(point, nonlin) * 10.0 ** np.linspace(-1.0, 2.0, 25)
+    over = [coarse(a) for a in ladder]
+    i = next(i for i in range(24) if not over[i] and over[i + 1])
+    lo, _ = bisect(ladder[i], ladder[i + 1], coarse, 80)
+
+    n_f, dr_f = n * refine, dr / refine
+
+    def fine(a):
+        return frozen_solver._integrate(a, dr_f, int(1.35 * n_f), force)[0] == 1
+
+    w, down = 1e-8 * lo, fine(lo)
+    for _ in range(14):
+        cand = lo - w if down else lo + w
+        if fine(cand) != down:
+            break
+        w *= 4.0
+    f_lo, f_hi = bisect(*((cand, lo) if down else (lo, cand)), fine, 34)
+    _, m, us, vs = frozen_solver._integrate(f_lo, dr_f, n_f, force)
+    return frozen_solver._with_energy(
+        frozen_solver._spliced_profile(point, us[: m + 1], vs[: m + 1], dr_f), nonlin)
+
+
+@pytest.mark.parametrize("V, K", [(1.0, 1.0), (0.7, 2.2), (1.9, 0.6)])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 4.5])
+def test_shot_matches_bisection_oracle(p, V, K):
+    # refine 4, not 2: at p = 4.5 a fine step of 15/1200 leaves the verdicts
+    # flipping back and forth across 3e-11 of amplitude, so no two searches
+    # need agree there to 1e-12; at 15/2400 they agree to 4e-14
+    point, nl = FrozenPoint((0.0, 0.0, 0.0), V, K), Nonlinearity.power(1.0, p)
+    got = shoot_radial(point, nl, n=600, refine=4)
+    ref = _bisection_shot(point, nl, 600, 4)
+    assert got.energy == pytest.approx(ref.energy, rel=1e-12)
+    assert got.u0 == pytest.approx(ref.u0, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [2.4, 3.0, 3.6])

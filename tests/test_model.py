@@ -171,6 +171,7 @@ def test_bench_K_gradient_at_each_point_equals_its_row_in_a_batch():
 
 @given(text=_texts(5), rows=st.lists(st.tuples(*[st.floats(-3, 3)] * 3), min_size=1, max_size=6))
 @example(text="(x1 + 1.0) ^ 2.5", rows=[(1.5, 0.0, 0.0)])  # scalar ** is 1 ulp off here
+@example(text="0.1 ^ x2", rows=[(0.0, 2.0, 0.0)])  # np.power squares a scalar exponent of 2
 @settings(max_examples=200, deadline=None)
 def test_a_point_evaluates_to_its_row_of_a_stack(text, rows):
     expr = parse_potential(text)
