@@ -408,7 +408,7 @@ class _Manifest:
     def __exit__(self, exc_type, exc, tb):
         if exc is not None:
             self.failure = f"{exc_type.__name__}: {exc}"
-        text = getattr(self.cfg, "source_text", self.cfg.serialize())
+        text = self.cfg.source_text if hasattr(self.cfg, "source_text") else self.cfg.serialize()
         payload = {
             "version": __version__,
             "command": self.command,
@@ -660,7 +660,7 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
             scaled_mass=float(m2.sum()) * vol / eps**3,
             iterations=0,
         )
-        vmax = float(np.max(H.V))
+        level = H.stop_level(cfg.tol, m2)
         # the diagnostics build phases of their own; do not hold both at once
         del H
         try:
@@ -674,8 +674,7 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
         failures = []
         if report.diamagnetic_slack_min < -1e-10:
             failures.append("diamagnetic")
-        rms_u = float(np.sqrt(np.mean(m2)))
-        if sol.residual_rms > cfg.tol * max(1.0, vmax) * rms_u:
+        if sol.residual_rms > level:
             failures.append("pde_residual")
         # The translation-test denominator is the four term magnitudes, and a
         # spike pinned to a symmetry point cancels every term individually; the

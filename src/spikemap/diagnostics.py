@@ -20,7 +20,6 @@ import numpy as np
 from .fields import (
     BoundaryMassWarning,
     ComplexField3,
-    VectorField3,
     boundary_fraction,
     gradient,
 )
@@ -71,7 +70,7 @@ def diamagnetic_check(u: ComplexField3, model: ModelSpec, eps: float) -> float:
     for m in range(3):
         up = [slice(0, d - 1) for d in grid.dims]
         up[m] = slice(1, grid.dims[m])
-        hop = phases.ph[m][0][core] * u.values[tuple(up)] - u.values[core]
+        hop = phases[m][0][core] * u.values[tuple(up)] - u.values[core]
         dm = mag[tuple(up)] - mag[core]
         cov2 += np.abs(hop) ** 2
         mod2 += dm * dm
@@ -80,18 +79,18 @@ def diamagnetic_check(u: ComplexField3, model: ModelSpec, eps: float) -> float:
 
 
 def current_density(U: ComplexField3):
-    """Re(i conj(U) grad U), its sup norm over sup|U| sup|grad U|, and that
-    denominator.
+    """Re(i conj(U) grad U) as a (3,) + dims array, its sup norm over
+    sup|U| sup|grad U|, and that denominator.
 
     Least-energy profiles carry no current, so the normalized norm is a
     directly testable smallness certificate for a computed candidate.
     """
-    g = gradient(U).values
+    g = gradient(U)
     J = np.real(1j * np.conj(U.values)[None, ...] * g)
     sup_J = float(np.sqrt(np.sum(J**2, axis=0)).max())
     denom = float(np.abs(U.values).max()) * float(np.sqrt(np.sum(np.abs(g) ** 2, axis=0)).max())
     norm = sup_J / denom if denom > 0.0 else 0.0
-    return VectorField3(U.grid, J), norm, denom
+    return J, norm, denom
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +181,10 @@ def pucci_serrin_residual(v: ComplexField3, z0, eps: float, model: ModelSpec):
 def _field_moments(U: ComplexField3, nonlin):
     """int Re(i conj(U) grad U), int |U|^2 and int F(|U|^2) by the grid sum."""
     vol = U.grid.cell_volume
-    Jfield, _, _ = current_density(U)
+    J, _, _ = current_density(U)
     m2 = np.abs(U.values) ** 2
     intF = float(np.asarray(nonlin.F(m2), dtype=np.float64).sum()) * vol
-    return Jfield.values.reshape(3, -1).sum(axis=1) * vol, float(m2.sum()) * vol, intF
+    return J.reshape(3, -1).sum(axis=1) * vol, float(m2.sum()) * vol, intF
 
 
 def limit_identity_residual(U: ComplexField3, z0, model: ModelSpec):
@@ -197,7 +196,8 @@ def limit_identity_residual(U: ComplexField3, z0, model: ModelSpec):
     reported with the same relative-scale convention as the blow-up form.
     For a real profile the current vanishes and the residual is exactly the
     gradient of the explicit ground-energy map, which is what ties spike
-    locations to the critical points of that map.
+    locations to the critical points of that map.  Its component along w is
+    the envelope bracket gamma_pm bounds.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     Jvec, mass, intF = _field_moments(U, model.nonlin)
@@ -346,12 +346,10 @@ def clarke_critical_test(z, model: ModelSpec, sigma=None) -> ClarkeVerdict:
 def gamma_pm(z, w, model: ModelSpec, solutions):
     """Upper and lower energy-variation bounds over a set of solutions at z.
 
-    For each candidate field the bracket
-
-        <dA/dw (z), int Re(i conj(U) grad U)> + d_w V(z) int |U|^2 / 2
-            - d_w K(z) int F(|U|^2)
-
-    is evaluated on its phase-split profile U; the result is (sup, inf).
+    For each candidate field the bracket is w . res, res the limit-identity
+    residual (limit_identity_residual) of its phase-split profile U at z;
+    the result is (sup, inf).  w is one direction (3,), giving two floats,
+    or a stack (m, 3), giving two (m,) arrays, one entry per direction.
     Constant phase changes leave the bracket invariant, so a phase orbit
     collapses both bounds to one number.
     """
@@ -359,15 +357,10 @@ def gamma_pm(z, w, model: ModelSpec, solutions):
         raise DiagnosticsError("gamma bounds need at least one solution at z")
     z = np.asarray(z, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    Aj = model.A_jacobian(z)
-    dAw = Aj @ w
-    _, gV = model.V_and_grad(z)
-    _, gK = model.K_and_grad(z)
-    vals = []
-    for v in solutions:
-        Jvec, mass, intF = _field_moments(phase_factor_split(v, z, model).U, model.nonlin)
-        vals.append(float(dAw @ Jvec) + float(gV @ w) * mass / 2.0 - float(gK @ w) * intF)
-    return max(vals), min(vals)
+    vals = [w @ limit_identity_residual(phase_factor_split(v, z, model).U, z, model)[0]
+            for v in solutions]
+    hi, lo = np.max(vals, axis=0), np.min(vals, axis=0)
+    return (float(hi), float(lo)) if w.ndim == 1 else (hi, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +370,10 @@ def gamma_pm(z, w, model: ModelSpec, solutions):
 class ConcentrationStudy:
     """Per-epsilon concentration readings for a solution family.
 
-    tails[i] maps each ladder ratio rho to sup |u| outside the ball of
-    radius eps_i * rho around the target; fixed_tails[i] uses the radii of
-    the largest epsilon for every member, which is what must decay for the
-    target to be a concentration point.  fixed_floors[i] maps the same
+    fixed_tails[i] maps each radius eps_0 * rho, eps_0 the largest epsilon
+    and rho in the ladder (4, 6, 8, 10), to sup |u_i| outside the ball of
+    that radius around the target: at fixed radii it is what must decay for
+    the target to be a concentration point.  fixed_floors[i] maps the same
     radii to member i's accuracy floor there: sup |res| / V outside the
     ball, res being the member's strong-form residual (pde_residual).
 
@@ -399,7 +392,6 @@ class ConcentrationStudy:
     target_z: tuple
     sigma_at_target: float
     pointwise: list = field(default_factory=list)
-    tails: list = field(default_factory=list)
     fixed_tails: list = field(default_factory=list)
     fixed_floors: list = field(default_factory=list)
     energy_gaps: list = field(default_factory=list)
@@ -431,10 +423,9 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
     """Empirical pointwise and energetic concentration readings at z0.
 
     family is a list of solutions sorted by strictly decreasing eps.  For
-    each member: spike location, |u(z0)|, tail suprema outside eps*rho and
-    fixed-radius balls, the accuracy floor sup |res| / V outside the same
-    fixed balls, and the gap between the scaled energy and the ground
-    energy at z0.  The notes summarize whether the diagnostic trends point
+    each member: spike location, |u(z0)|, tail suprema outside fixed-radius
+    balls, the accuracy floor sup |res| / V outside the same balls, and the
+    gap between the scaled energy and the ground energy at z0.  The notes summarize whether the diagnostic trends point
     toward concentration at z0.
 
     notes["fixed_tails_decreasing"] holds when, at every fixed radius, each
@@ -445,7 +436,7 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
     eps_list = [s.eps for s in family]
     z0 = np.asarray(z0, dtype=np.float64)
     sig = float(ground_energy(z0, model)[0])
-    spikes, pointwise, tails, fixed, floors, gaps = [], [], [], [], [], []
+    spikes, pointwise, fixed, floors, gaps = [], [], [], [], []
     fixed_radii = [eps_list[0] * rho for rho in _RHO_LADDER]
     for s in family:
         spikes.append(np.asarray(s.spike, dtype=np.float64))
@@ -460,7 +451,6 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
             out = arr[dist >= radius]
             return float(out.max()) if out.size else 0.0
 
-        tails.append({rho: sup_outside(mag, s.eps * rho) for rho in _RHO_LADDER})
         fixed.append({rad: sup_outside(mag, rad) for rad in fixed_radii})
         floors.append({rad: sup_outside(level, rad) for rad in fixed_radii})
         gaps.append(abs(s.scaled_energy - sig))
@@ -481,7 +471,6 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
         target_z=tuple(float(c) for c in z0),
         sigma_at_target=float(sig),
         pointwise=pointwise,
-        tails=tails,
         fixed_tails=fixed,
         fixed_floors=floors,
         energy_gaps=gaps,

@@ -4,7 +4,9 @@ Everything downstream (solvers, diagnostics, landscape scans) works on the
 node-centered grids defined here.  Conventions: arrays are indexed [ix, iy, iz],
 node coordinates are origin + (index - (n-1)/2) * spacing, and integrals are
 plain node sums times the cell volume (spectrally accurate for smooth fields
-that decay below rounding before the boundary).
+that decay below rounding before the boundary).  Scalar fields carry their
+grid; a gradient is a (3,) + dims array and link phases are one (p1, p2, p3)
+tuple of arrays per axis.
 """
 
 from __future__ import annotations
@@ -71,10 +73,9 @@ def make_grid(radius: float, n: int, origin=(0.0, 0.0, 0.0)) -> Grid3:
     return Grid3((n, n, n), 2.0 * radius / (n - 1), tuple(float(c) for c in origin))
 
 
-def _check_values(grid, values, ncomp):
-    want = (3,) + tuple(grid.dims) if ncomp == 3 else tuple(grid.dims)
-    if values.shape != want:
-        raise ValueError(f"values shape {values.shape} does not match grid dims {want}")
+def _check_values(grid, values):
+    if values.shape != tuple(grid.dims):
+        raise ValueError(f"values shape {values.shape} does not match grid dims {tuple(grid.dims)}")
 
 
 @dataclass
@@ -84,7 +85,7 @@ class RealField3:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        _check_values(self.grid, self.values, 1)
+        _check_values(self.grid, self.values)
 
 
 @dataclass
@@ -94,32 +95,18 @@ class ComplexField3:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        _check_values(self.grid, self.values, 1)
+        _check_values(self.grid, self.values)
 
 
-@dataclass
-class VectorField3:
-    """Three scalar components stacked along the leading axis."""
-
-    grid: Grid3
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.dtype not in (np.float64, np.complex128):
-            self.values = self.values.astype(np.complex128)
-        _check_values(self.grid, self.values, 3)
-
-
-def gradient(f):
-    """Componentwise central differences, one-sided at the box faces.
+def gradient(f) -> np.ndarray:
+    """Componentwise central differences, one-sided at the box faces, as an
+    array of shape (3,) + dims.
 
     Interior nodes use the second-order central formula; faces use the
     matching one-sided second-order formula (this is what keeps the
     operator exact on affine fields all the way to the boundary).
     """
-    g = np.gradient(f.values, f.grid.spacing, edge_order=2)
-    return VectorField3(f.grid, np.stack(g))
+    return np.stack(np.gradient(f.values, f.grid.spacing, edge_order=2))
 
 
 def boundary_fraction(weights: np.ndarray) -> float:
@@ -143,34 +130,27 @@ def masked_hop(u: np.ndarray, k: int, axis: int) -> np.ndarray:
     return v
 
 
-@dataclass
-class LinkPhases:
-    """Per-axis single-hop and double-hop phase factors exp(-i theta).
+def const_link_phases(grid: Grid3, a, eps: float) -> tuple:
+    """Link phases for a spatially constant vector potential a (exact).
 
-    theta is the line integral of the vector potential along the hop divided
-    by eps.  Double- and triple-hop phases are products of the consecutive
-    single hops, which is what makes the phased kinetic form exactly unitarily
-    equivalent to the free one along each axis.
+    Like ModelSpec.link_phases, one (p1, p2, p3) triple of single-, double-
+    and triple-hop factors exp(-i theta) per axis, theta the line integral
+    of A along the hop divided by eps.
     """
-
-    grid: Grid3
-    eps: float
-    ph: tuple  # ((p1, p2, p3) for each axis)
-
-
-def const_link_phases(grid: Grid3, a, eps: float) -> LinkPhases:
-    """Link phases for a spatially constant vector potential a (exact)."""
     per_axis = []
     for m in range(3):
         p1 = np.full(grid.dims, np.exp(-1j * a[m] * grid.spacing / eps))
         per_axis.append((p1, p1 * p1, p1 * p1 * p1))
-    return LinkPhases(grid, eps, tuple(per_axis))
+    return tuple(per_axis)
 
 
-def apply_link_kinetic(u: np.ndarray, phases: LinkPhases | None, eps: float, h: float) -> np.ndarray:
+def apply_link_kinetic(u: np.ndarray, phases: tuple | None, eps: float, h: float) -> np.ndarray:
     """Sixth-order kinetic operator (the |D^eps|^2 part of the action).
 
-    With link phases the hops are phased.  With phases None they are free:
+    With link phases, one (p1, p2, p3) triple per axis, the hops are phased.
+    Double- and triple-hop phases are products of the consecutive single
+    hops, which is what makes the phased form exactly unitarily equivalent
+    to the free one along each axis.  With phases None they are free:
     the operator is eps^2 times minus the sixth-order Laplacian, and a real
     field stays real.  Dirichlet outside the box: hops that cross a face
     contribute zero.
@@ -180,7 +160,7 @@ def apply_link_kinetic(u: np.ndarray, phases: LinkPhases | None, eps: float, h: 
         if phases is None:
             t1, t2, t3 = (masked_hop(u, k, m) + masked_hop(u, -k, m) for k in (1, 2, 3))
         else:
-            p1, p2, p3 = phases.ph[m]
+            p1, p2, p3 = phases[m]
             t1 = p1 * masked_hop(u, 1, m) + masked_hop(np.conj(p1) * u, -1, m)
             t2 = p2 * masked_hop(u, 2, m) + masked_hop(np.conj(p2) * u, -2, m)
             t3 = p3 * masked_hop(u, 3, m) + masked_hop(np.conj(p3) * u, -3, m)
@@ -234,12 +214,15 @@ class Hamiltonian:
     Q(u) = <u, T u> + int V |u|^2, its pairing P(t) = int K f(t^2 |u|^2) |u|^2
     and the energy J(u) = Q(u) / 2 - int K F(|u|^2).  The residual is zero on
     the two-node rim, which carries the Dirichlet data, not the equation.
+    vmax is sup V over the nodes; it sets the descent's step and, through
+    stop_level, the residual level a solve stops at and verify gates on.
     """
 
-    def __init__(self, grid: Grid3, eps: float, V, K, nonlin, phases: LinkPhases | None):
+    def __init__(self, grid: Grid3, eps: float, V, K, nonlin, phases: tuple | None):
         self.grid, self.eps, self.V, self.K = grid, eps, V, K
         self.nonlin, self.phases = nonlin, phases
         self.vol = grid.cell_volume
+        self.vmax = float(np.max(V))
         self.mask = np.zeros(grid.dims)
         self.mask[2:-2, 2:-2, 2:-2] = 1.0
 
@@ -281,6 +264,11 @@ class Hamiltonian:
 
     def energy(self, u: np.ndarray) -> float:
         return 0.5 * self.quad(u, self.apply(u)) - self.potential(_abs2(u))
+
+    def stop_level(self, tol: float, m2: np.ndarray) -> float:
+        """tol * max(1, sup V) * rms(u) for the field with |u|^2 = m2: a
+        residual rms at or below it counts as converged."""
+        return tol * max(1.0, self.vmax) * math.sqrt(float(np.mean(m2)))
 
     def residual(self, u: np.ndarray, Tu: np.ndarray):
         """The rim-masked residual field, given Tu = apply(u), and its rms."""

@@ -21,12 +21,13 @@ smooth in the amplitude: at n steps down to a relative width of 1e-9, then
 at the profile's step down to 1e-14.  The profile is the stored trajectory
 of the fine bracket's lower end, so no integration runs twice.
 
-Every 3D quadratic form, Nehari projection, energy and residual, here and
-in magnetic_solver, comes from fields.Hamiltonian, and the real 3D flow and
-the magnetic solve run one descent, _descend.  The flow stays an independent
-route through its seed, a shot profile, and its free stencil on a real
-field.  Shooting, the rescaling and the constrained minimization share none
-of it.
+Every 3D quadratic form, Nehari projection, energy, residual and stop
+level, here and in magnetic_solver, comes from fields.Hamiltonian, and the
+real 3D flow and the magnetic solve run one descent, _descend.  The flow
+stays an independent route through its seed, a shot profile, and its free
+stencil on a real field.  Shooting, the rescaling and the constrained
+minimization share none of it.  nehari_project, nehari_slack and
+frozen_action read radial profiles only.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from .fields import (
-    ComplexField3,
     Grid3,
     Hamiltonian,
     RealField3,
@@ -429,8 +429,11 @@ def profile_moments(prof: RadialProfile, nonlin) -> dict:
     """The radial integrals everything downstream is made of.
 
     T = int |grad u|^2, mass2 = int u^2, intF = int F(u^2),
-    intfu2 = int f(u^2) u^2, all over R^3 (weight 4 pi r^2).
+    intfu2 = int f(u^2) u^2, all over R^3 (weight 4 pi r^2).  Anything but
+    a RadialProfile raises TypeError.
     """
+    if not isinstance(prof, RadialProfile):
+        raise TypeError(f"radial quadrature needs a RadialProfile, not {type(prof).__name__}")
     r = prof.r
     w = 4.0 * np.pi * r * r
     u2 = prof.u**2
@@ -482,56 +485,46 @@ def radial_residual(prof: RadialProfile, point: FrozenPoint, nonlin) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Nehari projection (shared by every route)
+# Nehari projection and action of a radial profile
+#
+# By radial quadrature of the stored profile.  A grid field's forms are those
+# of fields.Hamiltonian (quad, pairing, project, energy), so these take a
+# RadialProfile only and raise TypeError on anything else.
 
-def _grid_hamiltonian(u, point: FrozenPoint, nonlin) -> Hamiltonian:
-    """The frozen scalar problem on u's grid: unit eps, free stencil."""
-    if not isinstance(u, (RealField3, ComplexField3)):
-        raise TypeError(f"cannot project {type(u).__name__} onto the constraint manifold")
-    return Hamiltonian(u.grid, 1.0, point.Vz, point.Kz, nonlin, None)
-
-
-def _quadratic_and_pairing(u, point: FrozenPoint, nonlin):
+def _quadratic_and_pairing(prof: RadialProfile, point: FrozenPoint, nonlin):
     """Q = kinetic + V mass at the frozen point, and t -> int K f(t^2 u^2) u^2."""
-    if isinstance(u, RadialProfile):
-        mom = profile_moments(u, nonlin)
-        r = u.r
-        w = 4.0 * np.pi * r * r
-        u2 = u.u**2
+    mom = profile_moments(prof, nonlin)
+    r = prof.r
+    w = 4.0 * np.pi * r * r
+    u2 = prof.u**2
 
-        def pairing(t):
-            ft = np.asarray(nonlin.f(t * t * u2), dtype=np.float64)
-            return point.Kz * float(simpson(ft * u2 * w, x=r))
+    def pairing(t):
+        ft = np.asarray(nonlin.f(t * t * u2), dtype=np.float64)
+        return point.Kz * float(simpson(ft * u2 * w, x=r))
 
-        return mom["T"] + point.Vz * mom["mass2"], pairing
-
-    H = _grid_hamiltonian(u, point, nonlin)
-    m2 = _abs2(u.values)
-    return H.quad(u.values, H.apply(u.values)), lambda t: H.pairing(m2, t)
+    return mom["T"] + point.Vz * mom["mass2"], pairing
 
 
-def nehari_project(u, point: FrozenPoint, nonlin, method: str = "auto") -> float:
+def nehari_project(prof: RadialProfile, point: FrozenPoint, nonlin, method: str = "auto") -> float:
     """Scale t > 0 placing t u on the natural constraint manifold.
 
     t solves t^2 Q = int K f(t^2 u^2) t^2 u^2; for powers that is the closed
     form (Q / pairing(1))^(1/(p-1)), otherwise a bracketed root solve.  Pass
     method="closed" or "bracket" to force a route.
     """
-    Q, pairing = _quadratic_and_pairing(u, point, nonlin)
+    Q, pairing = _quadratic_and_pairing(prof, point, nonlin)
     return _nehari_scale(Q, pairing, nonlin, method)
 
 
-def nehari_slack(u, point: FrozenPoint, nonlin, t: float) -> float:
+def nehari_slack(prof: RadialProfile, point: FrozenPoint, nonlin, t: float) -> float:
     """Value of the constraint functional at t u (zero on the manifold)."""
-    Q, pairing = _quadratic_and_pairing(u, point, nonlin)
+    Q, pairing = _quadratic_and_pairing(prof, point, nonlin)
     return t * t * Q - t * t * pairing(t)
 
 
-def frozen_action(u, point: FrozenPoint, nonlin) -> float:
-    """I_z(u) = (1/2)(kinetic + V mass) - int K F(|u|^2), discrete forms."""
-    if not isinstance(u, RadialProfile):
-        return _grid_hamiltonian(u, point, nonlin).energy(u.values)
-    mom = profile_moments(u, nonlin)
+def frozen_action(prof: RadialProfile, point: FrozenPoint, nonlin) -> float:
+    """I_z(u) = (1/2)(kinetic + V mass) - int K F(u^2)."""
+    mom = profile_moments(prof, nonlin)
     return 0.5 * (mom["T"] + point.Vz * mom["mass2"]) - point.Kz * mom["intF"]
 
 
@@ -758,24 +751,20 @@ def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
     momentum 0.95 (reset whenever it points uphill), with step 1.8 / L for
     the bound L = 18.14 eps^2 / h^2 + (1 + p) sup V, and projects back onto
     the manifold, which hands over t Tu: one stencil application per
-    iteration.  Returns the
-    first iterate whose residual rms is below tol * max(1, sup V) * rms(u).
-    Appends {iter, energy, residual, nehari_slack} to trace per iteration;
+    iteration.  Returns the first iterate whose residual rms is at or below
+    H.stop_level, tol * max(1, sup V) * rms(u).  Appends {iter, energy, residual, nehari_slack} to trace per iteration;
     ConvergenceError carries it on divergence or when max_iters runs out.
     """
     nonlin = H.nonlin
     h, eps = H.grid.spacing, H.eps
     p_curv = nonlin.p if nonlin.is_power else 3.0
-    vmax = float(np.max(H.V))
-    eta = 1.8 / (18.14 * eps * eps / (h * h) + (1.0 + p_curv) * vmax)
-    scale = max(1.0, vmax)
+    eta = 1.8 / (18.14 * eps * eps / (h * h) + (1.0 + p_curv) * H.vmax)
     u, Tu, Q, slack = H.project(u * H.mask)
     mom = np.zeros_like(u)
     rn0 = None
     for it in range(max_iters):
         m2 = _abs2(u)
         res, rn = H.residual(u, Tu)
-        un = math.sqrt(float(np.mean(m2)))
         J = 0.5 * Q - H.potential(m2)
         trace.append({"iter": it, "energy": J, "residual": rn, "nehari_slack": slack})
         if not math.isfinite(J):
@@ -784,7 +773,7 @@ def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
             rn0 = rn
         elif rn > 1e3 * rn0:
             raise ConvergenceError(f"{what} residual grew out of control", trace)
-        if rn <= tol * scale * un:
+        if rn <= H.stop_level(tol, m2):
             return u
         if float(np.real(np.vdot(mom, res))) < 0.0:
             mom[:] = 0.0

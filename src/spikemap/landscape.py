@@ -414,7 +414,8 @@ def find_Sstar(model: ModelSpec, candidates, solutions_provider=None) -> Critica
     radial ground state, which is exact for the least-energy representation
     and the only route whose quadrature error sits below 1e-4.  A provider
     mapping z to a list of computed 3D solutions switches to the sampled
-    bracket; its failures propagate.
+    bracket: one gamma_pm call per candidate over the whole net, which
+    phase-splits and integrates each solution once.  Its failures propagate.
     """
     points, resids, notes = [], [], []
     for cand in candidates:
@@ -425,10 +426,7 @@ def find_Sstar(model: ModelSpec, candidates, solutions_provider=None) -> Critica
             bvec = sigma_bracket(mom, np.asarray(point.grad_Vz), np.asarray(point.grad_Kz))
             his = los = LATTICE_DIRECTIONS @ bvec
         else:
-            sols = solutions_provider(z)
-            pairs = [gamma_pm(tuple(z), tuple(w), model, sols) for w in LATTICE_DIRECTIONS]
-            his = np.array([hi for hi, _ in pairs])
-            los = np.array([lo for _, lo in pairs])
+            his, los = gamma_pm(z, LATTICE_DIRECTIONS, model, solutions_provider(z))
         residual = float(np.maximum(-his, los).max())
         if np.all(his >= -1e-4) and np.all(los <= 1e-4):
             points.append(z)

@@ -126,8 +126,6 @@ def frozen_model_at(z, model: ModelSpec) -> ModelSpec:
         K=_const_expr(Kz),
         A=tuple(_const_expr(a) for a in Az),
         nonlin=model.nonlin,
-        V0=Vz,
-        K0=Kz,
     )
 
 
@@ -269,13 +267,13 @@ def solve_magnetic(model: ModelSpec, cfg: MagneticSolveConfig) -> MagneticSoluti
     against the iterate itself vanishes, so the constraint holds along the
     whole descent path.  Deterministic for a fixed seed policy.
 
-    Raises BoundaryMassError when the seed puts more than 1e-5 of its
+    Raises ModelError when the model fails validate_assumptions,
+    BoundaryMassError when the seed puts more than 1e-5 of its
     squared-modulus mass on the outermost node shell (the box is then too
     small for the problem), and ConvergenceError (carrying the trace) when
     max_iters runs out.
     """
-    if model.V0 is None or model.K0 is None:
-        validate_assumptions(model)
+    validate_assumptions(model)
     grid, eps = cfg.grid, cfg.eps
     H = Hamiltonian.from_model(model, grid, eps)
     seed = _seed_field(model, cfg)
@@ -360,8 +358,6 @@ def rescaled_model(model: ModelSpec, z0, eps: float) -> ModelSpec:
         K=sub(model.K),
         A=tuple(sub(a) for a in model.A),
         nonlin=model.nonlin,
-        V0=model.V0,
-        K0=model.K0,
     )
 
 

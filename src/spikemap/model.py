@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import Grid3, LinkPhases
+from .fields import Grid3
 
 
 class ModelError(Exception):
@@ -456,18 +456,12 @@ _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 @dataclass
 class ModelSpec:
-    """Potentials V, K, vector potential A, and the nonlinearity.
-
-    V0 and K0 cache the sampled infimum of V and supremum of K; they are
-    filled by validate_assumptions and used for box sizing and decay rates.
-    """
+    """Potentials V, K, vector potential A, and the nonlinearity."""
 
     V: PotentialExpr
     K: PotentialExpr
     A: tuple
     nonlin: Nonlinearity
-    V0: float | None = None
-    K0: float | None = None
 
     def __post_init__(self):
         if len(self.A) != 3:
@@ -511,8 +505,10 @@ class ModelSpec:
     def K_on(self, grid: Grid3):
         return self.K.on_grid(grid)
 
-    def link_phases(self, grid: Grid3, eps: float) -> LinkPhases:
-        """Hop phase factors exp(-i/eps * int A . dl) along each grid edge.
+    def link_phases(self, grid: Grid3, eps: float) -> tuple:
+        """Hop phase factors exp(-i/eps * int A . dl) along each grid edge,
+        one (p1, p2, p3) triple of single-, double- and triple-hop factors
+        per axis.
 
         The line integral over one edge uses 5-point Gauss-Legendre, exact for
         polynomial components up to degree nine.  Double and triple hops are
@@ -523,7 +519,7 @@ class ModelSpec:
         per_axis = []
         if not self.has_field:
             ones = np.ones(grid.dims, dtype=np.complex128)
-            return LinkPhases(grid, eps, tuple((ones, ones, ones) for _ in range(3)))
+            return tuple((ones, ones, ones) for _ in range(3))
         X = list(grid.meshgrid())
         for m in range(3):
             theta = np.zeros(grid.dims)
@@ -536,7 +532,7 @@ class ModelSpec:
             p2 = p1 * np.roll(p1, -1, axis=m)
             p3 = p2 * np.roll(p1, -2, axis=m)
             per_axis.append((p1, p2, p3))
-        return LinkPhases(grid, eps, tuple(per_axis))
+        return tuple(per_axis)
 
 
 def gauge_transform(u, model: ModelSpec, chi: GaugeFunction, eps: float):
@@ -554,7 +550,7 @@ def gauge_transform(u, model: ModelSpec, chi: GaugeFunction, eps: float):
         else:
             root = Bin("+", model.A[m].root, chi.grad[m].root)
             new_A.append(PotentialExpr(expr_to_str(root), root))
-    shifted = ModelSpec(model.V, model.K, tuple(new_A), model.nonlin, model.V0, model.K0)
+    shifted = ModelSpec(model.V, model.K, tuple(new_A), model.nonlin)
     return u2, shifted
 
 
@@ -591,7 +587,7 @@ def validate_assumptions(model: ModelSpec) -> ValidationReport:
     26 lattice directions at radii 1, 2, 4, ..., 64; the growth rates are
     the largest coefficient derivatives on each ring.  Fails hard (ModelError)
     when V or K dips to zero or below anywhere in the sample set; everything
-    else is reported.  Fills model.V0 and model.K0.
+    else is reported.
     """
     ax = np.linspace(-_BOX_RADIUS, _BOX_RADIUS, _BOX_NODES)
     box = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -629,8 +625,6 @@ def validate_assumptions(model: ModelSpec) -> ValidationReport:
         theta_ok = False
         notes.append("theta condition 0 < theta F(s) <= f(s) s fails on the sample range")
 
-    model.V0 = float(np.min(v))
-    model.K0 = float(np.max(k))
     return ValidationReport(
         v_min=float(np.min(v)),
         k_min=float(np.min(k)),

@@ -39,7 +39,7 @@ from spikemap.magnetic_solver import (
     solve_frozen_magnetic,
     solve_magnetic,
 )
-from spikemap.model import ModelSpec, Nonlinearity, ZERO_EXPR, parse_potential
+from spikemap.model import LATTICE_DIRECTIONS, ModelSpec, Nonlinearity, ZERO_EXPR, parse_potential
 
 E3 = 18.897251302545
 
@@ -166,7 +166,7 @@ def test_current_density_real_field_is_zero():
     w = np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 3.0)
     J, norm, _ = current_density(ComplexField3(grid, w.astype(complex)))
     assert norm == 0.0
-    assert np.all(J.values == 0.0)
+    assert np.all(J == 0.0)
 
 
 def test_current_density_constant_twist():
@@ -179,7 +179,7 @@ def test_current_density_constant_twist():
     U = ComplexField3(grid, w * np.exp(1j * (a[0] * X[0] + a[1] * X[1] + a[2] * X[2])))
     J, norm, _ = current_density(U)
     for k in range(3):
-        assert np.abs(J.values[k] + a[k] * w**2).max() < 0.05 * abs(a[k])
+        assert np.abs(J[k] + a[k] * w**2).max() < 0.05 * abs(a[k])
     assert norm == pytest.approx(0.7791015187980086, rel=1e-6)
 
 
@@ -444,6 +444,31 @@ def test_gamma_real_field_reduces_to_envelope_bracket():
     hand = float(model.V_and_grad(z)[1] @ w) * m2 / 2.0 - float(model.K_and_grad(z)[1] @ w) * intF
     assert hi == pytest.approx(hand, rel=1e-12)
     assert lo == pytest.approx(hand, rel=1e-12)
+
+
+def test_gamma_over_a_direction_stack_equals_single_directions():
+    # two twisted Gaussians at z off every symmetry point, so each of tA, tV,
+    # tK is nonzero and the two fields' brackets differ (sup != inf)
+    model = mk_model(
+        "1 + 0.5*x1^2 + 0.8*x2^2 + 1.1*x3^2",
+        "1 + 0.1*exp(-(x1^2 + x2^2 + x3^2)/5)",
+        A=("-0.3*x2 + 0.1*x3^2", "0.3*x1", "0.2*x1*x2"),
+    )
+    grid = make_grid(6.0, 24)
+    X = grid.meshgrid()
+    w = np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 3.0)
+    sols = [
+        ComplexField3(grid, w * np.exp(1j * (0.2 * X[0] - 0.1 * X[2]))),
+        ComplexField3(grid, 1.3 * w * np.exp(-1j * 0.4 * X[1])),
+    ]
+    z = (0.3, -0.2, 0.1)
+    his, los = gamma_pm(z, LATTICE_DIRECTIONS, model, sols)
+    assert his.shape == los.shape == (26,)
+    assert np.all(his > los)
+    for d, hi, lo in zip(LATTICE_DIRECTIONS, his, los):
+        one = gamma_pm(z, d, model, sols)
+        assert all(isinstance(x, float) for x in one)
+        assert one == pytest.approx((hi, lo), rel=1e-13, abs=1e-15)
 
 
 def test_gamma_requires_solutions():

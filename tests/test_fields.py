@@ -62,9 +62,9 @@ def test_gradient_exact_on_affine():
     X1, X2, X3 = g.meshgrid()
     f = RealField3(g, 3.0 * X1 - 2.0 * X2 + 0.5 * X3 + 7.0)
     grad = gradient(f)
-    assert np.allclose(grad.values[0], 3.0, atol=1e-12)
-    assert np.allclose(grad.values[1], -2.0, atol=1e-12)
-    assert np.allclose(grad.values[2], 0.5, atol=1e-12)
+    assert np.allclose(grad[0], 3.0, atol=1e-12)
+    assert np.allclose(grad[1], -2.0, atol=1e-12)
+    assert np.allclose(grad[2], 0.5, atol=1e-12)
 
 
 def test_masked_hop_does_not_wrap():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemap import frozen_solver
-from spikemap.fields import make_grid
+from spikemap.fields import Hamiltonian, RealField3, make_grid
 from spikemap.frozen_solver import (
     BracketError,
     ConvergenceError,
@@ -352,6 +352,20 @@ def test_nehari_routes_agree(prof3):
     assert t_closed == pytest.approx(t_bracket, rel=1e-10)
 
 
+def test_radial_forms_refuse_a_grid_field():
+    # a grid field's forms are fields.Hamiltonian's; the radial helpers do
+    # not quietly build one
+    nl = Nonlinearity.power(1.0, 3.0)
+    grid = make_grid(radius=4.0, n=12)
+    u = RealField3(grid, np.exp(-sum(X**2 for X in grid.meshgrid())))
+    with pytest.raises(TypeError):
+        nehari_project(u, P0, nl)
+    with pytest.raises(TypeError):
+        nehari_slack(u, P0, nl, 1.0)
+    with pytest.raises(TypeError):
+        frozen_action(u, P0, nl)
+
+
 @given(c=st.floats(0.05, 20.0))
 @settings(max_examples=30, deadline=None)
 def test_nehari_homogeneity(c):
@@ -522,7 +536,7 @@ def test_flow3d_agrees_with_shooting(prof3):
     grid = make_grid(radius=9.0, n=32)
     trace = []
     u = gradient_flow_3d_real(P0, nl, grid, tol=1e-5, trace=trace, seed_profile=prof3)
-    I3 = frozen_action(u, P0, nl)
+    I3 = Hamiltonian(grid, 1.0, P0.Vz, P0.Kz, nl, None).energy(u.values)
     assert I3 == pytest.approx(prof3.energy, rel=0.05)
     # constraint is enforced at every accepted step: the slack is |Q - P| / Q
     assert set(trace[-1]) == {"iter", "energy", "residual", "nehari_slack"}

@@ -12,7 +12,6 @@ from spikemap.frozen_solver import (
     ConvergenceError,
     FrozenPoint,
     SolverError,
-    frozen_action,
     gradient_flow_3d_real,
 )
 from spikemap.magnetic_solver import (
@@ -244,7 +243,7 @@ def test_frozen_solve_matches_the_real_flow():
     sol = solve_frozen_magnetic(z, model, grid, tol=1e-6)
     point = FrozenPoint.from_model(model, np.asarray(z))
     u = gradient_flow_3d_real(point, model.nonlin, grid, tol=1e-6)
-    I = frozen_action(u, point, model.nonlin)
+    I = Hamiltonian(grid, 1.0, point.Vz, point.Kz, model.nonlin, None).energy(u.values)
     assert sol.energy_J == pytest.approx(I, rel=1e-10)
 
 

@@ -308,7 +308,7 @@ def test_link_phases_trivial_without_field():
     model = make_model()
     g = make_grid(radius=2.0, n=12)
     phases = model.link_phases(g, 0.5)
-    for per_axis in phases.ph:
+    for per_axis in phases:
         for p in per_axis:
             assert np.all(p == 1.0)
 
@@ -345,8 +345,8 @@ def test_validate_fills_bounds_and_passes():
     rep = validate_assumptions(model)
     assert rep.passed
     assert rep.v_min == pytest.approx(1.0)
-    assert model.V0 == pytest.approx(1.0)
-    assert model.K0 == pytest.approx(1.0)
+    assert rep.k_min == pytest.approx(1.0)
+    assert rep.k_max == pytest.approx(1.0)
     assert np.allclose(rep.argmin_v, 0.0, atol=1e-12)
     assert set(rep.growth) == {"V", "K", "A"}
 
