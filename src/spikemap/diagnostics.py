@@ -12,7 +12,6 @@ caller can tell "small because it holds" from "small because everything is".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

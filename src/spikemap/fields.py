@@ -121,15 +121,6 @@ def boundary_fraction(weights: np.ndarray) -> float:
     return (total - float(weights[1:-1, 1:-1, 1:-1].sum())) / total
 
 
-def masked_hop(u: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """Shift u by k nodes along axis, zeroing slots whose source left the box."""
-    v = np.roll(u, -k, axis=axis)
-    sl = [slice(None)] * 3
-    sl[axis] = slice(-k, None) if k > 0 else slice(None, -k)
-    v[tuple(sl)] = 0.0
-    return v
-
-
 def const_link_phases(grid: Grid3, a, eps: float) -> tuple:
     """Link phases for a spatially constant vector potential a (exact).
 
@@ -147,26 +138,41 @@ def const_link_phases(grid: Grid3, a, eps: float) -> tuple:
 def apply_link_kinetic(u: np.ndarray, phases: tuple | None, eps: float, h: float) -> np.ndarray:
     """Sixth-order kinetic operator (the |D^eps|^2 part of the action).
 
-    With link phases, one (p1, p2, p3) triple per axis, the hops are phased.
-    Double- and triple-hop phases are products of the consecutive single
-    hops, which is what makes the phased form exactly unitarily equivalent
-    to the free one along each axis.  With phases None they are free:
-    the operator is eps^2 times minus the sixth-order Laplacian, and a real
-    field stays real.  Dirichlet outside the box: hops that cross a face
-    contribute zero.
+    With link phases, one (p1, p2, p3) triple per axis, the hops are phased;
+    double and triple hops are products of consecutive single hops, so the
+    phased form is exactly unitarily equivalent to the free one along each
+    axis.  With phases None the hops are free (eps^2 times minus the
+    sixth-order Laplacian) and a real field stays real.  out starts as
+    -3 C0 u; each axis m and hop k update it in place on the offset views
+    lo = [:-k] and hi = [k:] along m, out[lo] -= C_k p_k[lo] u[hi] and
+    out[hi] -= C_k conj(p_k[lo]) u[lo], so a hop across a face has no slot:
+    Dirichlet, with no wrapped copies.  Slabs of 8 planes along another axis
+    keep each temporary small; u is read in C order, so layout moves no bit.
     """
-    out = np.zeros(u.shape, dtype=u.dtype if phases is None else np.complex128)
+    u = np.ascontiguousarray(u)
+    out = (-3.0 * _C0) * (u if phases is None else u.astype(np.complex128, copy=False))
     for m in range(3):
-        if phases is None:
-            t1, t2, t3 = (masked_hop(u, k, m) + masked_hop(u, -k, m) for k in (1, 2, 3))
-        else:
-            p1, p2, p3 = phases[m]
-            t1 = p1 * masked_hop(u, 1, m) + masked_hop(np.conj(p1) * u, -1, m)
-            t2 = p2 * masked_hop(u, 2, m) + masked_hop(np.conj(p2) * u, -2, m)
-            t3 = p3 * masked_hop(u, 3, m) + masked_hop(np.conj(p3) * u, -3, m)
-        # minus the (phased) second-derivative stencil along this axis
-        out += (-_C0) * u - _C1 * t1 - _C2 * t2 - _C3 * t3
-    return (eps * eps / (h * h)) * out
+        U, O = np.moveaxis(u, m, 2), np.moveaxis(out, m, 2)
+        for k, c in ((1, _C1), (2, _C2), (3, _C3)):
+            P = None if phases is None else np.moveaxis(phases[m][k - 1], m, 2)
+            for i in range(0, U.shape[0], 8):
+                lo, hi = np.s_[i:i + 8, :, :-k], np.s_[i:i + 8, :, k:]
+                if P is None:
+                    O[lo] -= c * U[hi]
+                    O[hi] -= c * U[lo]
+                else:
+                    O[lo] -= c * (P[lo] * U[hi])
+                    O[hi] -= c * (np.conj(P[lo]) * U[lo])
+    out *= eps * eps / (h * h)
+    return out
+
+
+def _re_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b> over the nodes, real or complex, in any layout: numpy's
+    single-thread einsum sums the float64 views of C-ordered copies in a fixed
+    order, where np.vdot's threaded BLAS dot moves bits with the thread count."""
+    x, y = (np.ascontiguousarray(w, np.result_type(a, b)).view(np.float64).ravel() for w in (a, b))
+    return float(np.einsum("i,i->", x, y))
 
 
 def _abs2(u: np.ndarray) -> np.ndarray:
@@ -235,9 +241,9 @@ class Hamiltonian:
         return apply_link_kinetic(u, self.phases, self.eps, self.grid.spacing)
 
     def quad(self, u: np.ndarray, Tu: np.ndarray) -> float:
-        """Q(u), given Tu = apply(u).  Real, and positive for u != 0."""
-        kin = float(np.real(np.vdot(u, Tu))) * self.vol
-        return kin + float((self.V * _abs2(u)).sum()) * self.vol
+        """Q(u), given Tu = apply(u): real, positive for u != 0, with the
+        kinetic part Re <u, Tu> summed in a fixed order by _re_dot."""
+        return _re_dot(u, Tu) * self.vol + float((self.V * _abs2(u)).sum()) * self.vol
 
     def pairing(self, m2: np.ndarray, t: float) -> float:
         """P(t) for the field with |u|^2 = m2."""
@@ -296,12 +302,7 @@ def write_snapshot(path, f) -> None:
         *[float(c) for c in f.grid.origin],
     )
     flat = f.values.ravel(order="F")
-    if is_complex:
-        payload = np.empty(2 * flat.size, dtype="<f8")
-        payload[0::2] = flat.real
-        payload[1::2] = flat.imag
-    else:
-        payload = flat.astype("<f8")
+    payload = (flat.view(np.float64) if is_complex else flat).astype("<f8")
     with open(path, "wb") as fh:
         fh.write(head)
         fh.write(payload.tobytes())

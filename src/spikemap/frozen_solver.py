@@ -48,6 +48,7 @@ from .fields import (
     SolverError,
     _abs2,
     _nehari_scale,
+    _re_dot,
 )
 
 
@@ -775,7 +776,7 @@ def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
             raise ConvergenceError(f"{what} residual grew out of control", trace)
         if rn <= H.stop_level(tol, m2):
             return u
-        if float(np.real(np.vdot(mom, res))) < 0.0:
+        if _re_dot(mom, res) < 0.0:
             mom[:] = 0.0
         mom = 0.95 * mom + res
         u, Tu, Q, slack = H.project((u - eta * mom) * H.mask)

@@ -9,10 +9,9 @@ div A term) is never assembled: the phases encode that term exactly.  The
 solve runs frozen_solver's descent, the one the real 3D flow runs, from this
 module's seeds; energy_J and pde_residual read the same Hamiltonian.
 
-A solve is internally parallel only in the sense of numpy's vectorized
-slab sweeps, whose reduction order is fixed, so repeated runs with the same
-seed produce identical bytes.  Separate solves share no mutable state and can
-run concurrently.
+Every sum a solve takes runs on one thread in numpy's fixed order, none in a
+threaded BLAS, so runs with the same seed produce identical bytes whatever the
+BLAS thread count.  Separate solves share no mutable state.
 """
 
 from __future__ import annotations

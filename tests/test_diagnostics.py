@@ -23,7 +23,6 @@ from spikemap.fields import BoundaryMassWarning, ComplexField3, make_grid
 from spikemap.frozen_solver import (
     FrozenPoint,
     canonical_profile,
-    profile_moments,
     sample_profile_on_grid,
     shoot_radial,
     ground_energy,
@@ -34,7 +33,6 @@ from spikemap.magnetic_solver import (
     MagneticSolveConfig,
     MagneticSolution,
     energy_J,
-    phase_factor_split,
     rescale,
     solve_frozen_magnetic,
     solve_magnetic,

@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spikemap import fields
 from spikemap.fields import (
     ComplexField3,
     Grid3,
@@ -13,10 +15,11 @@ from spikemap.fields import (
     const_link_phases,
     gradient,
     make_grid,
-    masked_hop,
     read_snapshot,
     write_snapshot,
 )
+from spikemap.magnetic_solver import MagneticSolveConfig, solve_magnetic
+from spikemap.model import ModelSpec, Nonlinearity, parse_potential
 
 
 def gauss_field(grid, sigma=1.2):
@@ -65,14 +68,6 @@ def test_gradient_exact_on_affine():
     assert np.allclose(grad[0], 3.0, atol=1e-12)
     assert np.allclose(grad[1], -2.0, atol=1e-12)
     assert np.allclose(grad[2], 0.5, atol=1e-12)
-
-
-def test_masked_hop_does_not_wrap():
-    g = make_grid(radius=1.0, n=8)
-    u = np.arange(8**3, dtype=float).reshape(8, 8, 8)
-    h = masked_hop(u, 1, 0)
-    assert np.all(h[-1] == 0.0)
-    assert np.array_equal(h[:-1], u[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +124,137 @@ def test_phase_free_kinetic_keeps_real_fields_real():
     assert free.dtype == np.float64
     assert np.allclose(free, unit.real, rtol=0.0, atol=1e-13 * np.abs(free).max())
     assert np.all(unit.imag == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the slice-update stencil against the np.roll stencil it replaced
+
+_C0, _C1, _C2, _C3 = -49.0 / 18.0, 1.5, -3.0 / 20.0, 1.0 / 90.0
+
+
+def _roll_hop(u, k, axis):
+    """u shifted by k nodes along axis, zero where the source left the box."""
+    v = np.roll(u, -k, axis=axis)
+    sl = [slice(None)] * 3
+    sl[axis] = slice(-k, None) if k > 0 else slice(None, -k)
+    v[tuple(sl)] = 0.0
+    return v
+
+
+def _roll_stencil(u, phases, eps, h):
+    """The kinetic operator as whole-array wrapped shifts with the wrapped
+    slots zeroed, an independent route to the same sums."""
+    out = np.zeros(u.shape, dtype=u.dtype if phases is None else np.complex128)
+    for m in range(3):
+        if phases is None:
+            t1, t2, t3 = (_roll_hop(u, k, m) + _roll_hop(u, -k, m) for k in (1, 2, 3))
+        else:
+            p1, p2, p3 = phases[m]
+            t1 = p1 * _roll_hop(u, 1, m) + _roll_hop(np.conj(p1) * u, -1, m)
+            t2 = p2 * _roll_hop(u, 2, m) + _roll_hop(np.conj(p2) * u, -2, m)
+            t3 = p3 * _roll_hop(u, 3, m) + _roll_hop(np.conj(p3) * u, -3, m)
+        out += (-_C0) * u - _C1 * t1 - _C2 * t2 - _C3 * t3
+    return (eps * eps / (h * h)) * out
+
+
+def bench_model():
+    """V = 1 + |x|^2, K = 1, p = 3, A = (-x2/4, x1/4, 0): a uniform field B = e3 / 2."""
+    return ModelSpec(
+        V=parse_potential("1 + x1^2 + x2^2 + x3^2"),
+        K=parse_potential("1"),
+        A=(parse_potential("-0.25*x2"), parse_potential("0.25*x1"), parse_potential("0")),
+        nonlin=Nonlinearity.power(1.0, 3.0),
+    )
+
+
+def _stencil_case(kind, dims):
+    g = Grid3(dims, 12.0 / (max(dims) - 1))
+    rng = np.random.default_rng(sum(dims))
+    u = rng.standard_normal(g.dims)
+    if kind == "free-real":
+        return g, u, None
+    u = u + 1j * rng.standard_normal(g.dims)
+    if kind == "free-complex":
+        return g, u, None
+    if kind == "const":
+        return g, u, const_link_phases(g, np.array([0.3, -0.8, 0.1]), 0.7)
+    return g, u, bench_model().link_phases(g, 0.7)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+# the last box has three axis lengths, the first axis the shortest
+@pytest.mark.parametrize("dims", [(12, 12, 12), (20, 20, 20), (9, 20, 13)])
+@pytest.mark.parametrize("kind", ["free-real", "free-complex", "const", "bench"])
+def test_slice_stencil_matches_roll_oracle(kind, dims, order):
+    g, u, phases = _stencil_case(kind, dims)
+    u = np.asarray(u, order=order)
+    out = apply_link_kinetic(u, phases, 0.7, g.spacing)
+    ref = _roll_stencil(u, phases, 0.7, g.spacing)
+    assert out.dtype == ref.dtype
+    if kind == "free-real":
+        assert out.dtype == np.float64
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["free-complex", "const", "bench"])
+def test_stencil_is_self_adjoint(kind):
+    g, _, phases = _stencil_case(kind, (16, 16, 16))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        u, v = (rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims) for _ in range(2))
+        Tu, Tv = (apply_link_kinetic(w, phases, 0.7, g.spacing) for w in (u, v))
+        lhs, rhs = np.vdot(v, Tu).real, np.vdot(Tv, u).real
+        # relative to the Cauchy-Schwarz bound: random fields make the
+        # inner product itself a heavily cancelling sum
+        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(v) * np.linalg.norm(Tu)
+
+
+@pytest.mark.parametrize("phased", [False, True])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_stencil_does_not_wrap_around_the_box(axis, phased):
+    # a spike on the face i = 0 reaches three nodes inward and nothing on
+    # the far side of the box
+    g = make_grid(radius=6.0, n=12)
+    n = g.dims[axis]
+    u = np.zeros(g.dims, dtype=np.complex128)
+    spot = [n // 2] * 3
+    spot[axis] = 0
+    u[tuple(spot)] = 1.0
+    phases = bench_model().link_phases(g, 0.7) if phased else None
+    out = apply_link_kinetic(u, phases, 0.7, g.spacing)
+    far = [slice(None)] * 3
+    far[axis] = slice(n - 3, n)
+    assert np.all(out[tuple(far)] == 0.0)
+    near = list(spot)
+    near[axis] = 3
+    assert out[tuple(near)] != 0.0
+
+
+def test_stencil_allocates_at_most_three_fields():
+    # the result plus slab temporaries; the np.roll stencil peaked at 7 fields
+    g = make_grid(radius=6.0, n=24)
+    phases = bench_model().link_phases(g, 0.7)
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
+    tracemalloc.start()
+    try:
+        apply_link_kinetic(u, phases, 0.7, g.spacing)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * u.nbytes
+
+
+def test_solve_with_roll_oracle_agrees(monkeypatch):
+    # the same descent with the oracle stencil: the same path to rounding
+    model = bench_model()
+    cfg = MagneticSolveConfig(eps=1.0, grid=make_grid(radius=6.0, n=20), tol=1e-6)
+    new = solve_magnetic(model, cfg)
+    monkeypatch.setattr(fields, "apply_link_kinetic", _roll_stencil)
+    ref = solve_magnetic(model, cfg)
+    assert new.iterations == ref.iterations
+    assert abs(new.energy_J - ref.energy_J) <= 1e-12 * abs(ref.energy_J)
+    assert np.max(np.abs(new.spike - ref.spike)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,43 @@ def test_descent_applies_the_stencil_once_per_iteration(monkeypatch):
     sol = solve_magnetic(mk_model(Vtxt="1 + 0.1*(x1^2 + x2^2 + x3^2)"), cfg)
     assert sol.iterations > 10
     assert len(calls) == sol.iterations + 1
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the descent's inner products are summed in numpy's fixed order, so a
+    # threaded BLAS dot cannot move the last bits of the solve or its outputs
+    src = str(Path(magnetic_solver.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        cfg = tmp_path / f"run{threads}.ini"
+        cfg.write_text(
+            "[model]\nV = 1 + x1^2 + x2^2 + x3^2\nK = 1\np = 3\n"
+            "A1 = -0.25*x2\nA2 = 0.25*x1\nA3 = 0\n\n"
+            "[solver]\ngrid_radius = 6.0\ngrid_points = 24\neps = 1.0\ntol = 1e-6\n\n"
+            f"[output]\ndirectory = {out}\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "spikemap.cli", "solve-magnetic", str(cfg)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append([(out / name).read_bytes() for name in
+                        ("solution_eps1.0.spkf", "trace_eps1.0.csv", "report_eps1.0.json")])
+    assert outputs[0] == outputs[1]
+
+
+def test_quad_does_not_depend_on_memory_layout():
+    # verify reads snapshots back Fortran-ordered
+    grid = make_grid(radius=6.0, n=20)
+    model = mk_model(Vtxt="1 + x1^2 + x2^2 + x3^2", A=("-0.25*x2", "0.25*x1", "0"))
+    H = Hamiltonian.from_model(model, grid, 1.0)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
+    uF = np.asfortranarray(u)
+    assert uF.flags.f_contiguous and not uF.flags.c_contiguous
+    assert H.quad(uF, H.apply(uF)) == H.quad(u, H.apply(u))
+    assert H.energy(uF) == H.energy(u)
 
 
 def test_trace_records_the_descent(base48):
