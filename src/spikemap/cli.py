@@ -661,7 +661,7 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
             iterations=0,
         )
         level = H.stop_level(cfg.tol, m2)
-        # the diagnostics build phases of their own; do not hold both at once
+        # free H's 9-field hop table before the diagnostics' 3 phase fields
         del H
         try:
             report = run_diagnostics(sol, cfg.model, window=cfg.decay_window)

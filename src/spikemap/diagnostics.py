@@ -57,11 +57,11 @@ def diamagnetic_check(u: ComplexField3, model: ModelSpec, eps: float) -> float:
     |phase * u(x+h) - u(x)| >= ||u(x+h)| - |u(x)|| node by node, so the
     discrete slack inherits the pointwise inequality exactly instead of
     holding only up to central-stencil error, and it is identically zero for
-    real fields without a vector potential.
+    real fields without a vector potential.  It reads the single hops only.
     """
     grid = u.grid
     h = grid.spacing
-    phases = model.link_phases(grid, eps)
+    p1s = model.link_phases(grid, eps)
     cov2 = np.zeros(tuple(d - 1 for d in grid.dims))
     mod2 = np.zeros_like(cov2)
     mag = np.abs(u.values)
@@ -69,7 +69,7 @@ def diamagnetic_check(u: ComplexField3, model: ModelSpec, eps: float) -> float:
     for m in range(3):
         up = [slice(0, d - 1) for d in grid.dims]
         up[m] = slice(1, grid.dims[m])
-        hop = phases[m][0][core] * u.values[tuple(up)] - u.values[core]
+        hop = p1s[m][core] * u.values[tuple(up)] - u.values[core]
         dm = mag[tuple(up)] - mag[core]
         cov2 += np.abs(hop) ** 2
         mod2 += dm * dm

@@ -5,8 +5,8 @@ node-centered grids defined here.  Conventions: arrays are indexed [ix, iy, iz],
 node coordinates are origin + (index - (n-1)/2) * spacing, and integrals are
 plain node sums times the cell volume (spectrally accurate for smooth fields
 that decay below rounding before the boundary).  Scalar fields carry their
-grid; a gradient is a (3,) + dims array and link phases are one (p1, p2, p3)
-tuple of arrays per axis.
+grid; a gradient is a (3,) + dims array, link phases are one single-hop
+array per axis, and link_table alone forms the longer hops and the wall.
 """
 
 from __future__ import annotations
@@ -122,47 +122,50 @@ def boundary_fraction(weights: np.ndarray) -> float:
 
 
 def const_link_phases(grid: Grid3, a, eps: float) -> tuple:
-    """Link phases for a spatially constant vector potential a (exact).
+    """Single-hop factors exp(-i a_m h / eps) for a spatially constant vector
+    potential a (exact), one array per axis, as ModelSpec.link_phases gives."""
+    return tuple(np.full(grid.dims, np.exp(-1j * a[m] * grid.spacing / eps)) for m in range(3))
 
-    Like ModelSpec.link_phases, one (p1, p2, p3) triple of single-, double-
-    and triple-hop factors exp(-i theta) per axis, theta the line integral
-    of A along the hop divided by eps.
+
+def link_table(grid: Grid3, p1s: tuple | None) -> tuple:
+    """The hop table apply_link_kinetic reads: per axis, the hops (p1, p2, p3)
+    over 1, 2 and 3 edges, from the single hops p1s (one array per axis), or
+    real unit hops for p1s None, so a real field stays real.  p1 is walled in
+    place, 0 on the last plane of its axis; then p2 = p1 roll(p1, -1) and
+    p3 = p2 roll(p1, -2) are 0 on every hop that leaves the box, and the
+    phased operator stays unitarily equivalent to the free one per axis.
     """
-    per_axis = []
+    table = []
     for m in range(3):
-        p1 = np.full(grid.dims, np.exp(-1j * a[m] * grid.spacing / eps))
-        per_axis.append((p1, p1 * p1, p1 * p1 * p1))
-    return tuple(per_axis)
+        p1 = np.ones(grid.dims) if p1s is None else p1s[m]
+        p1[(slice(None),) * m + (-1,)] = 0.0
+        p2 = p1 * np.roll(p1, -1, axis=m)
+        table.append((p1, p2, p2 * np.roll(p1, -2, axis=m)))
+    return tuple(table)
 
 
-def apply_link_kinetic(u: np.ndarray, phases: tuple | None, eps: float, h: float) -> np.ndarray:
+def apply_link_kinetic(u: np.ndarray, links: tuple, eps: float, h: float) -> np.ndarray:
     """Sixth-order kinetic operator (the |D^eps|^2 part of the action).
 
-    With link phases, one (p1, p2, p3) triple per axis, the hops are phased;
-    double and triple hops are products of consecutive single hops, so the
-    phased form is exactly unitarily equivalent to the free one along each
-    axis.  With phases None the hops are free (eps^2 times minus the
-    sixth-order Laplacian) and a real field stays real.  out starts as
-    -3 C0 u; each axis m and hop k update it in place on the offset views
-    lo = [:-k] and hi = [k:] along m, out[lo] -= C_k p_k[lo] u[hi] and
-    out[hi] -= C_k conj(p_k[lo]) u[lo], so a hop across a face has no slot:
-    Dirichlet, with no wrapped copies.  Slabs of 8 planes along another axis
-    keep each temporary small; u is read in C order, so layout moves no bit.
+    links is a link_table, 0 on every hop out of the box, so a hop across a
+    face adds nothing: Dirichlet, with no wrapped copies.  Unit hops give
+    eps^2 times minus the sixth-order Laplacian, and the result has the dtype
+    of u times the table.  out starts as -3 C0 u; on the flattened fields each
+    axis m and hop k, at offset o = k stride_m, update it in place through one
+    scratch buffer: out[:-o] -= C_k (p_k[:-o] u[o:]) and out[o:] -= C_k
+    (conj(p_k[:-o]) u[:-o]).  u is read in C order, so layout moves no bit.
     """
     u = np.ascontiguousarray(u)
-    out = (-3.0 * _C0) * (u if phases is None else u.astype(np.complex128, copy=False))
+    out = (-3.0 * _C0) * u.astype(np.result_type(u, links[0][0]), copy=False)
+    uf, of, buf = u.reshape(-1), out.reshape(-1), np.empty(out.size, out.dtype)
     for m in range(3):
-        U, O = np.moveaxis(u, m, 2), np.moveaxis(out, m, 2)
         for k, c in ((1, _C1), (2, _C2), (3, _C3)):
-            P = None if phases is None else np.moveaxis(phases[m][k - 1], m, 2)
-            for i in range(0, U.shape[0], 8):
-                lo, hi = np.s_[i:i + 8, :, :-k], np.s_[i:i + 8, :, k:]
-                if P is None:
-                    O[lo] -= c * U[hi]
-                    O[hi] -= c * U[lo]
-                else:
-                    O[lo] -= c * (P[lo] * U[hi])
-                    O[hi] -= c * (np.conj(P[lo]) * U[lo])
+            o = k * u.strides[m] // u.itemsize
+            p, b = links[m][k - 1].reshape(-1)[:-o], buf[:-o]
+            np.multiply(p, uf[o:], out=b)
+            of[:-o] -= np.multiply(b, c, out=b)
+            np.multiply(np.conjugate(p, out=b), uf[:-o], out=b)
+            of[o:] -= np.multiply(b, c, out=b)
     out *= eps * eps / (h * h)
     return out
 
@@ -214,8 +217,8 @@ class Hamiltonian:
     """The discrete problem T u + V u = K f(|u|^2) u on one grid, T the
     kinetic operator apply_link_kinetic.
 
-    Built once per (grid, eps, coefficients): from_model takes a model's link
-    phases and V, K on the grid; frozen constants V, K come with phases None.
+    Built once per (grid, eps, coefficients) with the link_table of p1s: a
+    model's link phases in from_model, None (free hops) for frozen V, K.
     Every 3D solve, energy and residual goes through its quadratic form
     Q(u) = <u, T u> + int V |u|^2, its pairing P(t) = int K f(t^2 |u|^2) |u|^2
     and the energy J(u) = Q(u) / 2 - int K F(|u|^2).  The residual is zero on
@@ -224,9 +227,9 @@ class Hamiltonian:
     stop_level, the residual level a solve stops at and verify gates on.
     """
 
-    def __init__(self, grid: Grid3, eps: float, V, K, nonlin, phases: tuple | None):
+    def __init__(self, grid: Grid3, eps: float, V, K, nonlin, p1s: tuple | None):
         self.grid, self.eps, self.V, self.K = grid, eps, V, K
-        self.nonlin, self.phases = nonlin, phases
+        self.nonlin, self.links = nonlin, link_table(grid, p1s)
         self.vol = grid.cell_volume
         self.vmax = float(np.max(V))
         self.mask = np.zeros(grid.dims)
@@ -238,7 +241,7 @@ class Hamiltonian:
                    model.link_phases(grid, eps))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return apply_link_kinetic(u, self.phases, self.eps, self.grid.spacing)
+        return apply_link_kinetic(u, self.links, self.eps, self.grid.spacing)
 
     def quad(self, u: np.ndarray, Tu: np.ndarray) -> float:
         """Q(u), given Tu = apply(u): real, positive for u != 0, with the

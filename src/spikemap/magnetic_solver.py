@@ -4,7 +4,8 @@ The discrete problem is a fields.Hamiltonian: the sixth-order phased-hop
 kinetic operator, whose hop phases carry exact line integrals of the vector
 potential, which keeps the discrete energy, the descent direction, and the
 reported residual gauge covariant to rounding for polynomial gauge
-functions.  The expanded form of the operator (the one with an explicit
+functions; fields.link_table walls ModelSpec.link_phases and forms the
+longer hops.  The expanded form of the operator (the one with an explicit
 div A term) is never assembled: the phases encode that term exactly.  The
 solve runs frozen_solver's descent, the one the real 3D flow runs, from this
 module's seeds; energy_J and pde_residual read the same Hamiltonian.

@@ -5,7 +5,8 @@ expressions in x1, x2, x3.  A tiny recursive-descent parser builds an AST.
 Each expression is compiled once into a straight-line numpy function, which
 evaluates vectorized over arrays.  Derivatives come from the symbolic diff
 alone: gradients, gauge-shifted vector potentials and coefficient Jacobians
-are compiled from its trees.
+are compiled from its trees.  ModelSpec.link_phases gives the single-hop
+phases of A on a grid; fields.link_table builds the stencil's hops from them.
 """
 
 from __future__ import annotations
@@ -506,21 +507,18 @@ class ModelSpec:
         return self.K.on_grid(grid)
 
     def link_phases(self, grid: Grid3, eps: float) -> tuple:
-        """Hop phase factors exp(-i/eps * int A . dl) along each grid edge,
-        one (p1, p2, p3) triple of single-, double- and triple-hop factors
-        per axis.
+        """Single-hop phase factors exp(-i/eps * int A . dl) along each grid
+        edge, one array per axis; real unit factors without a field.
 
         The line integral over one edge uses 5-point Gauss-Legendre, exact for
-        polynomial components up to degree nine.  Double and triple hops are
-        products of consecutive single hops, keeping the phased operator
-        unitarily equivalent to the free one along each axis.
+        polynomial components up to degree nine.  fields.link_table forms the
+        double and triple hops from these and walls the box.
         """
-        h = grid.spacing
-        per_axis = []
         if not self.has_field:
-            ones = np.ones(grid.dims, dtype=np.complex128)
-            return tuple((ones, ones, ones) for _ in range(3))
+            return tuple(np.ones(grid.dims) for _ in range(3))
+        h = grid.spacing
         X = list(grid.meshgrid())
+        per_axis = []
         for m in range(3):
             theta = np.zeros(grid.dims)
             for q, w in zip(_GL_NODES, _GL_WEIGHTS):
@@ -528,10 +526,7 @@ class ModelSpec:
                 xs[m] = X[m] + q * h
                 theta += w * self.A[m].on_coords(tuple(xs), tuple(grid.dims))
             theta *= h / eps
-            p1 = np.exp(-1j * theta)
-            p2 = p1 * np.roll(p1, -1, axis=m)
-            p3 = p2 * np.roll(p1, -2, axis=m)
-            per_axis.append((p1, p2, p3))
+            per_axis.append(np.exp(-1j * theta))
         return tuple(per_axis)
 
 

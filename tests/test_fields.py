@@ -14,6 +14,7 @@ from spikemap.fields import (
     boundary_fraction,
     const_link_phases,
     gradient,
+    link_table,
     make_grid,
     read_snapshot,
     write_snapshot,
@@ -83,8 +84,7 @@ def test_link_kinetic_annihilates_matched_plane_wave():
     X = g.meshgrid()
     phase = (a[0] * X[0] + a[1] * X[1] + a[2] * X[2]) / eps
     u = np.exp(1j * phase)
-    phases = const_link_phases(g, a, eps)
-    out = apply_link_kinetic(u, phases, eps, g.spacing)
+    out = apply_link_kinetic(u, link_table(g, const_link_phases(g, a, eps)), eps, g.spacing)
     inner = (slice(3, -3),) * 3
     assert np.max(np.abs(out[inner])) < 1e-12 * np.max(np.abs(u))
 
@@ -104,8 +104,8 @@ def test_link_kinetic_form_positive():
 def test_link_kinetic_matches_free_laplacian_when_gauge_free():
     g = make_grid(radius=2.0, n=32)
     f = gauss_field(g, 0.5)
-    phases = const_link_phases(g, np.zeros(3), 1.0)
-    out = apply_link_kinetic(f.values.astype(complex), phases, 1.0, g.spacing)
+    links = link_table(g, const_link_phases(g, np.zeros(3), 1.0))
+    out = apply_link_kinetic(f.values.astype(complex), links, 1.0, g.spacing)
     inner = (slice(3, -3),) * 3
     # compare against the continuum -Lap of the Gaussian
     X1, X2, X3 = g.meshgrid()
@@ -116,18 +116,19 @@ def test_link_kinetic_matches_free_laplacian_when_gauge_free():
 
 
 def test_phase_free_kinetic_keeps_real_fields_real():
-    # no phases is the same stencil as unit phases, without the complex detour
+    # the table without phases is the same stencil as unit phases, without
+    # the complex detour
     g = make_grid(radius=2.0, n=24)
     f = gauss_field(g, 0.5).values
-    free = apply_link_kinetic(f, None, 0.8, g.spacing)
-    unit = apply_link_kinetic(f, const_link_phases(g, np.zeros(3), 0.8), 0.8, g.spacing)
+    free = apply_link_kinetic(f, link_table(g, None), 0.8, g.spacing)
+    unit = apply_link_kinetic(f, link_table(g, const_link_phases(g, np.zeros(3), 0.8)), 0.8, g.spacing)
     assert free.dtype == np.float64
     assert np.allclose(free, unit.real, rtol=0.0, atol=1e-13 * np.abs(free).max())
     assert np.all(unit.imag == 0.0)
 
 
 # ---------------------------------------------------------------------------
-# the slice-update stencil against the np.roll stencil it replaced
+# the flat-offset stencil against the np.roll stencil and the slab kernel
 
 _C0, _C1, _C2, _C3 = -49.0 / 18.0, 1.5, -3.0 / 20.0, 1.0 / 90.0
 
@@ -141,20 +142,39 @@ def _roll_hop(u, k, axis):
     return v
 
 
-def _roll_stencil(u, phases, eps, h):
+def _roll_stencil(u, links, eps, h):
     """The kinetic operator as whole-array wrapped shifts with the wrapped
-    slots zeroed, an independent route to the same sums."""
-    out = np.zeros(u.shape, dtype=u.dtype if phases is None else np.complex128)
+    slots zeroed, an independent route to the same sums; it reads the table
+    only where a hop stays in the box."""
+    out = np.zeros(u.shape, dtype=np.result_type(u, links[0][0]))
     for m in range(3):
-        if phases is None:
-            t1, t2, t3 = (_roll_hop(u, k, m) + _roll_hop(u, -k, m) for k in (1, 2, 3))
-        else:
-            p1, p2, p3 = phases[m]
-            t1 = p1 * _roll_hop(u, 1, m) + _roll_hop(np.conj(p1) * u, -1, m)
-            t2 = p2 * _roll_hop(u, 2, m) + _roll_hop(np.conj(p2) * u, -2, m)
-            t3 = p3 * _roll_hop(u, 3, m) + _roll_hop(np.conj(p3) * u, -3, m)
+        p1, p2, p3 = links[m]
+        t1 = p1 * _roll_hop(u, 1, m) + _roll_hop(np.conj(p1) * u, -1, m)
+        t2 = p2 * _roll_hop(u, 2, m) + _roll_hop(np.conj(p2) * u, -2, m)
+        t3 = p3 * _roll_hop(u, 3, m) + _roll_hop(np.conj(p3) * u, -3, m)
         out += (-_C0) * u - _C1 * t1 - _C2 * t2 - _C3 * t3
     return (eps * eps / (h * h)) * out
+
+
+def _slab_stencil(u, phases, eps, h):
+    """The slab-update stencil the flat-offset one replaced, as it stood:
+    phases None for free hops, else a table read on the hops inside the box."""
+    u = np.ascontiguousarray(u)
+    out = (-3.0 * _C0) * (u if phases is None else u.astype(np.complex128, copy=False))
+    for m in range(3):
+        U, O = np.moveaxis(u, m, 2), np.moveaxis(out, m, 2)
+        for k, c in ((1, _C1), (2, _C2), (3, _C3)):
+            P = None if phases is None else np.moveaxis(phases[m][k - 1], m, 2)
+            for i in range(0, U.shape[0], 8):
+                lo, hi = np.s_[i:i + 8, :, :-k], np.s_[i:i + 8, :, k:]
+                if P is None:
+                    O[lo] -= c * U[hi]
+                    O[hi] -= c * U[lo]
+                else:
+                    O[lo] -= c * (P[lo] * U[hi])
+                    O[hi] -= c * (np.conj(P[lo]) * U[lo])
+    out *= eps * eps / (h * h)
+    return out
 
 
 def bench_model():
@@ -168,6 +188,7 @@ def bench_model():
 
 
 def _stencil_case(kind, dims):
+    """(grid, field, single-hop factors or None for free hops)."""
     g = Grid3(dims, 12.0 / (max(dims) - 1))
     rng = np.random.default_rng(sum(dims))
     u = rng.standard_normal(g.dims)
@@ -186,23 +207,56 @@ def _stencil_case(kind, dims):
 @pytest.mark.parametrize("dims", [(12, 12, 12), (20, 20, 20), (9, 20, 13)])
 @pytest.mark.parametrize("kind", ["free-real", "free-complex", "const", "bench"])
 def test_slice_stencil_matches_roll_oracle(kind, dims, order):
-    g, u, phases = _stencil_case(kind, dims)
+    g, u, p1s = _stencil_case(kind, dims)
+    links = link_table(g, p1s)
     u = np.asarray(u, order=order)
-    out = apply_link_kinetic(u, phases, 0.7, g.spacing)
-    ref = _roll_stencil(u, phases, 0.7, g.spacing)
+    out = apply_link_kinetic(u, links, 0.7, g.spacing)
+    ref = _roll_stencil(u, links, 0.7, g.spacing)
     assert out.dtype == ref.dtype
     if kind == "free-real":
         assert out.dtype == np.float64
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the slab kernel makes the same multiplications in the same order, so
+    # the same bits; it never reads the walled hops
+    slab = _slab_stencil(u, None if p1s is None else links, 0.7, g.spacing)
+    assert out.dtype == slab.dtype and np.array_equal(out, slab)
+
+
+@pytest.mark.parametrize("kind", ["free-real", "const", "bench"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_link_table_walls_exactly_the_hops_that_leave_the_box(kind, m):
+    g, _, p1s = _stencil_case(kind, (9, 20, 13))
+    p1 = None if p1s is None else p1s[m].copy()
+    links = link_table(g, p1s)
+    n = g.dims[m]
+    for k in (1, 2, 3):
+        p = np.moveaxis(links[m][k - 1], m, 0)
+        assert np.all(p[n - k:] == 0.0)
+        assert np.all(p[:n - k] != 0.0)
+    if p1 is None:
+        assert all(links[m][k].dtype == np.float64 for k in range(3))
+        return
+    # p1 is walled in place; inside, p2 and p3 are the products of p1 and its
+    # rolls, bit for bit
+    assert links[m][0] is p1s[m]
+    inside = [slice(None)] * 3
+    inside[m] = slice(0, n - 3)
+    inside = tuple(inside)
+    p2 = p1 * np.roll(p1, -1, axis=m)
+    p3 = p2 * np.roll(p1, -2, axis=m)
+    assert np.array_equal(links[m][0][inside], p1[inside])
+    assert np.array_equal(links[m][1][inside], p2[inside])
+    assert np.array_equal(links[m][2][inside], p3[inside])
 
 
 @pytest.mark.parametrize("kind", ["free-complex", "const", "bench"])
 def test_stencil_is_self_adjoint(kind):
-    g, _, phases = _stencil_case(kind, (16, 16, 16))
+    g, _, p1s = _stencil_case(kind, (16, 16, 16))
+    links = link_table(g, p1s)
     rng = np.random.default_rng(5)
     for _ in range(3):
         u, v = (rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims) for _ in range(2))
-        Tu, Tv = (apply_link_kinetic(w, phases, 0.7, g.spacing) for w in (u, v))
+        Tu, Tv = (apply_link_kinetic(w, links, 0.7, g.spacing) for w in (u, v))
         lhs, rhs = np.vdot(v, Tu).real, np.vdot(Tv, u).real
         # relative to the Cauchy-Schwarz bound: random fields make the
         # inner product itself a heavily cancelling sum
@@ -220,8 +274,8 @@ def test_stencil_does_not_wrap_around_the_box(axis, phased):
     spot = [n // 2] * 3
     spot[axis] = 0
     u[tuple(spot)] = 1.0
-    phases = bench_model().link_phases(g, 0.7) if phased else None
-    out = apply_link_kinetic(u, phases, 0.7, g.spacing)
+    links = link_table(g, bench_model().link_phases(g, 0.7) if phased else None)
+    out = apply_link_kinetic(u, links, 0.7, g.spacing)
     far = [slice(None)] * 3
     far[axis] = slice(n - 3, n)
     assert np.all(out[tuple(far)] == 0.0)
@@ -230,19 +284,20 @@ def test_stencil_does_not_wrap_around_the_box(axis, phased):
     assert out[tuple(near)] != 0.0
 
 
-def test_stencil_allocates_at_most_three_fields():
-    # the result plus slab temporaries; the np.roll stencil peaked at 7 fields
-    g = make_grid(radius=6.0, n=24)
-    phases = bench_model().link_phases(g, 0.7)
+@pytest.mark.parametrize("n", [12, 24, 48])
+def test_stencil_allocates_at_most_two_fields(n):
+    # the result and one scratch buffer, plus numpy's per-call bookkeeping
+    g = make_grid(radius=6.0, n=n)
+    links = link_table(g, bench_model().link_phases(g, 0.7))
     rng = np.random.default_rng(2)
     u = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
     tracemalloc.start()
     try:
-        apply_link_kinetic(u, phases, 0.7, g.spacing)
+        apply_link_kinetic(u, links, 0.7, g.spacing)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * u.nbytes
+    assert peak <= 2 * u.nbytes + 4096
 
 
 def test_solve_with_roll_oracle_agrees(monkeypatch):
