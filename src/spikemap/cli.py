@@ -390,7 +390,9 @@ def _write_study_csv(study, path):
 class _Manifest:
     """A run's inputs, outputs and timings.  Entering makes the output
     directory; leaving writes manifest.json, success or not, with failure
-    None or the one line that ended the run."""
+    None or the one line that ended the run.  A command that runs the 3D
+    descent sets descent to a dict, and each converged solve records its
+    iterations and final residual rms there under its eps."""
 
     def __init__(self, cfg: RunConfig, command: str):
         self.t0 = time.perf_counter()
@@ -399,6 +401,7 @@ class _Manifest:
         self.inputs = []
         self.outputs = []
         self.timings = {}
+        self.descent = None
         self.failure = None
 
     def __enter__(self):
@@ -420,6 +423,8 @@ class _Manifest:
             "wall_times_s": {**self.timings, "total": time.perf_counter() - self.t0},
             "failure": self.failure,
         }
+        if self.descent is not None:
+            payload["descent"] = self.descent
         _write_json(os.path.join(self.cfg.out_dir, "manifest.json"), payload)
 
     def out(self, name) -> str:
@@ -488,6 +493,7 @@ def _family_grid(cfg: RunConfig):
 
 def _solve_family(cfg: RunConfig, grid, man: _Manifest):
     family = []
+    man.descent = {}
     for eps in cfg.eps_list:
         t0 = time.perf_counter()
         sol = solve_magnetic(
@@ -503,6 +509,7 @@ def _solve_family(cfg: RunConfig, grid, man: _Manifest):
             ),
         )
         man.timings[f"solve_eps{_fmt(eps)}"] = time.perf_counter() - t0
+        man.descent[_fmt(eps)] = {"iterations": sol.iterations, "residual_rms": sol.residual_rms}
         family.append(sol)
         write_snapshot(man.out(f"solution_eps{_fmt(eps)}.spkf"), sol.u)
         _write_rows(

@@ -5,9 +5,11 @@ the diamagnetic pointwise bound, the vanishing current density of least-energy
 profiles, the translation-test integral identity and its limit form, the
 exponential decay rate, the one-sided derivatives of the ground-energy map,
 Clarke criticality of candidate spike points, and the two concentration
-metrics.  Nothing in this module solves anything; it consumes fields and
+metrics.  Nothing in this module solves the equation; it consumes fields and
 models produced elsewhere and reports residuals with their denominators, so a
 caller can tell "small because it holds" from "small because everything is".
+The one linear solve, the concentration metrics' error estimate, is
+Hamiltonian.solve_linear.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from .fields import (
     BoundaryMassWarning,
     ComplexField3,
+    Hamiltonian,
     boundary_fraction,
     gradient,
 )
@@ -373,16 +376,19 @@ class ConcentrationStudy:
     and rho in the ladder (4, 6, 8, 10), to sup |u_i| outside the ball of
     that radius around the target: at fixed radii it is what must decay for
     the target to be a concentration point.  fixed_floors[i] maps the same
-    radii to member i's accuracy floor there: sup |res| / V outside the
-    ball, res being the member's strong-form residual (pde_residual).
+    radii to member i's error estimate there: sup |e| outside the ball, for
+    e = (T + V)^-1 res (Hamiltonian.solve_linear), res being the member's
+    strong-form residual (pde_residual).
 
-    A member solved to a finite tolerance resolves its tail only down to
-    that floor: in the far field the nonlinearity is negligible and the
-    operator is at least V, so an error that leaves residual res can move
-    |u| by up to about |res| / V.  "Decreasing" therefore means: no member's
-    fixed tail exceeds its predecessor's at the same radius unless it also
-    exceeds its own floor.  A tail at or below its own floor is solver
-    noise and does not count as growth.
+    A member solved to a finite tolerance resolves its tail only to within
+    its error.  Where K f(|u|^2) is negligible, the far field, the true tail
+    is (T + V)^-1 K f(|u|^2) u and the member is off it by exactly e; to
+    first order that holds everywhere.  The error is smooth and flows in
+    from inside the ball, so the local ratio |res| / V under-reads it, while
+    e carries it.  "Decreasing" therefore means: at every radius, no
+    member's tail less its error exceeds its predecessor's tail plus the
+    predecessor's error.  Tails that differ only within their errors are
+    solver noise and do not count as growth.
     """
 
     eps_list: list
@@ -423,14 +429,15 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
 
     family is a list of solutions sorted by strictly decreasing eps.  For
     each member: spike location, |u(z0)|, tail suprema outside fixed-radius
-    balls, the accuracy floor sup |res| / V outside the same balls, and the
-    gap between the scaled energy and the ground energy at z0.  The notes summarize whether the diagnostic trends point
-    toward concentration at z0.
+    balls, the error estimate sup |(T + V)^-1 res| outside the same balls,
+    and the gap between the scaled energy and the ground energy at z0.  The
+    notes summarize whether the diagnostic trends point toward concentration
+    at z0.
 
     notes["fixed_tails_decreasing"] holds when, at every fixed radius, each
-    member's tail is at most the larger of its predecessor's tail and its
-    own floor (see ConcentrationStudy): a tail that rises only within the
-    accuracy its member was solved to is not read as growth.
+    member's tail less its error estimate is at most its predecessor's tail
+    plus the predecessor's (see ConcentrationStudy): a tail that rises only
+    within the accuracy the members were solved to is not read as growth.
     """
     eps_list = [s.eps for s in family]
     z0 = np.asarray(z0, dtype=np.float64)
@@ -443,19 +450,20 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
         X = s.u.grid.meshgrid()
         dist = np.sqrt(sum((X[m] - z0[m]) ** 2 for m in range(3)))
         mag = np.abs(s.u.values)
-        res, _ = pde_residual(s.u, model, s.eps)
-        level = np.abs(res.values) / model.V_on(s.u.grid)
+        H = Hamiltonian.from_model(model, s.u.grid, s.eps)
+        res, _ = pde_residual(s.u, model, s.eps, H)
+        err = np.abs(H.solve_linear(res.values))
 
         def sup_outside(arr, radius):
             out = arr[dist >= radius]
             return float(out.max()) if out.size else 0.0
 
         fixed.append({rad: sup_outside(mag, rad) for rad in fixed_radii})
-        floors.append({rad: sup_outside(level, rad) for rad in fixed_radii})
+        floors.append({rad: sup_outside(err, rad) for rad in fixed_radii})
         gaps.append(abs(s.scaled_energy - sig))
     fixed_dec = all(
-        b[rad] <= max(a[rad], fb[rad])
-        for a, b, fb in zip(fixed, fixed[1:], floors[1:])
+        b[rad] - fb[rad] <= a[rad] + fa[rad]
+        for a, b, fa, fb in zip(fixed, fixed[1:], floors, floors[1:])
         for rad in fixed_radii
     )
     notes = {

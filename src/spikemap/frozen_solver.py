@@ -748,20 +748,30 @@ def sample_profile_on_grid(prof: RadialProfile, grid: Grid3, center=None, scale:
 def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
     """Heavy-ball descent of the action of H on its Nehari manifold, from u.
 
-    Each step moves against the residual plus a heavy-ball term with
-    momentum 0.95 (reset whenever it points uphill), with step 1.8 / L for
-    the bound L = 18.14 eps^2 / h^2 + (1 + p) sup V, and projects back onto
-    the manifold, which hands over t Tu: one stencil application per
-    iteration.  Returns the first iterate whose residual rms is at or below
-    H.stop_level, tol * max(1, sup V) * rms(u).  Appends {iter, energy, residual, nehari_slack} to trace per iteration;
-    ConvergenceError carries it on divergence or when max_iters runs out.
+    Each step moves node by node against the residual scaled by the per-node
+    step eta(x) = 1.8 / D(x), D(x) = 18.14 eps^2 / h^2 + (1 + p) V(x), built
+    once from H.V, plus a heavy-ball term with momentum 0.95, and projects
+    back onto the manifold, which hands over t Tu: one stencil application
+    per iteration.  18.14 eps^2 / h^2 is the Gershgorin row bound of the
+    sixth-order stencil, 3 (|C0| + 2 (|C1| + |C2| + |C3|)) = 18.133 times
+    eps^2 / h^2, and it holds with any field because every hop has modulus 1
+    or 0; so D bounds row x of T + V, with the margin (1 + p) on V for the
+    curvature of the nonlinear term, and rho(D^-1 H) <= 1: the stability
+    argument of a global step 1.8 / sup D, which would let sup V, reached
+    only at the box corners, set the step at the spike.  With constant V the
+    step is that scalar one.  The momentum is kept in the step's units, the
+    metric D^-1, and is reset whenever the direction it takes points uphill
+    against the residual.  Returns the first iterate whose residual rms is
+    at or below H.stop_level, tol * max(1, sup V) * rms(u).  Appends {iter,
+    energy, residual, nehari_slack} to trace per iteration; ConvergenceError
+    carries it on divergence or when max_iters runs out.
     """
     nonlin = H.nonlin
     h, eps = H.grid.spacing, H.eps
     p_curv = nonlin.p if nonlin.is_power else 3.0
-    eta = 1.8 / (18.14 * eps * eps / (h * h) + (1.0 + p_curv) * H.vmax)
+    eta = 1.8 / (18.14 * eps * eps / (h * h) + (1.0 + p_curv) * H.V)
     u, Tu, Q, slack = H.project(u * H.mask)
-    mom = np.zeros_like(u)
+    mom = np.zeros_like(Tu)
     rn0 = None
     for it in range(max_iters):
         m2 = _abs2(u)
@@ -778,8 +788,9 @@ def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
             return u
         if _re_dot(mom, res) < 0.0:
             mom[:] = 0.0
-        mom = 0.95 * mom + res
-        u, Tu, Q, slack = H.project((u - eta * mom) * H.mask)
+        mom *= 0.95
+        mom += np.multiply(res, eta, out=res)
+        u, Tu, Q, slack = H.project((u - mom) * H.mask)
     raise ConvergenceError(f"{what} did not reach tol={tol} in {max_iters} iterations", trace)
 
 

@@ -8,7 +8,12 @@ functions; fields.link_table walls ModelSpec.link_phases and forms the
 longer hops.  The expanded form of the operator (the one with an explicit
 div A term) is never assembled: the phases encode that term exactly.  The
 solve runs frozen_solver's descent, the one the real 3D flow runs, from this
-module's seeds; energy_J and pde_residual read the same Hamiltonian.
+module's seeds; energy_J and pde_residual read the same Hamiltonian.  The
+descent's step is per node, 1.8 / (18.14 eps^2 / h^2 + (1 + p) V(x)): a
+bound on row x of the operator, so the spike, where V is small, is not held
+to the step that sup V at the box corners allows (see _descend).  The
+Hamiltonian of a complex field always holds a complex hop table, real unit
+phases included.
 
 Every sum a solve takes runs on one thread in numpy's fixed order, none in a
 threaded BLAS, so runs with the same seed produce identical bytes whatever the
@@ -62,8 +67,9 @@ class MagneticSolveConfig:
     """Knobs for a single magnetic solve.
 
     tol is relative: the iteration stops when the residual rms falls below
-    tol * max(1, sup V) * rms(u).  The descent's step and momentum are
-    constants of frozen_solver._descend, not knobs.  seed is "frozen"
+    tol * max(1, sup V) * rms(u).  The descent's step, 1.8 over the
+    per-node row bound 18.14 eps^2 / h^2 + (1 + p) V(x), and its momentum
+    0.95 are constants of frozen_solver._descend, not knobs.  seed is "frozen"
     (modulated frozen ground state), "random" (deterministic in rng_seed),
     or a path to a field snapshot.
     """

@@ -369,7 +369,10 @@ def magnetic_run(tmp_path_factory):
     cfg_path = write_config(base / "run.ini", text)
     rc = main(["solve-magnetic", cfg_path])
     assert rc == 0
-    return {"cfg": cfg_path, "out": out, "snap": out / "solution_eps1.0.spkf", "text": text}
+    # verify runs on this config write their own manifest.json into out
+    manifest = json.loads((out / "manifest.json").read_text())
+    return {"cfg": cfg_path, "out": out, "snap": out / "solution_eps1.0.spkf", "text": text,
+            "manifest": manifest}
 
 
 def test_solve_magnetic_outputs(magnetic_run):
@@ -494,6 +497,18 @@ def test_solve_magnetic_decay_window_beyond_the_box_exits_2(tmp_path, capsys):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def _trace_ends(out, eps):
+    """(iterations, final residual rms) from the last row of a trace csv."""
+    last = (out / f"trace_eps{eps}.csv").read_text().strip().splitlines()[-1].split(",")
+    return int(last[0]), float(last[2])
+
+
+def test_solve_magnetic_manifest_records_the_descent(magnetic_run):
+    iters, rms = _trace_ends(magnetic_run["out"], "1.0")
+    assert magnetic_run["manifest"]["descent"] == {"1.0": {"iterations": iters, "residual_rms": rms}}
+    assert 10 < iters <= 45
+
+
 def test_failed_solve_magnetic_still_writes_its_manifest(tmp_path, capsys):
     # the eps = 1 box on 24 nodes at R = 7 reaches sqrt(3) * 7 = 12.1, so an
     # [11, 12] window passes the reach check and is refused by the decay fit
@@ -576,6 +591,11 @@ def test_concentration_study_family(tmp_path):
     assert notes["fixed_tails_decreasing"] is True
     snapshots = sorted(p.name for p in out.iterdir() if p.suffix == ".spkf")
     assert snapshots == ["solution_eps0.7.spkf", "solution_eps0.85.spkf", "solution_eps1.0.spkf"]
+    descent = json.loads((out / "manifest.json").read_text())["descent"]
+    assert descent == {
+        eps: dict(zip(("iterations", "residual_rms"), _trace_ends(out, eps)))
+        for eps in ("1.0", "0.85", "0.7")
+    }
 
 
 def test_concentration_study_needs_decreasing_eps(tmp_path, capsys):

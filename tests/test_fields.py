@@ -300,6 +300,61 @@ def test_stencil_allocates_at_most_two_fields(n):
     assert peak <= 2 * u.nbytes + 4096
 
 
+def free_model():
+    return ModelSpec(
+        V=parse_potential("1 + x1^2 + x2^2 + x3^2"),
+        K=parse_potential("1"),
+        A=(parse_potential("0"),) * 3,
+        nonlin=Nonlinearity.power(1.0, 3.0),
+    )
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_field_free_complex_solve_has_a_complex_table(n):
+    # a real table would make every product cast it in numpy's 8,192-element
+    # buffers (3.03 x u.nbytes at 12^3, measured); the real flow keeps its
+    # real table, so a real field stays real
+    g = make_grid(radius=6.0, n=n)
+    H = Hamiltonian.from_model(free_model(), g, 0.7)
+    assert all(p.dtype == np.complex128 for hops in H.links for p in hops)
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
+    tracemalloc.start()
+    try:
+        H.apply(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * u.nbytes + 4096
+    real = Hamiltonian(g, 0.7, 1.0, 1.0, Nonlinearity.power(1.0, 3.0), None)
+    assert all(p.dtype == np.float64 for hops in real.links for p in hops)
+    assert real.apply(u.real).dtype == np.float64
+
+
+@pytest.mark.parametrize("model", [bench_model, free_model])
+def test_solve_linear_inverts_the_masked_operator(model):
+    g = make_grid(radius=6.0, n=20)
+    H = Hamiltonian.from_model(model(), g, 0.8)
+    rng = np.random.default_rng(5)
+    b = (rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)) * H.mask
+    x = H.solve_linear(b)
+    assert np.array_equal(x * H.mask, x)
+    back = (H.apply(x) + H.V * x) * H.mask
+    assert np.linalg.norm(back - b) <= 1e-10 * np.linalg.norm(b)
+    assert not H.solve_linear(np.zeros_like(b)).any()
+
+
+def test_solve_linear_raises_when_it_does_not_converge():
+    # a NaN in the data never meets the stop rule: SolverError after the step
+    # budget, not a NaN estimate
+    g = make_grid(radius=6.0, n=12)
+    H = Hamiltonian(g, 1.0, 1.0, 1.0, Nonlinearity.power(1.0, 3.0), None)
+    b = np.zeros(g.dims)
+    b[5, 6, 4] = np.nan
+    with pytest.raises(fields.SolverError, match="did not reach"):
+        H.solve_linear(b)
+
+
 def test_solve_with_roll_oracle_agrees(monkeypatch):
     # the same descent with the oracle stencil: the same path to rounding
     model = bench_model()

@@ -143,6 +143,85 @@ def test_descent_applies_the_stencil_once_per_iteration(monkeypatch):
     assert len(calls) == sol.iterations + 1
 
 
+BENCH = dict(Vtxt="1 + x1^2 + x2^2 + x3^2", A=("-0.25*x2", "0.25*x1", "0"))
+
+
+def _global_step_descend(H, u, tol, max_iters):
+    """The descent with one scalar step 1.8 / (18.14 eps^2 / h^2 + (1 + p)
+    sup V) for every node and the momentum in residual units: the oracle
+    the per-node step must reproduce when V is constant."""
+    eta = 1.8 / (18.14 * H.eps**2 / H.grid.spacing**2 + (1.0 + H.nonlin.p) * H.vmax)
+    u, Tu, Q, _ = H.project(u * H.mask)
+    mom = np.zeros_like(u)
+    for it in range(max_iters):
+        m2 = np.abs(u) ** 2
+        res, rn = H.residual(u, Tu)
+        if rn <= H.stop_level(tol, m2):
+            return u, it, 0.5 * Q - H.potential(m2)
+        if fields._re_dot(mom, res) < 0.0:
+            mom[:] = 0.0
+        mom = 0.95 * mom + res
+        u, Tu, Q, _ = H.project((u - eta * mom) * H.mask)
+    raise AssertionError("the oracle descent did not converge")
+
+
+def _frozen_seed(grid):
+    X = grid.meshgrid()
+    return np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 2.0)
+
+
+def test_per_node_step_with_constant_V_is_the_global_step():
+    # on the frozen problem eta(x) is the one scalar step, so the per-node
+    # descent walks the oracle's path; only its momentum is stored in step
+    # units and rounds differently (3.7e-11 apart at the end, measured).  At
+    # tol 1e-8 both leave the symmetric state, a saddle on this coarse
+    # lattice, for a lattice-pinned one at a moment rounding decides.
+    grid = make_grid(radius=8.0, n=20)
+    nl = Nonlinearity.power(1.0, 3.0)
+    H = Hamiltonian(grid, 1.0, 1.7, 1.3, nl, None)
+    trace = []
+    u = frozen_solver._descend(H, _frozen_seed(grid), 1e-6, 500, trace, "test")
+    ref, iters, energy = _global_step_descend(H, _frozen_seed(grid), 1e-6, 500)
+    assert trace[-1]["iter"] == iters > 10
+    assert trace[-1]["energy"] == pytest.approx(energy, rel=1e-12)
+    assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_descent_reads_scalar_and_array_V_alike():
+    # the step is built from H.V node by node: a constant V given as a full
+    # array takes the very iterates of the scalar
+    grid = make_grid(radius=8.0, n=20)
+    nl = Nonlinearity.power(1.0, 3.0)
+    runs = []
+    for V in (1.7, np.full(grid.dims, 1.7)):
+        trace = []
+        u = frozen_solver._descend(Hamiltonian(grid, 1.0, V, 1.3, nl, None), _frozen_seed(grid),
+                                   1e-8, 500, trace, "test")
+        runs.append((u, trace))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
+    assert len(runs[0][1]) > 10
+
+
+def test_per_node_step_converges_the_bench_model_in_few_iterations():
+    # a work guard: the global step 1.8 / (18.14 eps^2 / h^2 + 4 sup V), with
+    # sup V = 244 reached only at the box corners, took 93 iterations here
+    cfg = MagneticSolveConfig(eps=1.0, grid=make_grid(radius=9.0, n=32), tol=1e-6)
+    sol = solve_magnetic(mk_model(**BENCH), cfg)
+    assert sol.iterations <= 40
+
+
+def test_tighter_tolerance_moves_neither_energy_nor_spike():
+    # a thousandfold tighter stop rule: the tol-1e-6 answer already sits on
+    # the converged one (1.6e-10 relative in energy, measured)
+    model, grid = mk_model(**BENCH), make_grid(radius=9.0, n=32)
+    loose = solve_magnetic(model, MagneticSolveConfig(eps=1.0, grid=grid, tol=1e-6))
+    tight = solve_magnetic(model, MagneticSolveConfig(eps=1.0, grid=grid, tol=1e-9))
+    assert tight.iterations > loose.iterations
+    assert abs(loose.scaled_energy - tight.scaled_energy) <= 1e-8 * tight.scaled_energy
+    assert np.max(np.abs(loose.spike - tight.spike)) <= grid.spacing / 100
+
+
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # the descent's inner products are summed in numpy's fixed order, so a
     # threaded BLAS dot cannot move the last bits of the solve or its outputs
