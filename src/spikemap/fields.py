@@ -7,6 +7,8 @@ plain node sums times the cell volume (spectrally accurate for smooth fields
 that decay below rounding before the boundary).  Scalar fields carry their
 grid; a gradient is a (3,) + dims array, link phases are one single-hop
 array per axis, and link_table alone forms the longer hops and the wall.
+scipy is loaded only by _nehari_scale's bracket, the Nehari scale of a
+custom f, which imports brentq when it runs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 SNAPSHOT_MAGIC = b"SPKF"
 SNAPSHOT_VERSION = 1
@@ -210,6 +211,8 @@ def _nehari_scale(Q: float, pairing, nonlin, method: str) -> float:
         t_hi *= 2.0
     if not (pairing(t_lo) < Q < pairing(t_hi)):
         raise SolverError("could not bracket the constraint scale")
+    from scipy.optimize import brentq
+
     return float(brentq(lambda t: pairing(t) - Q, t_lo, t_hi, xtol=1e-300, rtol=1e-15))
 
 

@@ -28,6 +28,11 @@ stays an independent route through its seed, a shot profile, and its free
 stencil on a real field.  Shooting, the rescaling and the constrained
 minimization share none of it.  nehari_project, nehari_slack and
 frozen_action read radial profiles only.
+
+Radial integrals are _simpson's, scipy's composite Simpson rule to the bit.
+scipy is loaded only by the bracketed root solves in _amplitude_scale and
+fields._nehari_scale, which import brentq where they run: a custom f's
+routes, or a bracket asked for by name.  No power-model command loads it.
 """
 
 from __future__ import annotations
@@ -35,11 +40,10 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from .fields import (
     Grid3,
@@ -54,6 +58,16 @@ from .fields import (
 
 class BracketError(SolverError):
     """Shooting could not bracket the ground-state amplitude."""
+
+
+class ResolutionWarning(UserWarning):
+    """The converged spike is about one node wide.
+
+    Coarse grids admit lattice-pinned bound states whose discrete kinetic
+    cost is underpriced by the stencil; they satisfy the discrete equation
+    but do not approximate any continuum solution.  Refine the grid until
+    the spike spans several nodes.
+    """
 
 
 class ConvergenceError(SolverError):
@@ -161,6 +175,8 @@ def _amplitude_scale(point: FrozenPoint, nonlin) -> float:
     idx = np.nonzero(np.sign(bal[:-1]) * np.sign(bal[1:]) <= 0)[0]
     if idx.size == 0:
         raise BracketError("K f(s) never crosses V; cannot scale the shooting ladder")
+    from scipy.optimize import brentq
+
     root = brentq(lambda t: point.Kz * float(nonlin.f(t)) - point.Vz, s[idx[0]], s[idx[0] + 1])
     return math.sqrt(root)
 
@@ -426,6 +442,37 @@ def _with_energy(prof: RadialProfile, nonlin) -> RadialProfile:
     return prof
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule for the samples y at the increasing nodes x.
+
+    Pairs of intervals take the three-point rule for uneven spacing; with an
+    even node count the last interval takes Cartwright's correction
+    (J. Math. Sci. Math. Educ. 12, 2017).  Every operation is that of
+    scipy.integrate.simpson(y, x=x) (scipy 1.17) in the same order, so the
+    value agrees with it bit for bit.  At least three nodes.
+    """
+    n = y.size
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum, hprod = h0 + h1, h0 * h1
+    q = h0 / h1
+    total = np.sum(
+        hsum / 6.0 * (
+            y[0:stop:2] * (2.0 - 1.0 / q)
+            + y[1 : stop + 1 : 2] * (hsum * (hsum / hprod))
+            + y[2 : stop + 2 : 2] * (2.0 - q)
+        )
+    )
+    if n % 2 == 0:
+        a, b = h[-2:-1], h[-1:]
+        alpha = (2 * (b * b) + 3 * a * b) / (6 * (b + a))
+        beta = (b * b + 3.0 * a * b) / (6 * a)
+        eta = b**3 / (6 * a * (a + b))
+        total = total + (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
+    return float(total)
+
+
 def profile_moments(prof: RadialProfile, nonlin) -> dict:
     """The radial integrals everything downstream is made of.
 
@@ -439,10 +486,10 @@ def profile_moments(prof: RadialProfile, nonlin) -> dict:
     w = 4.0 * np.pi * r * r
     u2 = prof.u**2
     return {
-        "T": float(simpson(prof.du**2 * w, x=r)),
-        "mass2": float(simpson(u2 * w, x=r)),
-        "intF": float(simpson(np.asarray(nonlin.F(u2), dtype=np.float64) * w, x=r)),
-        "intfu2": float(simpson(np.asarray(nonlin.f(u2), dtype=np.float64) * u2 * w, x=r)),
+        "T": _simpson(prof.du**2 * w, r),
+        "mass2": _simpson(u2 * w, r),
+        "intF": _simpson(np.asarray(nonlin.F(u2), dtype=np.float64) * w, r),
+        "intfu2": _simpson(np.asarray(nonlin.f(u2), dtype=np.float64) * u2 * w, r),
     }
 
 
@@ -501,7 +548,7 @@ def _quadratic_and_pairing(prof: RadialProfile, point: FrozenPoint, nonlin):
 
     def pairing(t):
         ft = np.asarray(nonlin.f(t * t * u2), dtype=np.float64)
-        return point.Kz * float(simpson(ft * u2 * w, x=r))
+        return point.Kz * _simpson(ft * u2 * w, r)
 
     return mom["T"] + point.Vz * mom["mass2"], pairing
 
@@ -745,6 +792,32 @@ def sample_profile_on_grid(prof: RadialProfile, grid: Grid3, center=None, scale:
     return np.interp(rr.ravel(), prof.r, prof.u, right=0.0).reshape(grid.dims)
 
 
+def _warn_if_pinned(uv: np.ndarray) -> None:
+    """Warn when |u| falls by more than 60% within one node of its peak."""
+    m = np.abs(uv)
+    idx = np.unravel_index(int(np.argmax(m)), m.shape)
+    peak = m[idx]
+    if peak == 0.0:
+        return
+    worst = 1.0
+    for ax in range(3):
+        lo = list(idx)
+        best = 0.0
+        for d in (-1, 1):
+            j = idx[ax] + d
+            if 0 <= j < m.shape[ax]:
+                lo[ax] = j
+                best = max(best, float(m[tuple(lo)]))
+        worst = min(worst, best / peak)
+    if worst < 0.4:
+        warnings.warn(
+            "converged spike is about one node wide; the grid cannot resolve "
+            "it and the state may be lattice-pinned",
+            ResolutionWarning,
+            stacklevel=4,
+        )
+
+
 def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
     """Heavy-ball descent of the action of H on its Nehari manifold, from u.
 
@@ -762,9 +835,11 @@ def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
     step is that scalar one.  The momentum is kept in the step's units, the
     metric D^-1, and is reset whenever the direction it takes points uphill
     against the residual.  Returns the first iterate whose residual rms is
-    at or below H.stop_level, tol * max(1, sup V) * rms(u).  Appends {iter,
-    energy, residual, nehari_slack} to trace per iteration; ConvergenceError
-    carries it on divergence or when max_iters runs out.
+    at or below H.stop_level, tol * max(1, sup V) * rms(u), and warns if
+    that iterate is lattice-pinned (_warn_if_pinned), whichever solve ran
+    the descent.  Appends {iter, energy, residual, nehari_slack} to trace
+    per iteration; ConvergenceError carries it on divergence or when
+    max_iters runs out.
     """
     nonlin = H.nonlin
     h, eps = H.grid.spacing, H.eps
@@ -785,6 +860,7 @@ def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
         elif rn > 1e3 * rn0:
             raise ConvergenceError(f"{what} residual grew out of control", trace)
         if rn <= H.stop_level(tol, m2):
+            _warn_if_pinned(u)
             return u
         if _re_dot(mom, res) < 0.0:
             mom[:] = 0.0

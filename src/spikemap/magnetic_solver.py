@@ -15,18 +15,18 @@ to the step that sup V at the box corners allows (see _descend).  The
 Hamiltonian of a complex field always holds a complex hop table, real unit
 phases included.
 
-Every sum a solve takes runs on one thread in numpy's fixed order, none in a
-threaded BLAS, so runs with the same seed produce identical bytes whatever the
-BLAS thread count.  Separate solves share no mutable state.
+Every sum a solve or rescale takes runs on one thread in numpy's fixed order,
+none in a threaded BLAS, so runs with the same seed produce identical bytes
+whatever the BLAS thread count.  Separate solves share no mutable state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .fields import (
     ComplexField3,
@@ -39,6 +39,7 @@ from .fields import (
 )
 from .frozen_solver import (
     FrozenPoint,
+    ResolutionWarning,  # _descend warns with it; solve_magnetic's callers catch it here
     SolverError,
     _descend,
     explicit_sigma_and_grad,
@@ -50,16 +51,6 @@ from .model import ModelSpec, Num, PotentialExpr, validate_assumptions
 
 class BoundaryMassError(SolverError):
     """The box is too small: the outermost node shell carries real mass."""
-
-
-class ResolutionWarning(UserWarning):
-    """The converged spike is about one node wide.
-
-    Coarse grids admit lattice-pinned bound states whose discrete kinetic
-    cost is underpriced by the stencil; they satisfy the discrete equation
-    but do not approximate any continuum solution.  Refine the grid until
-    the spike spans several nodes.
-    """
 
 
 @dataclass
@@ -133,34 +124,6 @@ def frozen_model_at(z, model: ModelSpec) -> ModelSpec:
         A=tuple(_const_expr(a) for a in Az),
         nonlin=model.nonlin,
     )
-
-
-def _warn_if_pinned(uv: np.ndarray) -> None:
-    """Warn when |u| falls by more than 60% within one node of its peak."""
-    m = np.abs(uv)
-    idx = np.unravel_index(int(np.argmax(m)), m.shape)
-    peak = m[idx]
-    if peak == 0.0:
-        return
-    worst = 1.0
-    for ax in range(3):
-        lo = list(idx)
-        best = 0.0
-        for d in (-1, 1):
-            j = idx[ax] + d
-            if 0 <= j < m.shape[ax]:
-                lo[ax] = j
-                best = max(best, float(m[tuple(lo)]))
-        worst = min(worst, best / peak)
-    if worst < 0.4:
-        import warnings
-
-        warnings.warn(
-            "converged spike is about one node wide; the grid cannot resolve "
-            "it and the state may be lattice-pinned",
-            ResolutionWarning,
-            stacklevel=3,
-        )
 
 
 def _spike_location(u: ComplexField3) -> np.ndarray:
@@ -290,7 +253,6 @@ def solve_magnetic(model: ModelSpec, cfg: MagneticSolveConfig) -> MagneticSoluti
         )
     trace: list = []
     u = _descend(H, seed, cfg.tol, cfg.max_iters, trace, "magnetic descent")
-    _warn_if_pinned(u)
     last = trace[-1]
     sol_u = ComplexField3(grid, u)
     return MagneticSolution(
@@ -321,12 +283,56 @@ def solve_frozen_magnetic(z, model: ModelSpec, grid: Grid3, **cfg_kwargs) -> Mag
     return solve_magnetic(frozen, cfg)
 
 
+_PAD = 12  # edge copies on each side ahead of the spline prefilter
+
+
+def _spline_operator(n: int, x: np.ndarray) -> np.ndarray:
+    """The (x.size, n) matrix S = B M P that takes n samples on the nodes
+    0..n-1 to their cubic B-spline interpolant at the fractional node
+    positions x, all within [0, n - 1].
+
+    P pads the samples by _PAD edge copies on each side; M is the cubic
+    B-spline prefilter of the padded samples with mirror boundaries, gain 6
+    and one causal and one anticausal pass with the pole z = sqrt(3) - 2
+    (Unser, IEEE Signal Process. Mag. 1999), run on the unit samples, so
+    column j holds the coefficients of sample j; B holds the four B-spline
+    weights at each x.  Together that is map_coordinates(order=3,
+    mode="nearest") along one axis.  Rows are combined by numpy
+    elementwise operations only, in a fixed order.
+    """
+    m = n + 2 * _PAD
+    z = math.sqrt(3.0) - 2.0
+    c = 6.0 * np.eye(m)
+    zk = z ** np.arange(m)
+    c[0] = zk
+    c[0, 1:-1] += zk[-1] * zk[-2:0:-1]  # the mirrored samples' share
+    c[0] *= 6.0 / (1.0 - zk[-1] * zk[-1])
+    for i in range(1, m):
+        c[i] += z * c[i - 1]
+    c[-1] = (z / (z * z - 1.0)) * (c[-1] + z * c[-2])
+    for i in range(m - 2, -1, -1):
+        c[i] = z * (c[i + 1] - c[i])
+    MP = np.concatenate(
+        [c[:, : _PAD + 1].sum(axis=1, keepdims=True), c[:, _PAD + 1 : _PAD + n - 1],
+         c[:, _PAD + n - 1 :].sum(axis=1, keepdims=True)], axis=1)
+    xp = x + _PAD
+    i = np.floor(xp).astype(np.int64)
+    t = (xp - i)[:, None]
+    s = 1.0 - t
+    return (s**3 * MP[i - 1] + (4.0 - 6.0 * t * t + 3.0 * t**3) * MP[i]
+            + (4.0 - 6.0 * s * s + 3.0 * s**3) * MP[i + 1] + t**3 * MP[i + 2]) / 6.0
+
+
 def rescale(sol: MagneticSolution, z0) -> ComplexField3:
     """Blow-up view v(x) = u(z0 + eps x) on a unit-scale box.
 
     The target box is the largest cube around z0 whose image stays inside the
-    source box; values come from trilinear interpolation, which reduces to an
-    exact copy when eps = 1 and z0 is the source box center.
+    source box, with as many nodes as the source.  Values are the cubic
+    B-spline interpolant of u, edge-continued, which is what
+    map_coordinates(order=3, mode="nearest") gives: the target grid is a
+    tensor product, so the interpolant is one _spline_operator per axis,
+    applied along that axis by einsum to the real and imaginary parts.  At
+    eps = 1 with z0 the source box center it is the identity to rounding.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     src = sol.u.grid
@@ -338,15 +344,13 @@ def rescale(sol: MagneticSolution, z0) -> ComplexField3:
     radius = float(room.min()) / sol.eps
     n = int(src.dims[0])
     target = make_grid(radius=radius, n=n)
-    ax = [np.linspace(-radius, radius, n)] * 3
-    X = np.meshgrid(*ax, indexing="ij")
-    coords = [
-        (z0[k] + sol.eps * X[k] - (origin[k] - half[k])) / src.spacing for k in range(3)
-    ]
-    coords = np.stack(coords)
-    re = map_coordinates(sol.u.values.real, coords, order=3, mode="nearest")
-    im = map_coordinates(sol.u.values.imag, coords, order=3, mode="nearest")
-    return ComplexField3(target, re + 1j * im)
+    ax, lo = np.linspace(-radius, radius, n), origin - half
+    S = [_spline_operator(src.dims[k], (z0[k] + sol.eps * ax - lo[k]) / src.spacing) for k in range(3)]
+    w = np.stack((sol.u.values.real, sol.u.values.imag))
+    w = np.einsum("ia,dabc->dibc", S[0], w)
+    w = np.einsum("jb,dibc->dijc", S[1], w)
+    w = np.einsum("kc,dijc->dijk", S[2], w)
+    return ComplexField3(target, w[0] + 1j * w[1])
 
 
 def rescaled_model(model: ModelSpec, z0, eps: float) -> ModelSpec:

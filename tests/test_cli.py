@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from textwrap import dedent
 
 import numpy as np
@@ -423,6 +427,17 @@ def test_verify_accepts_solver_output(magnetic_run):
     assert rep["diamagnetic_slack_min"] >= -1e-10
 
 
+def test_symmetric_spike_reads_a_small_pucci_serrin_ratio(magnetic_run, tmp_path):
+    # the spike sits at the symmetry centre of V and |A|, so every integral
+    # of the translation identity vanishes and the ratio is rounding over the
+    # size of its terms; over their own rounding sum it read 0.69
+    assert main(["verify", magnetic_run["cfg"], str(magnetic_run["snap"])]) == 0
+    for name in ("report_eps1.0.json", "verify_report.json"):
+        rep = json.loads((magnetic_run["out"] / name).read_text())
+        assert rep["pucci_serrin_rel"] < 1e-2
+        assert rep["notes"]["pucci_serrin_terms_sum"] > 1.0
+
+
 def test_verify_flags_corrupted_snapshot(magnetic_run, tmp_path, capsys):
     u = read_snapshot(str(magnetic_run["snap"]))
     rng = np.random.default_rng(3)
@@ -792,3 +807,33 @@ def test_landscape_p_list_needs_power(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "custom.ini", text)
     assert main(["landscape", cfg_path]) == 2
     assert "p_list" in capsys.readouterr().err
+
+
+def test_power_model_commands_load_no_scipy(tmp_path):
+    # scipy takes most of a power-model run's import time and only a custom
+    # f's bracketed root solves need it; a fresh interpreter runs one of each
+    # power-model command and must not have loaded it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    mag = write_config(tmp_path / "m.ini", (
+        f"[model]\nV = {HARMONIC}\nK = 1\np = 3\nA1 = -0.25*x2\nA2 = 0.25*x1\nA3 = 0\n\n"
+        "[solver]\ngrid_radius = 6.0\ngrid_points = 24\neps = 1.0\ntol = 1e-6\n\n"
+        f"[diagnostics]\nreport = true\n\n[output]\ndirectory = {tmp_path / 'm'}\n"
+    ))
+    land = write_config(tmp_path / "l.ini", (
+        f"[model]\nV = {HARMONIC}\nK = {BUMP_K}\np = 3\n\n"
+        "[landscape]\nregion = -2, 2, -2, 2, -2, 2\nresolution = 5\np_list = 3.0, 4.0\n"
+        f"seeds = 3\n\n[output]\ndirectory = {tmp_path / 'l'}\n"
+    ))
+    script = (
+        "import sys\n"
+        "import spikemap.cli as cli\n"
+        f"codes = [cli.main(['solve-magnetic', {mag!r}]),\n"
+        f"         cli.main(['verify', {mag!r}, {str(tmp_path / 'm' / 'solution_eps1.0.spkf')!r}]),\n"
+        f"         cli.main(['landscape', {land!r}])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[-2] == "[0, 0, 0] []"

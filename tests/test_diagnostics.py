@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spikemap.diagnostics import (
     ClarkeVerdict,
+    _value_at,
     DiagnosticsError,
     clarke_critical_test,
     concentration_metrics,
@@ -573,6 +574,23 @@ def test_concentration_metrics_rejects_unsorted_eps():
 
 # ---------------------------------------------------------------------------
 # the combined report
+
+def test_value_at_is_trilinear_map_coordinates():
+    # scipy is the independent reference: linear interpolation, points off
+    # the box clamped to its faces
+    from scipy.ndimage import map_coordinates
+
+    grid = make_grid(5.0, 16, origin=(0.3, -0.2, 0.1))
+    rng = np.random.default_rng(2)
+    u = ComplexField3(grid, rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims))
+    lo = np.array([grid.axis(k)[0] for k in range(3)])
+    points = [*rng.uniform(-6.0, 6.0, (40, 3)), np.array(grid.origin), lo, -lo]
+    for x in points:
+        c = ((x - lo) / grid.spacing).reshape(3, 1)
+        want = float(np.hypot(map_coordinates(u.values.real, c, order=1, mode="nearest"),
+                              map_coordinates(u.values.imag, c, order=1, mode="nearest"))[0])
+        assert _value_at(u, x) == pytest.approx(want, rel=1e-14)
+
 
 def test_run_diagnostics_full_report(locked_solves):
     model, out = locked_solves

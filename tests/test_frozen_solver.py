@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from spikemap.frozen_solver import (
     BracketError,
     ConvergenceError,
     FrozenPoint,
+    ResolutionWarning,
+    _simpson,
     canonical_energy,
     canonical_profile,
     constrained_sigma,
@@ -535,7 +539,9 @@ def test_flow3d_agrees_with_shooting(prof3):
     nl = Nonlinearity.power(1.0, 3.0)
     grid = make_grid(radius=9.0, n=32)
     trace = []
-    u = gradient_flow_3d_real(P0, nl, grid, tol=1e-5, trace=trace, seed_profile=prof3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResolutionWarning)  # a resolved spike, not a pinned one
+        u = gradient_flow_3d_real(P0, nl, grid, tol=1e-5, trace=trace, seed_profile=prof3)
     I3 = Hamiltonian(grid, 1.0, P0.Vz, P0.Kz, nl, None).energy(u.values)
     assert I3 == pytest.approx(prof3.energy, rel=0.05)
     # constraint is enforced at every accepted step: the slack is |Q - P| / Q
@@ -543,6 +549,22 @@ def test_flow3d_agrees_with_shooting(prof3):
     assert trace[-1]["energy"] == pytest.approx(I3, rel=1e-12)
     assert max(row["nehari_slack"] for row in trace) < 1e-9
     assert trace[-1]["residual"] < trace[0]["residual"]
+
+
+def test_flow3d_warns_when_it_ends_lattice_pinned():
+    # from this Gaussian seed the residual reaches 2.9e-9 at energy 25.61 by
+    # iteration 56, then the descent leaves the symmetric state and stops at
+    # iteration 155 on a pinned one at 12.4553, far below the continuum
+    # ground energy of about 18.95: the flow must say so, as a solve does
+    nl = Nonlinearity.power(1.0, 3.0)
+    point = FrozenPoint((0.0, 0.0, 0.0), 1.7, 1.3)
+    shot = shoot_radial(point, nl, n=1500)
+    seed = dataclasses.replace(shot, u=shot.u0 * np.exp(-shot.r**2 / 2.0))
+    trace = []
+    with pytest.warns(ResolutionWarning):
+        gradient_flow_3d_real(point, nl, make_grid(radius=8.0, n=20), tol=1e-8, trace=trace,
+                              seed_profile=seed)
+    assert trace[-1]["energy"] < 0.7 * shot.energy
 
 
 def test_flow3d_raises_with_trace_when_starved(prof3):
@@ -553,3 +575,22 @@ def test_flow3d_raises_with_trace_when_starved(prof3):
                               trace=[])
     assert exc.value.trace is not None
     assert len(exc.value.trace) == 3
+
+
+def test_simpson_is_scipys_bit_for_bit(prof3):
+    # scipy is an independent reference here only: the package integrates
+    # profiles with its own _simpson so that power-model runs never load it
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(5)
+    for n in (3, 4, 5, 6, 7, 1001, 1002):
+        for x in (np.arange(n) * 0.37, np.cumsum(rng.uniform(0.1, 2.0, n))):
+            y = rng.standard_normal(n)
+            assert _simpson(y, x) == float(simpson(y, x=x))
+    r = prof3.r
+    assert r.size % 2 == 0  # the canonical p = 3 profile takes the even-count correction
+    w = 4.0 * np.pi * r * r
+    for y in (prof3.du**2 * w, prof3.u**2 * w, prof3.u**4 * w):
+        assert _simpson(y, r) == float(simpson(y, x=r))
+    odd = r[:-1]
+    assert _simpson(prof3.u[:-1] ** 2 * w[:-1], odd) == float(simpson(prof3.u[:-1] ** 2 * w[:-1], x=odd))

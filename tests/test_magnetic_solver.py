@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -324,6 +325,24 @@ def test_rescale_at_unit_scale_is_the_identity(base48):
     v = rescale(sol, (0.0, 0.0, 0.0))
     assert np.allclose(v.grid.axis(0), sol.u.grid.axis(0), atol=1e-12)
     assert float(np.abs(v.values - sol.u.values).max()) < 1e-10
+
+
+def test_rescale_is_the_cubic_spline_of_map_coordinates(base48):
+    # scipy is the independent reference: map_coordinates with the spline
+    # prefilter, order 3 and edge continuation, on the same target nodes
+    from scipy.ndimage import map_coordinates
+
+    _, sol, _ = base48
+    src = sol.u.grid
+    lo = np.array([src.axis(k)[0] for k in range(3)])
+    for eps, z0 in ((1.0, (0.7, -0.45, 0.3)), (0.5, (1.3, 0.4, -2.2))):
+        s = dataclasses.replace(sol, eps=eps)
+        v = rescale(s, z0)
+        X = v.grid.meshgrid()
+        coords = np.stack([(z0[k] + eps * X[k] - lo[k]) / src.spacing for k in range(3)])
+        want = (map_coordinates(sol.u.values.real, coords, order=3, mode="nearest")
+                + 1j * map_coordinates(sol.u.values.imag, coords, order=3, mode="nearest"))
+        assert float(np.abs(v.values - want).max()) <= 1e-14 * float(np.abs(want).max())
 
 
 def test_rescale_rejects_centers_outside_the_box(base48):
