@@ -683,10 +683,10 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
             failures.append("diamagnetic")
         if sol.residual_rms > level:
             failures.append("pde_residual")
-        # The translation-test denominator is the four term magnitudes, and a
-        # spike pinned to a symmetry point cancels every term individually; the
-        # ratio is then noise over noise.  Gate only when the terms carry weight
-        # on the scale of the blown-up energy.
+        # The translation-test ratio is the residual over the size of its four
+        # terms, each term sized by the larger of its positive and negative
+        # parts, so cancellation at a symmetric spike does not shrink it.  Gate
+        # only when those sizes carry weight on the scale of the blown-up energy.
         ps_scale = report.notes["pucci_serrin_terms_sum"]
         ps_floor = 1e-9 * max(1.0, abs(sol.scaled_energy))
         if report.pucci_serrin[1] >= 1e-2 and ps_scale > ps_floor:

@@ -167,8 +167,8 @@ def pucci_serrin_residual(v: ComplexField3, z0, eps: float, model: ModelSpec):
     vol = grid.cell_volume
     z0 = np.asarray(z0, dtype=np.float64)
     Q = z0 + eps * np.stack(grid.meshgrid(), axis=-1)
-    _, gV = model.V_and_grad(Q)
-    _, gK = model.K_and_grad(Q)
+    _, gV = model.V.value_and_gradient(Q)
+    _, gK = model.K.value_and_gradient(Q)
     Av = model.A_at(Q)
     Aj = model.A_jacobian(Q)
     g = _grad4(v.values, grid.spacing)
@@ -216,8 +216,8 @@ def limit_identity_residual(U: ComplexField3, z0, model: ModelSpec):
     z0 = np.asarray(z0, dtype=np.float64)
     Jvec, mass, intF = _field_moments(U, model.nonlin)
     Aj = model.A_jacobian(z0)
-    _, gV = model.V_and_grad(z0)
-    _, gK = model.K_and_grad(z0)
+    _, gV = model.V.value_and_gradient(z0)
+    _, gK = model.K.value_and_gradient(z0)
     tA = Aj.T @ Jvec
     tV = 0.5 * gV * mass
     tK = gK * intF

@@ -246,7 +246,7 @@ class Hamiltonian:
         where the model has no field, so no stencil product casts a real
         table to the field's dtype."""
         p1s = tuple(p.astype(np.complex128, copy=False) for p in model.link_phases(grid, eps))
-        return cls(grid, eps, model.V_on(grid), model.K_on(grid), model.nonlin, p1s)
+        return cls(grid, eps, model.V.on_grid(grid), model.K.on_grid(grid), model.nonlin, p1s)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return apply_link_kinetic(u, self.links, self.eps, self.grid.spacing)

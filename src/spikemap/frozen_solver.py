@@ -104,8 +104,8 @@ class FrozenPoint:
     @classmethod
     def from_model(cls, model, z):
         z = np.asarray(z, dtype=np.float64)
-        v, gv = model.V_and_grad(z)
-        k, gk = model.K_and_grad(z)
+        v, gv = model.V.value_and_gradient(z)
+        k, gk = model.K.value_and_gradient(z)
         return cls(tuple(z), float(v), float(k), tuple(gv), tuple(gk))
 
 
@@ -645,8 +645,8 @@ def explicit_sigma_and_grad(z, model):
     E = canonical_energy(p, model.nonlin.lam)
     a = (5.0 - p) / (2.0 * p - 2.0)
     b = 2.0 / (p - 1.0)
-    v, gv = model.V_and_grad(z)
-    k, gk = model.K_and_grad(z)
+    v, gv = model.V.value_and_gradient(z)
+    k, gk = model.K.value_and_gradient(z)
     v = np.asarray(v, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     sigma = E * v**a * k ** (-b)

@@ -362,13 +362,13 @@ def find_Sp(model: ModelSpec, p: float, region, seeds=None) -> CriticalSetResult
     p = float(p)
 
     def G(z):
-        v, gv = model.V_and_grad(z)
-        k, gk = model.K_and_grad(z)
+        v, gv = model.V.value_and_gradient(z)
+        k, gk = model.K.value_and_gradient(z)
         return (5.0 - p) * k[..., None] * gv - 4.0 * v[..., None] * gk
 
     def accept(z, r):
-        _, gv = model.V_and_grad(z)
-        _, gk = model.K_and_grad(z)
+        _, gv = model.V.value_and_gradient(z)
+        _, gk = model.K.value_and_gradient(z)
         return r < 1e-8 * (1.0 + _norm(gv) + _norm(gk))
 
     roots, resids = _newton_roots(G, _seed_points(reg, seeds), reg, span, accept)
@@ -384,8 +384,8 @@ def crit_K(model: ModelSpec, region, seeds=None) -> CriticalSetResult:
     reg = _as_region(region)
     span = float(np.linalg.norm(reg[:, 1] - reg[:, 0]))
     seed_pts = _seed_points(reg, seeds)
-    grad_fn = lambda z: model.K_and_grad(z)[1]
-    kvals, kgrads = model.K_and_grad(seed_pts)
+    grad_fn = lambda z: model.K.value_and_gradient(z)[1]
+    kvals, kgrads = model.K.value_and_gradient(seed_pts)
     gmax = float(np.linalg.norm(kgrads, axis=-1).max())
     if gmax <= 1e-14 * max(1.0, float(np.abs(kvals).max())):
         return CriticalSetResult(

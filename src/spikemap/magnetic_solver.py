@@ -115,8 +115,8 @@ def _const_expr(v: float) -> PotentialExpr:
 def frozen_model_at(z, model: ModelSpec) -> ModelSpec:
     """Constant-coefficient model with V, K, A frozen at the point z."""
     z = np.asarray(z, dtype=np.float64)
-    Vz = float(model.V_at(z))
-    Kz = float(model.K_at(z))
+    Vz = float(model.V.value(z))
+    Kz = float(model.K.value(z))
     Az = model.A_at(z)
     return ModelSpec(
         V=_const_expr(Vz),

@@ -7,6 +7,11 @@ evaluates vectorized over arrays.  Derivatives come from the symbolic diff
 alone: gradients, gauge-shifted vector potentials and coefficient Jacobians
 are compiled from its trees.  ModelSpec.link_phases gives the single-hop
 phases of A on a grid; fields.link_table builds the stencil's hops from them.
+
+ModelSpec holds the coefficients and the nonlinearity; V and K are read
+through their PotentialExpr methods, and only A, which stacks three
+components, has its own ModelSpec accessors.  validate_assumptions is the
+one gate: V > 0 and K > 0 on a fixed sample set.
 """
 
 from __future__ import annotations
@@ -468,20 +473,6 @@ class ModelSpec:
         if len(self.A) != 3:
             raise ModelError("A must have exactly three components")
 
-    # -- pointwise evaluation ------------------------------------------------
-
-    def V_at(self, x):
-        return self.V.value(x)
-
-    def K_at(self, x):
-        return self.K.value(x)
-
-    def V_and_grad(self, x):
-        return self.V.value_and_gradient(x)
-
-    def K_and_grad(self, x):
-        return self.K.value_and_gradient(x)
-
     def A_at(self, x):
         comps = [a.value(x) for a in self.A]
         return np.stack([np.asarray(c, dtype=np.float64) for c in comps], axis=-1)
@@ -497,14 +488,6 @@ class ModelSpec:
     @property
     def has_field(self) -> bool:
         return not all(is_zero_expr(a.root) for a in self.A)
-
-    # -- grid sampling ---------------------------------------------------------
-
-    def V_on(self, grid: Grid3):
-        return self.V.on_grid(grid)
-
-    def K_on(self, grid: Grid3):
-        return self.K.on_grid(grid)
 
     def link_phases(self, grid: Grid3, eps: float) -> tuple:
         """Single-hop phase factors exp(-i/eps * int A . dl) along each grid
@@ -550,19 +533,7 @@ def gauge_transform(u, model: ModelSpec, chi: GaugeFunction, eps: float):
 
 
 # ---------------------------------------------------------------------------
-# assumption checks
-
-@dataclass
-class ValidationReport:
-    v_min: float
-    k_min: float
-    k_max: float
-    argmin_v: np.ndarray
-    theta_ok: bool
-    growth: dict
-    passed: bool
-    notes: list
-
+# the assumption gate
 
 # The 26 lattice directions (a, b, c) / |(a, b, c)|, a, b, c in {-1, 0, 1}
 # and not all zero, in np.ndindex order.
@@ -575,58 +546,17 @@ _BOX_RADIUS, _BOX_NODES = 8.0, 17
 _RING_RADII = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
-def validate_assumptions(model: ModelSpec) -> ValidationReport:
-    """Sample positivity of V and K, the theta bound, and coefficient growth.
+def validate_assumptions(model: ModelSpec) -> None:
+    """Refuse a model whose V or K is not positive on the sample set.
 
-    The sample set is the 17^3 box lattice over [-8, 8]^3 plus rings of the
-    26 lattice directions at radii 1, 2, 4, ..., 64; the growth rates are
-    the largest coefficient derivatives on each ring.  Fails hard (ModelError)
-    when V or K dips to zero or below anywhere in the sample set; everything
-    else is reported.
+    The competing potentials must satisfy V > 0 and K > 0.  The sample set
+    is the 17^3 box lattice over [-8, 8]^3 plus the 26 lattice directions at
+    radii 1, 2, 4, ..., 64.  Raises ModelError; V is checked before K.
     """
     ax = np.linspace(-_BOX_RADIUS, _BOX_RADIUS, _BOX_NODES)
     box = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    rings = [r * LATTICE_DIRECTIONS for r in _RING_RADII]
-    pts = np.concatenate([box] + rings, axis=0)
-
-    v = model.V_at(pts)
-    k = model.K_at(pts)
-    notes = []
-    if np.min(v) <= 0:
-        raise ModelError(f"V is not positive on the sample set (min {np.min(v):.6g})")
-    if np.min(k) <= 0:
-        raise ModelError(f"K is not positive on the sample set (min {np.min(k):.6g})")
-
-    growth = {}
-    for name in ("V", "K", "A"):
-        rates = []
-        for r, ring in zip(_RING_RADII, rings):
-            if name == "A":
-                jac = model.A_jacobian(ring)
-                mag = float(np.max(np.abs(jac))) if model.has_field else 0.0
-            else:
-                _, g = (model.V_and_grad if name == "V" else model.K_and_grad)(ring)
-                with np.errstate(over="ignore"):  # a norm past the float range is the inf rate
-                    mag = float(np.max(np.linalg.norm(g, axis=-1)))
-            rates.append((float(r), mag))
-        growth[name] = rates
-
-    theta_ok = True
-    s = np.logspace(-6, 2, 161)
-    F = np.asarray(model.nonlin.F(s), dtype=np.float64)
-    fs = np.asarray(model.nonlin.f(s), dtype=np.float64) * s
-    tF = model.nonlin.theta * F
-    if np.any(tF <= 0) or np.any(tF > fs * (1.0 + 1e-12) + 1e-300):
-        theta_ok = False
-        notes.append("theta condition 0 < theta F(s) <= f(s) s fails on the sample range")
-
-    return ValidationReport(
-        v_min=float(np.min(v)),
-        k_min=float(np.min(k)),
-        k_max=float(np.max(k)),
-        argmin_v=pts[int(np.argmin(v))],
-        theta_ok=theta_ok,
-        growth=growth,
-        passed=theta_ok,
-        notes=notes,
-    )
+    pts = np.concatenate([box] + [r * LATTICE_DIRECTIONS for r in _RING_RADII], axis=0)
+    lows = {"V": np.min(model.V.value(pts)), "K": np.min(model.K.value(pts))}
+    for name, low in lows.items():
+        if low <= 0:
+            raise ModelError(f"{name} is not positive on the sample set (min {low:.6g})")

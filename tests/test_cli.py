@@ -211,6 +211,8 @@ def test_config_error_exits_2(tmp_path, capsys):
     ("1 + 2^5000", "overflow"),
     ("1 + (0-1)^0.5", "invalid value"),
     ("1e400 + x1^2", "parse error at position 0"),
+    # positive on the sampled box [-8, 8]^3, negative from the r = 32 ring on
+    ("1 - x1^2/500", "V is not positive on the sample set (min -7.192)"),
 ])
 def test_constant_subexpression_errors_exit_2(tmp_path, capsys, V, what):
     text = frozen_config(tmp_path / "out").replace(f"V = {HARMONIC}", f"V = {V}")

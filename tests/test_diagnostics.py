@@ -210,8 +210,8 @@ def test_pucci_serrin_matches_equation_moment():
     res, _ = pucci_serrin_residual(ComplexField3(grid, v), tuple(z0), eps, model)
 
     Q = z0 + eps * np.stack(grid.meshgrid(), axis=-1)
-    Vq = model.V_and_grad(Q)[0]
-    Kq = model.K_and_grad(Q)[0]
+    Vq = model.V.value_and_gradient(Q)[0]
+    Kq = model.K.value_and_gradient(Q)[0]
     Av = model.A_at(Q)
     divA = np.trace(model.A_jacobian(Q), axis1=-2, axis2=-1)
     h = grid.spacing
@@ -440,7 +440,8 @@ def test_gamma_real_field_reduces_to_envelope_bracket():
     hi, lo = gamma_pm(tuple(z), tuple(w), model, [sol.u])
     m2 = float((np.abs(sol.u.values) ** 2).sum()) * sol.u.grid.cell_volume
     intF = float(np.asarray(model.nonlin.F(np.abs(sol.u.values) ** 2)).sum()) * sol.u.grid.cell_volume
-    hand = float(model.V_and_grad(z)[1] @ w) * m2 / 2.0 - float(model.K_and_grad(z)[1] @ w) * intF
+    gV, gK = model.V.value_and_gradient(z)[1], model.K.value_and_gradient(z)[1]
+    hand = float(gV @ w) * m2 / 2.0 - float(gK @ w) * intF
     assert hi == pytest.approx(hand, rel=1e-12)
     assert lo == pytest.approx(hand, rel=1e-12)
 

@@ -256,8 +256,8 @@ def test_find_Sp_matches_scalar_bisection_oracle():
     assert abs(out.points[0][1]) < 1e-9 and abs(out.points[0][2]) < 1e-9
     # recompute the balance residual from the analytic gradients
     z = np.asarray(out.points[0])
-    v, gv = model.V_and_grad(z)
-    k, gk = model.K_and_grad(z)
+    v, gv = model.V.value_and_gradient(z)
+    k, gk = model.K.value_and_gradient(z)
     G = 2.0 * k * gv - 4.0 * v * gk
     assert np.linalg.norm(G) < 1e-8 * (1.0 + np.linalg.norm(gv) + np.linalg.norm(gk))
 

@@ -341,42 +341,36 @@ def test_gauge_gradient_is_symbolic():
     assert chi.grad[2].value(x) == pytest.approx(3.0)
 
 
-def test_validate_fills_bounds_and_passes():
-    model = make_model()
-    rep = validate_assumptions(model)
-    assert rep.passed
-    assert rep.v_min == pytest.approx(1.0)
-    assert rep.k_min == pytest.approx(1.0)
-    assert rep.k_max == pytest.approx(1.0)
-    assert np.allclose(rep.argmin_v, 0.0, atol=1e-12)
-    assert set(rep.growth) == {"V", "K", "A"}
+def test_validate_passes_the_harmonic_model_and_returns_none():
+    assert validate_assumptions(make_model()) is None
 
 
 def test_validate_rejects_nonpositive_V():
     model = make_model(Vtxt="x1^2")  # vanishes at the origin
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match=re.escape("V is not positive on the sample set (min 0)")):
         validate_assumptions(model)
 
 
-def test_validate_records_a_growth_rate_past_the_float_range_as_inf():
-    # |grad V| at r = 64 is about 3e285, finite, but its square overflows
+# Positive on the whole box [-8, 8]^3 (the least value is 1 - 64/500 = 0.872),
+# negative from the r = 32 ring on; the least sample, 1 - 64^2/500, lies at
+# r = 64 on the axis.
+@pytest.mark.parametrize("Vtxt, Ktxt, name", [
+    ("1 - x1^2/500", "1", "V"),
+    ("1 + x1^2", "1 - x2^2/500", "K"),
+    ("1 - x1^2/500", "1 - x2^2/500", "V"),  # V is checked first
+])
+def test_validate_rejects_a_coefficient_negative_only_on_the_rings(Vtxt, Ktxt, name):
+    message = f"{name} is not positive on the sample set (min -7.192)"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        validate_assumptions(make_model(Vtxt=Vtxt, Ktxt=Ktxt))
+
+
+def test_validate_passes_a_coefficient_near_the_float_range_without_warning():
+    # V at r = 64 is about e^655, finite; the gate reads values only
     model = make_model(Vtxt="exp(0.16*(x1^2 + x2^2 + x3^2))")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = validate_assumptions(model)
-    assert rep.growth["V"][-1] == (64.0, np.inf)
-    assert all(np.isfinite(mag) for _, mag in rep.growth["V"][:-1])
-
-
-def test_validate_flags_bad_theta():
-    # f(s) = 1 constant: f(s) s = s while theta F = theta s / 2 > s for theta > 2
-    bad = Nonlinearity.custom(lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                              lambda s: np.asarray(s, dtype=float) / 2.0, theta=3.0)
-    model = ModelSpec(parse_potential("1"), parse_potential("1"), (ZERO_EXPR,) * 3, bad)
-    rep = validate_assumptions(model)
-    assert not rep.theta_ok
-    assert not rep.passed
-    assert rep.notes
+        assert validate_assumptions(model) is None
 
 
 def test_subs_affine_recenters():
