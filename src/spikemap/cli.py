@@ -41,9 +41,7 @@ from .frozen_solver import (
     SolverError,
     explicit_sigma_and_grad,
     ground_state,
-    profile_moments,
     radial_residual,
-    sigma_bracket,
 )
 from .landscape import (
     LandscapeError,
@@ -242,14 +240,20 @@ class RunConfig:
         if self.grid_points is not None and self.grid_points < 8:
             raise ConfigError(f"solver.grid_points must be at least 8, got {self.grid_points}")
         self.eps_list = _floats(sol["eps"], "solver.eps") if "eps" in sol else None
-        if self.eps_list is not None and any(e <= 0 for e in self.eps_list):
-            raise ConfigError("solver.eps values must be positive")
+        # the scaled energy and mass divide by eps^3, which underflows to 0
+        # below about 1e-108
+        if self.eps_list is not None and not all(e * e * e > 0 for e in self.eps_list):
+            raise ConfigError("solver.eps values must be positive, with eps^3 > 0 in floating point")
         self.tol = _one_float(sol.get("tol", "1e-6"), "solver.tol")
         if self.tol <= 0:
             raise ConfigError(f"solver.tol must be positive, got {self.tol}")
         self.max_iters = _one_int(sol.get("max_iters", "20000"), "solver.max_iters")
+        if self.max_iters < 1:
+            raise ConfigError(f"solver.max_iters must be at least 1, got {self.max_iters}")
         self.seed = sol.get("seed", "frozen")
         self.rng_seed = _one_int(sol.get("rng_seed", "0"), "solver.rng_seed")
+        if self.rng_seed < 0:
+            raise ConfigError(f"solver.rng_seed must be nonnegative, got {self.rng_seed}")
         self.center = _triple(sol["center"], "solver.center") if "center" in sol else None
 
         diag = sections.get("diagnostics", {})
@@ -449,8 +453,7 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
     prof = ground_state(point, cfg.model.nonlin)
     man.timings["ground_state"] = time.perf_counter() - t0
     fit = decay_fit(prof, cfg.decay_window or (2.0, 0.8 * prof.r_max))
-    mom = profile_moments(prof, cfg.model.nonlin)
-    grad = sigma_bracket(mom, np.asarray(point.grad_Vz), np.asarray(point.grad_Kz))
+    grad = prof.grad_sigma
 
     with man:
         prof.write_csv(man.out("profile.csv"))
@@ -472,8 +475,8 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
                 "decay_window": list(fit.window),
                 "decay_points": fit.n_points,
                 "sqrt_V_at_z": float(np.sqrt(point.Vz)),
-                "mass2": mom["mass2"],
-                "radial_residual": radial_residual(prof, point, cfg.model.nonlin),
+                "mass2": prof.moments["mass2"],
+                "radial_residual": radial_residual(prof),
             },
         )
     return 0

@@ -29,8 +29,6 @@ from .frozen_solver import (
     FrozenPoint,
     ground_energy,
     ground_state,
-    profile_moments,
-    sigma_bracket,
 )
 from .magnetic_solver import (
     BoundaryMassError,
@@ -295,10 +293,8 @@ def directional_derivative_sigma(z, w, model: ModelSpec):
     """
     z = np.asarray(z, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    point = FrozenPoint.from_model(model, z)
-    mom = profile_moments(ground_state(point, model.nonlin), model.nonlin)
-    gV, gK = np.asarray(point.grad_Vz), np.asarray(point.grad_Kz)
-    b = sigma_bracket(mom, float(gV @ w), float(gK @ w))
+    prof = ground_state(FrozenPoint.from_model(model, z), model.nonlin)
+    b = float(prof.grad_sigma @ w)
     return b, b
 
 

@@ -184,22 +184,19 @@ def _abs2(u: np.ndarray) -> np.ndarray:
     return u.real**2 + u.imag**2 if np.iscomplexobj(u) else u * u
 
 
-def _nehari_scale(Q: float, pairing, nonlin, method: str) -> float:
+def _nehari_scale(Q: float, pairing, nonlin) -> float:
     """The t > 0 with pairing(t) = int K f(t^2 u^2) u^2 equal to Q, the
-    quadratic form of u.  method is "auto", "closed" (powers) or "bracket".
+    quadratic form of u: the closed form for powers, a bracketed root solve
+    for any other f.
     """
     if Q <= 0:
         raise SolverError("quadratic part is not positive; field is degenerate")
-    if method not in ("auto", "closed", "bracket"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and not nonlin.is_power:
-        raise SolverError("closed-form projection needs the power nonlinearity")
-    if method in ("closed", "auto") and nonlin.is_power:
+    if nonlin.is_power:
         base = pairing(1.0)
         if base <= 0:
             raise SolverError("nonlinear pairing vanishes; field is degenerate")
         return (Q / base) ** (1.0 / (nonlin.p - 1.0))
-    # bracket: pairing is nondecreasing in t, so g(t) = pairing(t) - Q crosses once
+    # pairing is nondecreasing in t, so g(t) = pairing(t) - Q crosses once
     t_lo = t_hi = 1.0
     for _ in range(200):
         if pairing(t_lo) < Q:
@@ -271,7 +268,7 @@ class Hamiltonian:
         Tu = self.apply(u)
         Q = self.quad(u, Tu)
         m2 = _abs2(u)
-        t = _nehari_scale(Q, lambda s: self.pairing(m2, s), self.nonlin, "auto")
+        t = _nehari_scale(Q, lambda s: self.pairing(m2, s), self.nonlin)
         return t * u, t * Tu, Q * t * t, abs(Q - self.pairing(m2, t)) / Q
 
     def nehari_slack(self, u: np.ndarray) -> float:
@@ -359,6 +356,8 @@ def read_snapshot(path):
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
+        if flag not in (0, 1):
+            raise ValueError(f"{path}: unknown field flag {flag} (0 real, 1 complex)")
         raw = np.frombuffer(fh.read(), dtype="<f8")
     npts = n1 * n2 * n3
     grid = Grid3((n1, n2, n3), spacing, (o1, o2, o3))

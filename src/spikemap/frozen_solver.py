@@ -21,18 +21,22 @@ smooth in the amplitude: at n steps down to a relative width of 1e-9, then
 at the profile's step down to 1e-14.  The profile is the stored trajectory
 of the fine bracket's lower end, so no integration runs twice.
 
+A radial profile carries the point and the f it was solved for, and its
+integrals live on it: RadialProfile.moments computes them once, on first
+use, and the profile's energy (Sigma at the point) and grad_sigma (the
+envelope bracket) read them.  radial_residual takes the profile alone.
+
 Every 3D quadratic form, Nehari projection, energy, residual and stop
 level, here and in magnetic_solver, comes from fields.Hamiltonian, and the
 real 3D flow and the magnetic solve run one descent, _descend.  The flow
 stays an independent route through its seed, a shot profile, and its free
 stencil on a real field.  Shooting, the rescaling and the constrained
-minimization share none of it.  nehari_project, nehari_slack and
-frozen_action read radial profiles only.
+minimization share none of it.
 
 Radial integrals are _simpson's, scipy's composite Simpson rule to the bit.
 scipy is loaded only by the bracketed root solves in _amplitude_scale and
-fields._nehari_scale, which import brentq where they run: a custom f's
-routes, or a bracket asked for by name.  No power-model command loads it.
+fields._nehari_scale, which import brentq where they run, on a custom f's
+routes.  No power-model command loads it.
 """
 
 from __future__ import annotations
@@ -51,9 +55,9 @@ from .fields import (
     RealField3,
     SolverError,
     _abs2,
-    _nehari_scale,
     _re_dot,
 )
+from .model import Nonlinearity
 
 
 class BracketError(SolverError):
@@ -109,24 +113,60 @@ class FrozenPoint:
         return cls(tuple(z), float(v), float(k), tuple(gv), tuple(gk))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialProfile:
     """Radial ground state u(r) sampled on r_j = j dr, j = 0..n.
 
     du holds the integrator's derivative at the same nodes.  Beyond
     splice_index the profile is the exact linear tail c exp(-sqrt(V) r) / r,
-    value-matched to the integrated solution.  method says how it was made:
-    "shooting", or "rescaled" from the canonical profile by ground_state.
+    value-matched to the integrated solution.  point and nonlin are what it
+    solves -u'' - (2/r) u' + V u = K f(u^2) u for.  method says how it was
+    made: "shooting", or "rescaled" from the canonical profile by
+    ground_state.
     """
 
     r_max: float
     n: int
     u: np.ndarray
     du: np.ndarray
-    energy: float
     point: FrozenPoint
+    nonlin: Nonlinearity
     splice_index: int
     method: str = "shooting"
+
+    @functools.cached_property
+    def moments(self) -> dict:
+        """The radial integrals everything downstream is made of.
+
+        T = int |grad u|^2, mass2 = int u^2, intF = int F(u^2),
+        intfu2 = int f(u^2) u^2, all over R^3 (weight 4 pi r^2).  On the
+        manifold T + V mass2 = K intfu2 (Nehari).
+        """
+        r = self.r
+        w = 4.0 * np.pi * r * r
+        u2 = self.u**2
+        return {
+            "T": _simpson(self.du**2 * w, r),
+            "mass2": _simpson(u2 * w, r),
+            "intF": _simpson(np.asarray(self.nonlin.F(u2), dtype=np.float64) * w, r),
+            "intfu2": _simpson(np.asarray(self.nonlin.f(u2), dtype=np.float64) * u2 * w, r),
+        }
+
+    @property
+    def energy(self) -> float:
+        """I_z(u) = (1/2)(kinetic + V mass) - int K F(u^2): Sigma at the point."""
+        mom = self.moments
+        return 0.5 * (mom["T"] + self.point.Vz * mom["mass2"]) - self.point.Kz * mom["intF"]
+
+    @property
+    def grad_sigma(self):
+        """grad Sigma = mass2 grad V / 2 - intF grad K, the envelope bracket,
+        from the point's coefficient gradients; None when it carries none."""
+        pt = self.point
+        if pt.grad_Vz is None or pt.grad_Kz is None:
+            return None
+        mom = self.moments
+        return 0.5 * mom["mass2"] * np.asarray(pt.grad_Vz) - mom["intF"] * np.asarray(pt.grad_Kz)
 
     @property
     def dr(self) -> float:
@@ -383,7 +423,7 @@ def shoot_radial(point: FrozenPoint, nonlin, n: int = 4000, refine: int = 8) -> 
 
     lo, prev = _narrow(*_fine_bracket(lo.a, fine), fine, dr_f, s, 1e-14, prev)
     m = min(lo.m, n_f)
-    return _with_energy(_spliced_profile(point, lo.u[: m + 1], lo.v[: m + 1], dr_f), nonlin)
+    return _spliced_profile(point, nonlin, lo.u[: m + 1], lo.v[: m + 1], dr_f)
 
 
 def _fine_bracket(a0: float, fine):
@@ -405,7 +445,7 @@ def _fine_bracket(a0: float, fine):
     raise SolverError("fine-stage shooting lost the overshoot/undershoot bracket")
 
 
-def _spliced_profile(point: FrozenPoint, us, vs, dr) -> RadialProfile:
+def _spliced_profile(point: FrozenPoint, nonlin, us, vs, dr) -> RadialProfile:
     """The profile of the monotone run us, vs (step dr) with its linear tail.
 
     The run is kept up to the first node below _SPLICE_RATIO u(0); from there
@@ -432,14 +472,8 @@ def _spliced_profile(point: FrozenPoint, us, vs, dr) -> RadialProfile:
     du_full[t + 1 :] = u_full[t + 1 :] * (-s - 1.0 / tail_r)
     return RadialProfile(
         r_max=n_tot * dr, n=n_tot, u=u_full, du=du_full,
-        energy=0.0, point=point, splice_index=t,
+        point=point, nonlin=nonlin, splice_index=t,
     )
-
-
-def _with_energy(prof: RadialProfile, nonlin) -> RadialProfile:
-    """Fill in the frozen action of the stored profile and return it."""
-    prof.energy = frozen_action(prof, prof.point, nonlin)
-    return prof
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -473,36 +507,7 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float(total)
 
 
-def profile_moments(prof: RadialProfile, nonlin) -> dict:
-    """The radial integrals everything downstream is made of.
-
-    T = int |grad u|^2, mass2 = int u^2, intF = int F(u^2),
-    intfu2 = int f(u^2) u^2, all over R^3 (weight 4 pi r^2).  Anything but
-    a RadialProfile raises TypeError.
-    """
-    if not isinstance(prof, RadialProfile):
-        raise TypeError(f"radial quadrature needs a RadialProfile, not {type(prof).__name__}")
-    r = prof.r
-    w = 4.0 * np.pi * r * r
-    u2 = prof.u**2
-    return {
-        "T": _simpson(prof.du**2 * w, r),
-        "mass2": _simpson(u2 * w, r),
-        "intF": _simpson(np.asarray(nonlin.F(u2), dtype=np.float64) * w, r),
-        "intfu2": _simpson(np.asarray(nonlin.f(u2), dtype=np.float64) * u2 * w, r),
-    }
-
-
-def sigma_bracket(mom: dict, dV, dK):
-    """The envelope bracket mass2 dV / 2 - intF dK of the ground-energy map.
-
-    With the coefficient gradients for dV, dK it is grad Sigma; with their
-    components along a direction w it is the derivative of Sigma along w.
-    """
-    return 0.5 * mom["mass2"] * dV - mom["intF"] * dK
-
-
-def radial_residual(prof: RadialProfile, point: FrozenPoint, nonlin) -> float:
+def radial_residual(prof: RadialProfile) -> float:
     """RMS of -u'' - (2/r) u' + V u - K f(u^2) u on the stored nodes.
 
     Sixth-order differences with even-symmetry ghosts across r = 0; sharp
@@ -510,7 +515,7 @@ def radial_residual(prof: RadialProfile, point: FrozenPoint, nonlin) -> float:
     which a fourth-order stencil would misreport as solver error.  The three
     outermost nodes are skipped (their stencil would need data beyond r_max).
     """
-    u, dr = prof.u, prof.dr
+    u, dr, point = prof.u, prof.dr, prof.point
     up = np.concatenate([[u[3], u[2], u[1]], u])
     d2 = (
         2.0 * (up[:-6] + up[6:])
@@ -525,55 +530,11 @@ def radial_residual(prof: RadialProfile, point: FrozenPoint, nonlin) -> float:
     ) / (60.0 * dr)
     nv = d2.size  # nodes 0 .. n-3
     r = prof.r[:nv]
-    fu = np.asarray(nonlin.f(u[:nv] ** 2), dtype=np.float64) * u[:nv]
+    fu = np.asarray(prof.nonlin.f(u[:nv] ** 2), dtype=np.float64) * u[:nv]
     res = np.empty(nv)
     res[0] = -3.0 * d2[0] + point.Vz * u[0] - point.Kz * fu[0]
     res[1:] = -d2[1:] - 2.0 * d1[1:] / r[1:] + point.Vz * u[1:nv] - point.Kz * fu[1:]
     return float(np.sqrt(np.mean(res**2)))
-
-
-# ---------------------------------------------------------------------------
-# Nehari projection and action of a radial profile
-#
-# By radial quadrature of the stored profile.  A grid field's forms are those
-# of fields.Hamiltonian (quad, pairing, project, energy), so these take a
-# RadialProfile only and raise TypeError on anything else.
-
-def _quadratic_and_pairing(prof: RadialProfile, point: FrozenPoint, nonlin):
-    """Q = kinetic + V mass at the frozen point, and t -> int K f(t^2 u^2) u^2."""
-    mom = profile_moments(prof, nonlin)
-    r = prof.r
-    w = 4.0 * np.pi * r * r
-    u2 = prof.u**2
-
-    def pairing(t):
-        ft = np.asarray(nonlin.f(t * t * u2), dtype=np.float64)
-        return point.Kz * _simpson(ft * u2 * w, r)
-
-    return mom["T"] + point.Vz * mom["mass2"], pairing
-
-
-def nehari_project(prof: RadialProfile, point: FrozenPoint, nonlin, method: str = "auto") -> float:
-    """Scale t > 0 placing t u on the natural constraint manifold.
-
-    t solves t^2 Q = int K f(t^2 u^2) t^2 u^2; for powers that is the closed
-    form (Q / pairing(1))^(1/(p-1)), otherwise a bracketed root solve.  Pass
-    method="closed" or "bracket" to force a route.
-    """
-    Q, pairing = _quadratic_and_pairing(prof, point, nonlin)
-    return _nehari_scale(Q, pairing, nonlin, method)
-
-
-def nehari_slack(prof: RadialProfile, point: FrozenPoint, nonlin, t: float) -> float:
-    """Value of the constraint functional at t u (zero on the manifold)."""
-    Q, pairing = _quadratic_and_pairing(prof, point, nonlin)
-    return t * t * Q - t * t * pairing(t)
-
-
-def frozen_action(prof: RadialProfile, point: FrozenPoint, nonlin) -> float:
-    """I_z(u) = (1/2)(kinetic + V mass) - int K F(u^2)."""
-    mom = profile_moments(prof, nonlin)
-    return 0.5 * (mom["T"] + point.Vz * mom["mass2"]) - point.Kz * mom["intF"]
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +545,7 @@ def sigma_r(point: FrozenPoint, nonlin, n: int = 4000):
     coefficient brackets (d/dw) Sigma = <grad V, w> mass2/2 - <grad K, w> intF
     and is None when the point carries no coefficient gradients."""
     prof = shoot_radial(point, nonlin, n=n)
-    mom = profile_moments(prof, nonlin)
-    grad = None
-    if point.grad_Vz is not None and point.grad_Kz is not None:
-        grad = sigma_bracket(mom, np.asarray(point.grad_Vz), np.asarray(point.grad_Kz))
-    return prof.energy, grad
+    return prof.energy, prof.grad_sigma
 
 
 def canonical_energy(p: float, lam: float = 1.0, n: int = 4000) -> float:
@@ -607,8 +564,6 @@ def canonical_profile(p: float, lam: float = 1.0, n: int = 4000) -> RadialProfil
 
 @functools.cache
 def _canonical(p, lam, n):
-    from .model import Nonlinearity
-
     return shoot_radial(FrozenPoint((0.0, 0.0, 0.0), 1.0, 1.0), Nonlinearity.power(lam, p), n=n)
 
 
@@ -625,12 +580,9 @@ def ground_state(point: FrozenPoint, nonlin) -> RadialProfile:
     Q = canonical_profile(nonlin.p, nonlin.lam)
     s = math.sqrt(point.Vz)
     amp = (point.Vz / point.Kz) ** (1.0 / (nonlin.p - 1.0))
-    return _with_energy(
-        RadialProfile(
-            r_max=Q.r_max / s, n=Q.n, u=amp * Q.u, du=amp * s * Q.du,
-            energy=0.0, point=point, splice_index=Q.splice_index, method="rescaled",
-        ),
-        nonlin,
+    return RadialProfile(
+        r_max=Q.r_max / s, n=Q.n, u=amp * Q.u, du=amp * s * Q.du,
+        point=point, nonlin=nonlin, splice_index=Q.splice_index, method="rescaled",
     )
 
 

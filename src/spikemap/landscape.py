@@ -28,8 +28,6 @@ from .frozen_solver import (
     explicit_sigma_and_grad,
     ground_energy,
     ground_state,
-    profile_moments,
-    sigma_bracket,
 )
 from .model import LATTICE_DIRECTIONS, EvalError, ModelSpec
 
@@ -421,10 +419,8 @@ def find_Sstar(model: ModelSpec, candidates, solutions_provider=None) -> Critica
     for cand in candidates:
         z = np.asarray(cand, dtype=np.float64)
         if solutions_provider is None:
-            point = FrozenPoint.from_model(model, z)
-            mom = profile_moments(ground_state(point, model.nonlin), model.nonlin)
-            bvec = sigma_bracket(mom, np.asarray(point.grad_Vz), np.asarray(point.grad_Kz))
-            his = los = LATTICE_DIRECTIONS @ bvec
+            prof = ground_state(FrozenPoint.from_model(model, z), model.nonlin)
+            his = los = LATTICE_DIRECTIONS @ prof.grad_sigma
         else:
             his, los = gamma_pm(z, LATTICE_DIRECTIONS, model, solutions_provider(z))
         residual = float(np.maximum(-his, los).max())

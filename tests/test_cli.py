@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from textwrap import dedent
@@ -15,7 +16,7 @@ from scipy.integrate import simpson
 
 from spikemap.cli import ConfigError, RunConfig, main
 from spikemap.fields import read_snapshot, write_snapshot
-from spikemap.frozen_solver import FrozenPoint, canonical_profile, shoot_radial
+from spikemap.frozen_solver import FrozenPoint, ResolutionWarning, canonical_profile, shoot_radial
 from spikemap.magnetic_solver import energy_J
 from spikemap.model import ModelError
 
@@ -282,12 +283,16 @@ def config_text(sections):
     ("solve-magnetic", "solver", "grid_points", "inf"),
     ("solve-magnetic", "solver", "grid_points", "1e400"),
     ("solve-magnetic", "solver", "max_iters", "inf"),
+    ("solve-magnetic", "solver", "max_iters", "0"),
+    ("solve-magnetic", "solver", "max_iters", "-5"),
     ("solve-magnetic", "solver", "rng_seed", "nan"),
+    ("solve-magnetic", "solver", "rng_seed", "-1"),
     ("solve-magnetic", "solver", "grid_radius", "nan"),
     ("solve-magnetic", "solver", "grid_radius", "0"),
     ("solve-magnetic", "solver", "grid_radius", "-5"),
     ("solve-magnetic", "solver", "tol", "-1"),
     ("solve-magnetic", "solver", "eps", "nan"),
+    ("solve-magnetic", "solver", "eps", "1e-300"),
     ("landscape", "landscape", "resolution", "nan"),
     ("landscape", "landscape", "seeds", "inf"),
     ("solve-frozen", "diagnostics", "target", "nan, 0, 0"),
@@ -553,6 +558,54 @@ def test_non_convergence_exits_4(tmp_path, capsys):
     )
     assert main(["solve-magnetic", cfg_path]) == 4
     assert capsys.readouterr().err.startswith("non-convergence:")
+
+
+# the solver keys a whole run reads: usable edge values, and bad spellings
+# that must end as config errors; grid_points stays at 16 or below, so no
+# draw can ask for a large field
+RUN_EDGE = {
+    "grid_points": ["8", "12", "16"],
+    "rng_seed": ["0", "1", "-0", "18446744073709551616"],
+    "max_iters": ["1", "5"],
+    "tol": ["1e-6", "1", "1e300", "1e-300", "5e-324"],
+    "eps": ["1.0", "0.5", "3", "1e-3", "1e3", "1e-100", "1e300", "1, 0.5"],
+    "center": ["0, 0, 0", "1, -1, 0.5", "100, 0, 0", "1e300, 0, 0"],
+}
+RUN_BAD = [
+    ("grid_points", "7"),
+    *[("rng_seed", v) for v in ("-1", "2.5", "nan", "x")],
+    *[("max_iters", v) for v in ("0", "-5", "2.5", "inf", "")],
+    *[("tol", v) for v in ("0", "-1", "nan")],
+    *[("eps", v) for v in ("0", "-1", "inf", "1e-300")],
+    *[("center", v) for v in ("nan, 0, 0", "0, 0", "inf, 0, 0")],
+]
+
+
+@given(st.fixed_dictionaries({k: st.sampled_from(v) for k, v in RUN_EDGE.items()}),
+       st.lists(st.sampled_from(RUN_BAD), max_size=2))
+@example(dict(grid_points="16", rng_seed="0", max_iters="5", tol="1e-6", eps="1.0", center="0, 0, 0"),
+         [("rng_seed", "-1")])
+@settings(max_examples=25, deadline=None)
+def test_whole_solve_magnetic_runs_end_in_a_documented_exit_code(solver, bad):
+    # a random seed and no report: every run, converged or not, ends in a
+    # documented exit code, never in an exception out of main.  numpy's
+    # overflow warnings on a center 1e300 away and a pinned spike's
+    # ResolutionWarning are the run's to give, not failures here
+    solver = {**solver, **dict(bad)}
+    with tempfile.TemporaryDirectory() as tmp:
+        text = (
+            f"[model]\nV = {HARMONIC}\nK = 1\np = 3\n\n"
+            "[solver]\ngrid_radius = 9.0\nseed = random\n"
+            + "".join(f"{k} = {v}\n" for k, v in solver.items())
+            + f"\n[diagnostics]\nreport = false\n\n[output]\ndirectory = {tmp}/out\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["solve-magnetic", write_config(Path(tmp) / "run.ini", text)])
+    assert code in (0, 2, 3, 4, 5)
+    if bad:
+        assert code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -425,3 +425,12 @@ def test_snapshot_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + bytes(64))
     with pytest.raises(ValueError):
         read_snapshot(path)
+
+
+def test_snapshot_rejects_an_unknown_field_flag(tmp_path):
+    # flag 7 with a real-sized payload is neither a real nor a complex field
+    head = struct.pack("<4sII3Id3d", b"SPKF", 1, 7, 8, 8, 8, 0.5, 0.0, 0.0, 0.0)
+    path = tmp_path / "flag.spkf"
+    path.write_bytes(head + np.zeros(8**3).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="flag 7"):
+        read_snapshot(path)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemap import frozen_solver
-from spikemap.fields import Hamiltonian, RealField3, make_grid
+from spikemap.fields import Hamiltonian, make_grid
 from spikemap.frozen_solver import (
     BracketError,
     ConvergenceError,
@@ -21,12 +21,8 @@ from spikemap.frozen_solver import (
     canonical_profile,
     constrained_sigma,
     explicit_sigma_and_grad,
-    frozen_action,
     gradient_flow_3d_real,
     ground_state,
-    nehari_project,
-    nehari_slack,
-    profile_moments,
     radial_residual,
     sample_profile_on_grid,
     ground_energy,
@@ -65,14 +61,12 @@ def test_profile_positive_and_decreasing(prof3):
 
 
 def test_residual_contract(prof3):
-    nl = Nonlinearity.power(1.0, 3.0)
-    assert radial_residual(prof3, P0, nl) < 1e-8
+    assert radial_residual(prof3) < 1e-8
 
 
 def test_residual_contract_steep_case():
-    nl = Nonlinearity.power(1.0, 4.5)
-    prof = shoot_radial(P0, nl)
-    assert radial_residual(prof, P0, nl) < 1e-8
+    prof = shoot_radial(P0, Nonlinearity.power(1.0, 4.5))
+    assert radial_residual(prof) < 1e-8
 
 
 def test_refinement_oracle(prof3):
@@ -134,10 +128,9 @@ def test_ground_state_rescaling_matches_shooting(p, V, K):
     assert got.point == point
     assert (got.method, shot.method) == ("rescaled", "shooting")
     assert got.energy == pytest.approx(shot.energy, rel=1e-12)
-    m_got, m_shot = profile_moments(got, nl), profile_moments(shot, nl)
     for key in ("mass2", "intF"):
-        assert m_got[key] == pytest.approx(m_shot[key], rel=1e-12)
-    assert radial_residual(got, point, nl) < 1e-8
+        assert got.moments[key] == pytest.approx(shot.moments[key], rel=1e-12)
+    assert radial_residual(got) < 1e-8
 
 
 def test_ground_state_at_unit_coefficients_is_the_canonical_profile(prof3):
@@ -311,8 +304,7 @@ def _bisection_shot(point, nonlin, n, refine):
         w *= 4.0
     f_lo, f_hi = bisect(*((cand, lo) if down else (lo, cand)), fine, 34)
     _, m, us, vs = frozen_solver._integrate(f_lo, dr_f, n_f, force)
-    return frozen_solver._with_energy(
-        frozen_solver._spliced_profile(point, us[: m + 1], vs[: m + 1], dr_f), nonlin)
+    return frozen_solver._spliced_profile(point, nonlin, us[: m + 1], vs[: m + 1], dr_f)
 
 
 @pytest.mark.parametrize("V, K", [(1.0, 1.0), (0.7, 2.2), (1.9, 0.6)])
@@ -330,11 +322,10 @@ def test_shot_matches_bisection_oracle(p, V, K):
 
 @pytest.mark.parametrize("p", [2.4, 3.0, 3.6])
 def test_manifold_identities(p):
-    nl = Nonlinearity.power(1.0, p)
+    # Pohozaev, Nehari (T + V mass2 = K intfu2 at V = K = 1) and the action
     prof = canonical_profile(p)
-    mom = profile_moments(prof, nl)
-    T, M, N = mom["T"], mom["mass2"], mom["intfu2"]
-    I = frozen_action(prof, P0, nl)
+    T, M, N = (prof.moments[k] for k in ("T", "mass2", "intfu2"))
+    I = prof.energy
     assert T == pytest.approx(3.0 * M * (p - 1.0) / (5.0 - p), rel=1e-10)
     assert T + M == pytest.approx(N, rel=1e-10)
     assert I == pytest.approx((T + M) * (p - 1.0) / (2.0 * (p + 1.0)), rel=1e-10)
@@ -342,47 +333,52 @@ def test_manifold_identities(p):
         assert I == pytest.approx(M, rel=1e-11)
 
 
-def test_nehari_fixed_point(prof3):
-    nl = Nonlinearity.power(1.0, 3.0)
-    t = nehari_project(prof3, P0, nl)
-    assert abs(t - 1.0) < 1e-8
-    assert abs(nehari_slack(prof3, P0, nl, t)) < 1e-9
+def test_profile_integrals_are_computed_once(monkeypatch):
+    # nothing is integrated until asked for; then Sigma, grad Sigma and the
+    # moments all read one pass of four integrals
+    calls = []
+    simpson = frozen_solver._simpson
+    monkeypatch.setattr(frozen_solver, "_simpson", lambda y, x: calls.append(1) or simpson(y, x))
+    z = (0.2, 0.0, -0.1)
+    gV, gK = (0.37, -0.1, 0.2), (-0.21, 0.05, 0.11)
+    prof = ground_state(FrozenPoint(z, 1.3, 0.8, gV, gK), Nonlinearity.power(1.0, 3.0))
+    assert calls == []
+    mom = prof.moments
+    sigma, grad = prof.energy, prof.grad_sigma
+    assert prof.moments is mom and len(calls) == 4
+    assert sigma == 0.5 * (mom["T"] + 1.3 * mom["mass2"]) - 0.8 * mom["intF"]
+    assert np.array_equal(grad, 0.5 * mom["mass2"] * np.array(gV) - mom["intF"] * np.array(gK))
+    assert dataclasses.replace(prof, point=FrozenPoint(z, 1.3, 0.8)).grad_sigma is None
 
 
-def test_nehari_routes_agree(prof3):
-    nl = Nonlinearity.power(1.0, 3.0)
-    t_closed = nehari_project(prof3, P0, nl, method="closed")
-    t_bracket = nehari_project(prof3, P0, nl, method="bracket")
-    assert t_closed == pytest.approx(t_bracket, rel=1e-10)
-
-
-def test_radial_forms_refuse_a_grid_field():
-    # a grid field's forms are fields.Hamiltonian's; the radial helpers do
-    # not quietly build one
-    nl = Nonlinearity.power(1.0, 3.0)
+def _gaussian_hamiltonian(nonlin):
     grid = make_grid(radius=4.0, n=12)
-    u = RealField3(grid, np.exp(-sum(X**2 for X in grid.meshgrid())))
-    with pytest.raises(TypeError):
-        nehari_project(u, P0, nl)
-    with pytest.raises(TypeError):
-        nehari_slack(u, P0, nl, 1.0)
-    with pytest.raises(TypeError):
-        frozen_action(u, P0, nl)
+    u = np.exp(-sum(X**2 for X in grid.meshgrid()))
+    return Hamiltonian(grid, 1.0, P0.Vz, P0.Kz, nonlin, None), u
+
+
+def _scale(H, u):
+    """The Nehari scale t that H.project puts on u, read off t u."""
+    tu = H.project(u)[0]
+    return float(np.vdot(u, tu) / np.vdot(u, u))
+
+
+def test_nehari_scale_closed_form_matches_bracket():
+    # the cubic power's closed form against the bracketed root solve that
+    # the same f written out as a custom pair takes
+    H_power, u = _gaussian_hamiltonian(Nonlinearity.power(1.0, 3.0))
+    H_custom, _ = _gaussian_hamiltonian(CUBIC_AS_CUSTOM)
+    t_closed, t_bracket = _scale(H_power, u), _scale(H_custom, u)
+    assert t_closed != 1.0
+    assert t_bracket == pytest.approx(t_closed, rel=1e-10)
 
 
 @given(c=st.floats(0.05, 20.0))
 @settings(max_examples=30, deadline=None)
 def test_nehari_homogeneity(c):
-    # t(c u) = t(u) / c for the cubic nonlinearity
-    nl = Nonlinearity.power(1.0, 3.0)
-    prof = canonical_profile(3.0)
-    scaled = type(prof)(
-        r_max=prof.r_max, n=prof.n, u=c * prof.u, du=c * prof.du,
-        energy=0.0, point=prof.point, splice_index=prof.splice_index,
-    )
-    t1 = nehari_project(prof, P0, nl)
-    tc = nehari_project(scaled, P0, nl)
-    assert tc == pytest.approx(t1 / c, rel=1e-12)
+    # t(c u) = t(u) / c for the cubic nonlinearity: c u and u project alike
+    H, u = _gaussian_hamiltonian(Nonlinearity.power(1.0, 3.0))
+    np.testing.assert_allclose(H.project(c * u)[0], H.project(u)[0], rtol=1e-12, atol=0.0)
 
 
 def test_sigma_gradient_matches_finite_differences():
