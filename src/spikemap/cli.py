@@ -1,12 +1,15 @@
-"""Command-line orchestration: configs, subcommands, and run manifests.
+"""Command-line orchestration: configs, subcommands, run manifests, and the
+only code that writes output files.
 
 The config format is INI.  [model] and [output] are always required; the
 other sections carry per-command parameters.  Every run writes its artifacts
-into the output directory next to a manifest.json that records the exact
-config text, its hash, the toolkit version, seeds, and wall times, so a run
-can be reproduced from the manifest alone.  All numeric output is written
-with shortest round-trip float formatting and the solvers are deterministic,
-which is what makes re-runs byte-comparable.
+into the output directory next to a manifest.json that records the config
+text as read, its hash, the toolkit version, seeds, and wall times, so a run
+can be reproduced from the manifest alone.  The compute modules return plain
+data, and one writer per format turns it into bytes: _write_rows a CSV of
+shortest round-trip floats, _write_json a JSON object with indent 2 and
+sorted keys.  The solvers are deterministic, which is what makes re-runs
+byte-comparable.
 
 Exit codes: 0 success, 2 configuration problem, 3 solver failure,
 4 non-convergence, 5 verification found an invariant violation.
@@ -51,13 +54,9 @@ from .landscape import (
     find_Sstar,
     p_to_5_study,
     sweep_sigma,
-    write_critical_json,
-    write_sweep_csv,
 )
 from .magnetic_solver import (
     MagneticSolveConfig,
-    MagneticSolution,
-    _spike_location,
     energy_J,
     pde_residual,
     solve_magnetic,
@@ -202,15 +201,11 @@ def _build_nonlinearity(sec: dict) -> Nonlinearity:
 
 
 class RunConfig:
-    """Parsed and validated run configuration.
+    """Parsed and validated run configuration; text is the INI text it was
+    parsed from, which the run's manifest records."""
 
-    sections holds the canonical key/value strings actually present, in
-    schema order; serialize() writes them back out, and parsing its output
-    reproduces the same canonical form, so round-trips are idempotent.
-    """
-
-    def __init__(self, sections: dict):
-        self.sections = sections
+    def __init__(self, sections: dict, text: str):
+        self.text = text
         model_sec = sections.get("model", {})
         for key in ("V", "K"):
             if key not in model_sec:
@@ -303,7 +298,7 @@ class RunConfig:
                     raise ConfigError(f"unknown key {key} in [{name}]")
                 sec[key] = value.strip()
             sections[name] = sec
-        return cls(sections)
+        return cls(sections, text)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -312,21 +307,7 @@ class RunConfig:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        cfg = cls.from_text(text)
-        cfg.source_text = text
-        return cfg
-
-    def serialize(self) -> str:
-        lines = []
-        for name in _SCHEMA:
-            if name not in self.sections:
-                continue
-            lines.append(f"[{name}]")
-            for key in _SCHEMA[name]:
-                if key in self.sections[name]:
-                    lines.append(f"{key} = {self.sections[name][key]}")
-            lines.append("")
-        return "\n".join(lines)
+        return cls.from_text(text)
 
     def require(self, *names):
         missing = [n for n in names if getattr(self, n) is None]
@@ -360,22 +341,28 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _report_payload(report) -> dict:
-    vec, rel = report.pucci_serrin
-    rate, window = report.decay_rate_fit
-    return {
-        "diamagnetic_slack_min": report.diamagnetic_slack_min,
-        "current_density_norm": report.current_density_norm,
-        "pucci_serrin_residual": [float(c) for c in vec],
-        "pucci_serrin_rel": rel,
-        "decay_rate_corrected": rate,
-        "decay_window": [float(w) for w in window],
-        "nehari_slack": report.nehari_slack,
-        "notes": {k: float(v) for k, v in report.notes.items()},
-    }
+def _write_profile(path, prof):
+    """A radial profile's nodes, one row each: r, u and du."""
+    _write_rows(path, ["r", "u", "du"], ([_fmt(x) for x in row] for row in zip(prof.r, prof.u, prof.du)))
 
 
-def _write_study_csv(study, path):
+def _write_sweep(path, emap):
+    """One row per lattice node, in lattice order: position, sigma, gradient,
+    and the map's method, or failed on a nan row."""
+    rows = (
+        [_fmt(c) for c in (*z, sig, *g)] + ["failed" if np.isnan(sig) else emap.method]
+        for z, sig, g in zip(emap.points, emap.samples, emap.grad)
+    )
+    _write_rows(path, ["z1", "z2", "z3", "sigma", "grad1", "grad2", "grad3", "method"], rows)
+
+
+def _write_critical(path, result):
+    """A candidate set: the fields of its CriticalSetResult, as plain JSON."""
+    points = [[float(c) for c in z] for z in result.points]
+    _write_json(path, {**vars(result), "points": points, "residuals": [float(r) for r in result.residuals]})
+
+
+def _write_study(path, study):
     header = ["eps", "spike1", "spike2", "spike3", "scaled_energy", "pointwise", "energy_gap"]
     radii = sorted(study.fixed_tails[0]) if study.fixed_tails else []
     header += [f"fixed_tail_r{i + 1}" for i in range(len(radii))]
@@ -415,7 +402,7 @@ class _Manifest:
     def __exit__(self, exc_type, exc, tb):
         if exc is not None:
             self.failure = f"{exc_type.__name__}: {exc}"
-        text = self.cfg.source_text if hasattr(self.cfg, "source_text") else self.cfg.serialize()
+        text = self.cfg.text
         payload = {
             "version": __version__,
             "command": self.command,
@@ -456,7 +443,7 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
     grad = prof.grad_sigma
 
     with man:
-        prof.write_csv(man.out("profile.csv"))
+        _write_profile(man.out("profile.csv"), prof)
         _write_json(
             man.out("sigma.json"),
             {
@@ -483,9 +470,14 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
 
 
 def _family_grid(cfg: RunConfig):
-    """The grid of an eps family, checked against the decay window."""
+    """The grid of an eps family, checked against the seed centre and the
+    decay window."""
     cfg.require("eps_list")
     grid = cfg.grid()
+    # a seed centred off the box has no mass on any node
+    if cfg.center is not None and max(map(abs, cfg.center)) > grid.half_extent():
+        raise ConfigError(f"solver.center {list(cfg.center)} lies outside the grid box, "
+                          f"|x_k| <= {grid.half_extent():.6g}")
     # the largest eps has the smallest blow-up box, reaching sqrt(3) R / eps
     # at most: a decay window starting beyond that leaves its fit no shell
     reach = math.sqrt(3.0) * grid.half_extent() / max(cfg.eps_list)
@@ -524,10 +516,9 @@ def _solve_family(cfg: RunConfig, grid, man: _Manifest):
             ),
         )
         if cfg.report:
-            report = run_diagnostics(sol, cfg.model, window=cfg.decay_window)
-            _write_json(
-                man.out(f"report_eps{_fmt(eps)}.json"), _report_payload(report)
-            )
+            report = run_diagnostics(sol.u, eps, cfg.model, window=cfg.decay_window)
+            report["nehari_slack"] = sol.nehari_slack
+            _write_json(man.out(f"report_eps{_fmt(eps)}.json"), report)
     return family
 
 
@@ -545,7 +536,7 @@ def cmd_solve_magnetic(cfg: RunConfig) -> int:
         family = _solve_family(cfg, grid, man)
         if len(family) >= 2 and all(a.eps > b.eps for a, b in zip(family, family[1:])):
             study = concentration_metrics(family, _study_target(cfg, family), cfg.model)
-            _write_study_csv(study, man.out("concentration_study.csv"))
+            _write_study(man.out("concentration_study.csv"), study)
     return 0
 
 
@@ -559,7 +550,7 @@ def cmd_concentration_study(cfg: RunConfig) -> int:
     with _Manifest(cfg, "concentration-study") as man:
         family = _solve_family(cfg, grid, man)
         study = concentration_metrics(family, _study_target(cfg, family), cfg.model)
-        _write_study_csv(study, man.out("concentration_study.csv"))
+        _write_study(man.out("concentration_study.csv"), study)
         _write_json(
             man.out("concentration_notes.json"),
             {
@@ -585,7 +576,7 @@ def cmd_landscape(cfg: RunConfig) -> int:
         t0 = time.perf_counter()
         emap = sweep_sigma(cfg.region, cfg.resolution, cfg.model)
         man.timings["sweep"] = time.perf_counter() - t0
-        write_sweep_csv(emap, man.out("sweep.csv"))
+        _write_sweep(man.out("sweep.csv"), emap)
 
         # slices along each axis through the region's centre
         axes = np.stack([np.linspace(lo, hi, 101) for lo, hi in cfg.region], axis=-1)
@@ -602,19 +593,19 @@ def cmd_landscape(cfg: RunConfig) -> int:
         )
 
         result_S = find_S(emap, cfg.model)
-        write_critical_json(result_S, man.out("critical_S.json"))
+        _write_critical(man.out("critical_S.json"), result_S)
         result_CritK = crit_K(cfg.model, cfg.region, cfg.seeds)
-        write_critical_json(result_CritK, man.out("critical_CritK.json"))
+        _write_critical(man.out("critical_CritK.json"), result_CritK)
         sp_results = [find_Sp(cfg.model, p, cfg.region, cfg.seeds) for p in cfg.p_list or ()]
         candidates = result_S.points
         if cfg.model.nonlin.is_power:
             p = cfg.model.nonlin.p
             same_p = [sp for sp in sp_results if sp.p == p]
             result_Sp = same_p[0] if same_p else find_Sp(cfg.model, p, cfg.region, cfg.seeds)
-            write_critical_json(result_Sp, man.out("critical_Sp.json"))
+            _write_critical(man.out("critical_Sp.json"), result_Sp)
             if not candidates:
                 candidates = result_Sp.points
-        write_critical_json(find_Sstar(cfg.model, candidates), man.out("critical_Sstar.json"))
+        _write_critical(man.out("critical_Sstar.json"), find_Sstar(cfg.model, candidates))
 
         if cfg.p_list is not None:
             study = p_to_5_study(result_CritK, sp_results)
@@ -655,44 +646,34 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
         )
     with _Manifest(cfg, "verify") as man:
         man.inputs.append(str(snapshot_path))
-        m2 = np.abs(u.values) ** 2
-        vol = u.grid.cell_volume
         H = Hamiltonian.from_model(cfg.model, u.grid, eps)
-        J = energy_J(u, cfg.model, eps, H)
-        sol = MagneticSolution(
-            u=u,
-            eps=eps,
-            energy_J=J,
-            scaled_energy=J / eps**3,
-            residual_rms=pde_residual(u, cfg.model, eps, H)[1],
-            nehari_slack=H.nehari_slack(u.values),
-            spike=_spike_location(u),
-            scaled_mass=float(m2.sum()) * vol / eps**3,
-            iterations=0,
-        )
-        level = H.stop_level(cfg.tol, m2)
+        scaled_energy = energy_J(u, cfg.model, eps, H) / eps**3
+        residual_rms = pde_residual(u, cfg.model, eps, H)[1]
+        nehari_slack = H.nehari_slack(u.values)
+        level = H.stop_level(cfg.tol, np.abs(u.values) ** 2)
         # free H's 9-field hop table before the diagnostics' 3 phase fields
         del H
         try:
-            report = run_diagnostics(sol, cfg.model, window=cfg.decay_window)
+            report = run_diagnostics(u, eps, cfg.model, window=cfg.decay_window)
         except BoundaryMassError as exc:
             man.failure = f"invariant failure: boundary_decay ({exc})"
             print(man.failure, file=sys.stderr)
             return 5
-        _write_json(man.out("verify_report.json"), _report_payload(report))
+        report["nehari_slack"] = nehari_slack
+        _write_json(man.out("verify_report.json"), report)
 
         failures = []
-        if report.diamagnetic_slack_min < -1e-10:
+        if report["diamagnetic_slack_min"] < -1e-10:
             failures.append("diamagnetic")
-        if sol.residual_rms > level:
+        if residual_rms > level:
             failures.append("pde_residual")
         # The translation-test ratio is the residual over the size of its four
         # terms, each term sized by the larger of its positive and negative
         # parts, so cancellation at a symmetric spike does not shrink it.  Gate
         # only when those sizes carry weight on the scale of the blown-up energy.
-        ps_scale = report.notes["pucci_serrin_terms_sum"]
-        ps_floor = 1e-9 * max(1.0, abs(sol.scaled_energy))
-        if report.pucci_serrin[1] >= 1e-2 and ps_scale > ps_floor:
+        ps_scale = report["notes"]["pucci_serrin_terms_sum"]
+        ps_floor = 1e-9 * max(1.0, abs(scaled_energy))
+        if report["pucci_serrin_rel"] >= 1e-2 and ps_scale > ps_floor:
             failures.append("pucci_serrin")
         if failures:
             man.failure = f"invariant failure: {', '.join(failures)}"

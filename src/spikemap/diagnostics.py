@@ -8,8 +8,9 @@ Clarke criticality of candidate spike points, and the two concentration
 metrics.  Nothing in this module solves the equation; it consumes fields and
 models produced elsewhere and reports residuals with their denominators, so a
 caller can tell "small because it holds" from "small because everything is".
-The one linear solve, the concentration metrics' error estimate, is
-Hamiltonian.solve_linear.
+run_diagnostics gathers the checks on one magnetic field into a plain dict,
+the report the CLI writes as it stands.  The one linear solve, the
+concentration metrics' error estimate, is Hamiltonian.solve_linear.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .frozen_solver import (
 )
 from .magnetic_solver import (
     BoundaryMassError,
-    MagneticSolution,
+    _spike_location,
     pde_residual,
     phase_factor_split,
     rescale,
@@ -499,18 +500,6 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
 # ---------------------------------------------------------------------------
 # the aggregate report
 
-@dataclass
-class DiagnosticsReport:
-    """One solution's identity residuals, with denominators in notes."""
-
-    diamagnetic_slack_min: float
-    current_density_norm: float
-    pucci_serrin: tuple
-    decay_rate_fit: tuple
-    nehari_slack: float
-    notes: dict
-
-
 def _shell_fwhm(v: ComplexField3) -> float:
     radii, sup = _shell_maxima(v)
     peak = sup.max()
@@ -519,36 +508,41 @@ def _shell_fwhm(v: ComplexField3) -> float:
     return 2.0 * radii[j]
 
 
-def run_diagnostics(sol: MagneticSolution, model: ModelSpec, window=None) -> DiagnosticsReport:
-    """Assemble the standard report for one converged magnetic solution.
+def run_diagnostics(u: ComplexField3, eps: float, model: ModelSpec, window=None) -> dict:
+    """The standard report on one magnetic field, as the JSON object the CLI
+    writes: every value a float or a list of floats, with the denominators
+    behind the ratios in notes.
 
-    The field is blown up around its spike, phase-split there, and pushed
-    through every identity check.  The decay window defaults to starting at
-    twice the blow-up profile's width and ending just inside the box.
+    The field is blown up around its spike (_spike_location), phase-split
+    there, and pushed through every identity check.  The decay window
+    defaults to starting at twice the blow-up profile's width and ending
+    just inside the box.  The Nehari slack is the caller's to add: the solve
+    reads it off its last iterate, verify off the stored field.
     """
-    z0 = tuple(float(c) for c in sol.spike)
-    dia = diamagnetic_check(sol.u, model, sol.eps)
-    v = rescale(sol, z0)
+    z0 = tuple(float(c) for c in _spike_location(u))
+    dia = diamagnetic_check(u, model, eps)
+    v = rescale(u, eps, z0)
+    # the translation test holds the most arrays at once; run first, it does
+    # not also hold the split's profile and the current density J (bound to _)
+    ps_vec, ps_rel = pucci_serrin_residual(v, z0, eps, model)
     split = phase_factor_split(v, z0, model)
     _, cnorm, cdenom = current_density(split.U)
-    ps_vec, ps_rel = pucci_serrin_residual(v, z0, sol.eps, model)
     if window is None:
         r_box = float(v.grid.half_extent())
         window = (2.0 * _shell_fwhm(v), 0.8 * r_box)
     fit = decay_fit(v, window)
-    notes = {
-        "pucci_serrin_terms_sum": (
-            float(np.linalg.norm(ps_vec)) / ps_rel if ps_rel > 0.0 else 0.0
-        ),
-        "current_density_denominator": cdenom,
-        "decay_points": fit.n_points,
-        "phase_imag_fraction": split.imag_fraction,
+    ps_terms = float(np.linalg.norm(ps_vec)) / ps_rel if ps_rel > 0.0 else 0.0
+    return {
+        "diamagnetic_slack_min": dia,
+        "current_density_norm": cnorm,
+        "pucci_serrin_residual": [float(c) for c in ps_vec],
+        "pucci_serrin_rel": ps_rel,
+        "decay_rate_corrected": fit.corrected_rate,
+        "decay_window": [float(w) for w in fit.window],
+        "notes": {
+            "pucci_serrin_terms_sum": ps_terms,
+            "current_density_denominator": cdenom,
+            "decay_points": float(fit.n_points),
+            "phase_imag_fraction": split.imag_fraction,
+        },
     }
-    return DiagnosticsReport(
-        diamagnetic_slack_min=dia,
-        current_density_norm=cnorm,
-        pucci_serrin=(ps_vec, ps_rel),
-        decay_rate_fit=(fit.corrected_rate, fit.window),
-        nehari_slack=sol.nehari_slack,
-        notes=notes,
-    )

@@ -41,7 +41,6 @@ routes.  No power-model command loads it.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import warnings
@@ -179,13 +178,6 @@ class RadialProfile:
     @property
     def u0(self) -> float:
         return float(self.u[0])
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["r", "u", "du"])
-            for row in zip(self.r, self.u, self.du):
-                wr.writerow([repr(float(x)) for x in row])
 
 
 @dataclass

@@ -11,12 +11,11 @@ S_p and Crit K share one Newton root search, which runs Newton from all
 starts at once: one batched kernel call per search, each evaluation of the
 field covering every start still running.  The landscape command searches
 each set once; the drift study only measures the results it is given.
+Every function here returns data; the CLI alone writes files.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -477,38 +476,3 @@ def p_to_5_study(crit: CriticalSetResult, sp_results) -> DriftStudy:
     monotone = bool(seen) and all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))
     return DriftStudy(p_list, distances, gaps, monotone)
 
-
-# ---------------------------------------------------------------------------
-# file formats
-
-def write_sweep_csv(emap: GroundEnergyMap, path) -> None:
-    """One row per lattice sample, in lattice order: position, sigma,
-    gradient, and the map's method, or failed on a nan row.  Floats are
-    written as their shortest round-trip representation, so equal sweeps
-    produce identical bytes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z1", "z2", "z3", "sigma", "grad1", "grad2", "grad3", "method"])
-        for z, sig, g in zip(emap.points, emap.samples, emap.grad):
-            writer.writerow(
-                [repr(float(c)) for c in z]
-                + [repr(float(sig))]
-                + [repr(float(c)) for c in g]
-                + ["failed" if np.isnan(sig) else emap.method]
-            )
-
-
-def write_critical_json(result: CriticalSetResult, path) -> None:
-    """Critical set with per-point residuals and method metadata."""
-    payload = {
-        "kind": result.kind,
-        "p": result.p,
-        "degenerate": result.degenerate,
-        "method": result.method,
-        "points": [[float(c) for c in z] for z in result.points],
-        "residuals": [float(r) for r in result.residuals],
-        "notes": list(result.notes),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -32,7 +32,6 @@ from .fields import (
     ComplexField3,
     Grid3,
     Hamiltonian,
-    _abs2,
     boundary_fraction,
     make_grid,
     read_snapshot,
@@ -84,10 +83,9 @@ class MagneticSolveConfig:
 class MagneticSolution:
     """Converged complex field with its reported scales.
 
-    scaled_energy is eps^-3 J(u) and scaled_mass is eps^-3 ||u||^2; both stay
-    bounded along a concentrating family, which is the scale check the
-    concentration study reports.  spike is the argmax of |u| after one
-    parabolic refinement per axis.
+    scaled_energy is eps^-3 J(u), which stays bounded along a concentrating
+    family; the concentration study compares it with Sigma at its target.
+    spike is the argmax of |u| after one parabolic refinement per axis.
     """
 
     u: ComplexField3
@@ -97,7 +95,6 @@ class MagneticSolution:
     residual_rms: float
     nehari_slack: float
     spike: np.ndarray
-    scaled_mass: float
     iterations: int
     trace: list = field(repr=False, default_factory=list)
 
@@ -263,7 +260,6 @@ def solve_magnetic(model: ModelSpec, cfg: MagneticSolveConfig) -> MagneticSoluti
         residual_rms=last["residual"],
         nehari_slack=last["nehari_slack"],
         spike=_spike_location(sol_u),
-        scaled_mass=float(_abs2(u).sum()) * grid.cell_volume / eps**3,
         iterations=last["iter"],
         trace=trace,
     )
@@ -323,7 +319,7 @@ def _spline_operator(n: int, x: np.ndarray) -> np.ndarray:
             + (4.0 - 6.0 * s * s + 3.0 * s**3) * MP[i + 1] + t**3 * MP[i + 2]) / 6.0
 
 
-def rescale(sol: MagneticSolution, z0) -> ComplexField3:
+def rescale(u: ComplexField3, eps: float, z0) -> ComplexField3:
     """Blow-up view v(x) = u(z0 + eps x) on a unit-scale box.
 
     The target box is the largest cube around z0 whose image stays inside the
@@ -335,18 +331,18 @@ def rescale(sol: MagneticSolution, z0) -> ComplexField3:
     eps = 1 with z0 the source box center it is the identity to rounding.
     """
     z0 = np.asarray(z0, dtype=np.float64)
-    src = sol.u.grid
+    src = u.grid
     origin = np.asarray(src.origin, dtype=np.float64)
     half = np.array([src.half_extent(k) for k in range(3)])
     room = half - np.abs(z0 - origin)
     if np.any(room <= 0):
         raise SolverError("rescale center sits outside the source box")
-    radius = float(room.min()) / sol.eps
+    radius = float(room.min()) / eps
     n = int(src.dims[0])
     target = make_grid(radius=radius, n=n)
     ax, lo = np.linspace(-radius, radius, n), origin - half
-    S = [_spline_operator(src.dims[k], (z0[k] + sol.eps * ax - lo[k]) / src.spacing) for k in range(3)]
-    w = np.stack((sol.u.values.real, sol.u.values.imag))
+    S = [_spline_operator(src.dims[k], (z0[k] + eps * ax - lo[k]) / src.spacing) for k in range(3)]
+    w = np.stack((u.values.real, u.values.imag))
     w = np.einsum("ia,dabc->dibc", S[0], w)
     w = np.einsum("jb,dibc->dijc", S[1], w)
     w = np.einsum("kc,dijc->dijk", S[2], w)

@@ -4,8 +4,11 @@ perfbench/spans.py wraps the public functions of each spikemap module, the
 private functions listed in PRIVATE and the methods listed in METHODS; each
 workload in perfbench/workloads.py then expects some spans to record calls
 and others not to.  A renamed function would show up only as an incorrect
-traced run, so the names are checked against the package here.  The two
-benchmark files are loaded and left as they are.
+traced run, so the names are checked against the package here.  A name can
+also stay defined and stop being called, so each workload also makes one
+traced call here, as perfbench/run.py --trace 1 does, and must come out
+correct with every expected span recording calls.  The benchmark files are
+loaded and left as they are.
 """
 
 import importlib
@@ -13,6 +16,7 @@ import importlib.util
 import inspect
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -87,3 +91,28 @@ def test_a_renamed_function_is_caught():
     assert not _traceable("landscape._newton_batch")
     assert not _traceable("landscape._lattice")  # private, and not in PRIVATE
     assert not _traceable("model.PotentialExpr.gradient")
+
+
+@pytest.fixture(scope="module")
+def bench(tmp_path_factory):
+    """perfbench/run.py, loaded with perfbench/ on sys.path as it runs, and
+    a snapshot cache the workloads share, so verify-48 reads the snapshot
+    magnetic-48 made."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        run = _load("run")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return run, tmp_path_factory.mktemp("bench-cache")
+
+
+@pytest.mark.parametrize("name", ["magnetic-48", "verify-48", "landscape-power"])
+def test_traced_workload_call_records_every_expected_span(bench, tmp_path, name):
+    run, cache_dir = bench
+    runner = run.Runner(str(ROOT), str(tmp_path), time.monotonic() + 300.0)
+    runner.env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave perfbench/ as it is
+    wl = run.workloads.WORKLOADS[name](0, str(cache_dir), runner.run_cli)
+    wl.prepare(runner.new_dir("prepare"))
+    call = run.timed_call(runner, wl, trace=True)
+    assert call.error is None
+    assert run.span_errors(wl, call.info["trace"]) == []

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemap import frozen_solver
+from spikemap.cli import _write_profile
 from spikemap.fields import Hamiltonian, make_grid
 from spikemap.frozen_solver import (
     BracketError,
@@ -485,7 +486,7 @@ def test_bracket_error_for_bounded_nonlinearity():
 
 def test_profile_csv(tmp_path, prof3):
     path = tmp_path / "w.csv"
-    prof3.write_csv(path)
+    _write_profile(path, prof3)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["r", "u", "du"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from spikemap.cli import _write_critical, _write_sweep
 from spikemap.fields import SolverError, make_grid
 from spikemap.frozen_solver import BracketError, explicit_sigma_and_grad, ground_energy
 import spikemap.landscape
@@ -17,8 +18,6 @@ from spikemap.landscape import (
     find_Sstar,
     p_to_5_study,
     sweep_sigma,
-    write_critical_json,
-    write_sweep_csv,
 )
 from spikemap.magnetic_solver import solve_frozen_magnetic
 from spikemap.model import EvalError, ModelSpec, Nonlinearity, ZERO_EXPR, parse_potential
@@ -146,7 +145,7 @@ def test_sweep_keeps_failed_nodes_as_nan_rows(tmp_path):
     assert all(msg.startswith("BracketError:") for _, msg in emap.failures)
     assert np.isnan(emap.samples[[0, 2]]).all() and np.isnan(emap.grad[[0, 2]]).all()
     assert emap.samples[1] == pytest.approx(E3 / 2.0, rel=1e-6)
-    write_sweep_csv(emap, tmp_path / "sweep.csv")
+    _write_sweep(tmp_path / "sweep.csv", emap)
     rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
     assert [r.split(",")[-1] for r in rows] == ["failed", "shooting", "failed"]
     assert rows[0].split(",")[3:7] == ["nan"] * 4
@@ -469,19 +468,19 @@ def test_drift_study_guards():
 
 
 # ---------------------------------------------------------------------------
-# writers
+# writers: the CLI's, on the results of this module
 
 def test_write_sweep_csv_round_trip(tmp_path):
     model = mk_model(BUMP_V)
     emap = sweep_sigma(((-1, 1),) * 3, 3, model)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(emap, path)
+    _write_sweep(path, emap)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "z1,z2,z3,sigma,grad1,grad2,grad3,method"
     assert len(lines) == 1 + 27
     first = lines[1].split(",")
     assert float(first[3]) == emap.samples[0]
-    write_sweep_csv(emap, tmp_path / "again.csv")
+    _write_sweep(tmp_path / "again.csv", emap)
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
@@ -495,7 +494,7 @@ def test_write_critical_json_round_trip(tmp_path):
         notes=["one candidate kept"],
     )
     path = tmp_path / "crit.json"
-    write_critical_json(result, path)
+    _write_critical(path, result)
     data = json.loads(path.read_text())
     assert data["kind"] == "Sp"
     assert data["p"] == 3.0
