@@ -4,5 +4,5 @@ landscape analysis of the ground energy, and solution diagnostics."""
 
 __version__ = "0.1.0"
 
-from .model import ModelSpec, Nonlinearity, parse_potential, parse_gauge
-from .fields import Grid3, RealField3, ComplexField3, make_grid
+from .model import ModelSpec, Nonlinearity, parse_potential
+from .fields import Field3, Grid3, make_grid

@@ -21,6 +21,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -37,7 +38,7 @@ from .diagnostics import (
     decay_fit,
     run_diagnostics,
 )
-from .fields import ComplexField3, Hamiltonian, make_grid, read_snapshot, write_snapshot
+from .fields import Hamiltonian, make_grid, read_snapshot, write_snapshot
 from .frozen_solver import (
     ConvergenceError,
     FrozenPoint,
@@ -285,7 +286,8 @@ class RunConfig:
         cp = configparser.ConfigParser(interpolation=None)
         cp.optionxform = str
         try:
-            cp.read_string(text)
+            # universal newlines for the parser; text keeps the file's line ends
+            cp.read_file(io.StringIO(text, newline=None), "<string>")
         except configparser.Error as exc:
             raise ConfigError(f"config does not parse: {exc}") from None
         sections = {}
@@ -303,9 +305,9 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8", newline="") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return cls.from_text(text)
 
@@ -316,8 +318,13 @@ class RunConfig:
 
     def grid(self):
         self.require("grid_radius", "grid_points")
-        if not 0.0 < 2.0 * self.grid_radius / (self.grid_points - 1) < math.inf:
+        h = 2.0 * self.grid_radius / (self.grid_points - 1)
+        if not 0.0 < h < math.inf:
             raise ConfigError("solver.grid_radius and solver.grid_points give no finite positive spacing")
+        # the descent's step and the stencil scale by 18.14 eps^2 / h^2
+        if not all(h * h > 0.0 and 18.14 * e * e / (h * h) < math.inf for e in self.eps_list or ()):
+            raise ConfigError(f"solver.eps {self.eps_list} makes the stencil scale 18.14 eps^2 / h^2 "
+                              f"overflow at spacing h = {h:.6g}")
         return make_grid(self.grid_radius, self.grid_points)
 
 
@@ -629,8 +636,6 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
         u = read_snapshot(snapshot_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read snapshot: {exc}") from None
-    if not isinstance(u, ComplexField3):
-        u = ComplexField3(u.grid, u.values.astype(np.complex128))
     if cfg.eps_list is None or len(cfg.eps_list) != 1:
         raise ConfigError("verify needs exactly one eps in [solver]")
     eps = cfg.eps_list[0]

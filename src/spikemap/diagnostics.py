@@ -3,13 +3,13 @@
 Every check here is a necessary condition a true solution family satisfies:
 the diamagnetic pointwise bound, the vanishing current density of least-energy
 profiles, the translation-test integral identity and its limit form, the
-exponential decay rate, the one-sided derivatives of the ground-energy map,
-Clarke criticality of candidate spike points, and the two concentration
-metrics.  Nothing in this module solves the equation; it consumes fields and
-models produced elsewhere and reports residuals with their denominators, so a
-caller can tell "small because it holds" from "small because everything is".
-run_diagnostics gathers the checks on one magnetic field into a plain dict,
-the report the CLI writes as it stands.  The one linear solve, the
+exponential decay rate, Clarke criticality of candidate spike points, and
+the two concentration metrics.  Nothing in this module solves the equation;
+it consumes fields and models produced elsewhere and reports residuals with
+their denominators, so a caller can tell "small because it holds" from
+"small because everything is".  run_diagnostics gathers the checks on one
+magnetic Field3, real or complex, into a plain dict, the report the CLI
+writes as it stands.  The one linear solve, the
 concentration metrics' error estimate, is Hamiltonian.solve_linear.
 """
 
@@ -21,16 +21,12 @@ import numpy as np
 
 from .fields import (
     BoundaryMassWarning,
-    ComplexField3,
+    Field3,
     Hamiltonian,
     boundary_fraction,
     gradient,
 )
-from .frozen_solver import (
-    FrozenPoint,
-    ground_energy,
-    ground_state,
-)
+from .frozen_solver import ground_energy
 from .magnetic_solver import (
     BoundaryMassError,
     _spike_location,
@@ -48,7 +44,7 @@ class DiagnosticsError(Exception):
 # ---------------------------------------------------------------------------
 # pointwise inequalities and the current density
 
-def diamagnetic_check(u: ComplexField3, model: ModelSpec, eps: float) -> float:
+def diamagnetic_check(u: Field3, model: ModelSpec, eps: float) -> float:
     """Minimum over interior nodes of |D^eps u| - eps |grad |u||.
 
     The modulus of a field never carries more kinetic density than the field
@@ -79,7 +75,7 @@ def diamagnetic_check(u: ComplexField3, model: ModelSpec, eps: float) -> float:
     return float(slack.min())
 
 
-def current_density(U: ComplexField3):
+def current_density(U: Field3):
     """Re(i conj(U) grad U) as a (3,) + dims array, its sup norm over
     sup|U| sup|grad U|, and that denominator.
 
@@ -123,7 +119,7 @@ def _grad4(arr: np.ndarray, h: float) -> list[np.ndarray]:
     return out
 
 
-def pucci_serrin_residual(v: ComplexField3, z0, eps: float, model: ModelSpec):
+def pucci_serrin_residual(v: Field3, z0, eps: float, model: ModelSpec):
     """Translation-test residual of the blow-up field v around z0.
 
     For each coordinate direction k the integral
@@ -191,7 +187,7 @@ def pucci_serrin_residual(v: ComplexField3, z0, eps: float, model: ModelSpec):
     return res, rel
 
 
-def _field_moments(U: ComplexField3, nonlin):
+def _field_moments(U: Field3, nonlin):
     """int Re(i conj(U) grad U), int |U|^2 and int F(|U|^2) by the grid sum."""
     vol = U.grid.cell_volume
     J, _, _ = current_density(U)
@@ -200,7 +196,7 @@ def _field_moments(U: ComplexField3, nonlin):
     return J.reshape(3, -1).sum(axis=1) * vol, float(m2.sum()) * vol, intF
 
 
-def limit_identity_residual(U: ComplexField3, z0, model: ModelSpec):
+def limit_identity_residual(U: Field3, z0, model: ModelSpec):
     """Limit form of the translation test: coefficients read at z0 alone.
 
     res_k = <d_k A(z0), int Re(i conj(U) grad U)>
@@ -282,22 +278,7 @@ def decay_fit(u, window) -> DecayFit:
 
 
 # ---------------------------------------------------------------------------
-# the ground-energy map seen from one point
-
-def directional_derivative_sigma(z, w, model: ModelSpec):
-    """One-sided derivatives of the ground-energy map along w.
-
-    Both sides are the same envelope bracket evaluated on the computed ground
-    state (the solution set the code can exhibit is a singleton, so sup and
-    inf coincide; a genuine multiplicity would split them).  Returns
-    (left, right) with left >= right.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    prof = ground_state(FrozenPoint.from_model(model, z), model.nonlin)
-    b = float(prof.grad_sigma @ w)
-    return b, b
-
+# Clarke criticality of the ground-energy map
 
 @dataclass
 class ClarkeVerdict:
@@ -421,7 +402,7 @@ class ConcentrationStudy:
 _RHO_LADDER = (4.0, 6.0, 8.0, 10.0)
 
 
-def _value_at(u: ComplexField3, x) -> float:
+def _value_at(u: Field3, x) -> float:
     """|u| at the point x by trilinear interpolation of the nodes, the point
     clamped into the box: map_coordinates(order=1, mode="nearest")."""
     grid = u.grid
@@ -500,7 +481,7 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
 # ---------------------------------------------------------------------------
 # the aggregate report
 
-def _shell_fwhm(v: ComplexField3) -> float:
+def _shell_fwhm(v: Field3) -> float:
     radii, sup = _shell_maxima(v)
     peak = sup.max()
     below = np.where(sup < 0.5 * peak)[0]
@@ -508,7 +489,7 @@ def _shell_fwhm(v: ComplexField3) -> float:
     return 2.0 * radii[j]
 
 
-def run_diagnostics(u: ComplexField3, eps: float, model: ModelSpec, window=None) -> dict:
+def run_diagnostics(u: Field3, eps: float, model: ModelSpec, window=None) -> dict:
     """The standard report on one magnetic field, as the JSON object the CLI
     writes: every value a float or a list of floats, with the denominators
     behind the ratios in notes.

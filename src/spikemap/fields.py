@@ -4,11 +4,11 @@ Everything downstream (solvers, diagnostics, landscape scans) works on the
 node-centered grids defined here.  Conventions: arrays are indexed [ix, iy, iz],
 node coordinates are origin + (index - (n-1)/2) * spacing, and integrals are
 plain node sums times the cell volume (spectrally accurate for smooth fields
-that decay below rounding before the boundary).  Scalar fields carry their
-grid; a gradient is a (3,) + dims array, link phases are one single-hop
-array per axis, and link_table alone forms the longer hops and the wall.
-scipy is loaded only by _nehari_scale's bracket, the Nehari scale of a
-custom f, which imports brentq when it runs.
+that decay below rounding before the boundary).  Field3 is the one field
+type, real or complex; a gradient is a (3,) + dims array, link phases are
+one single-hop array per axis, and link_table alone forms the longer hops
+and the wall.  scipy is loaded only by _nehari_scale's bracket, the Nehari
+scale of a custom f, which imports brentq when it runs.
 """
 
 from __future__ import annotations
@@ -56,12 +56,9 @@ class Grid3:
         n = self.dims[k]
         return self.origin[k] + (np.arange(n) - (n - 1) / 2.0) * self.spacing
 
-    def axes(self):
-        return self.axis(0), self.axis(1), self.axis(2)
-
     def meshgrid(self):
         """Coordinate arrays X1, X2, X3, each of shape dims."""
-        return np.meshgrid(*self.axes(), indexing="ij")
+        return np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij")
 
     def half_extent(self, k: int = 0) -> float:
         return (self.dims[k] - 1) / 2.0 * self.spacing
@@ -74,29 +71,20 @@ def make_grid(radius: float, n: int, origin=(0.0, 0.0, 0.0)) -> Grid3:
     return Grid3((n, n, n), 2.0 * radius / (n - 1), tuple(float(c) for c in origin))
 
 
-def _check_values(grid, values):
-    if values.shape != tuple(grid.dims):
-        raise ValueError(f"values shape {values.shape} does not match grid dims {tuple(grid.dims)}")
-
-
 @dataclass
-class RealField3:
+class Field3:
+    """Node values on a grid, real (float64) or complex (complex128), kept
+    in the dtype they come in; any other dtype is refused."""
+
     grid: Grid3
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        _check_values(self.grid, self.values)
-
-
-@dataclass
-class ComplexField3:
-    grid: Grid3
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        _check_values(self.grid, self.values)
+        self.values = np.asarray(self.values)
+        if self.values.dtype not in (np.float64, np.complex128):
+            raise ValueError(f"field values must be float64 or complex128, got {self.values.dtype}")
+        if self.values.shape != tuple(self.grid.dims):
+            raise ValueError(f"values shape {self.values.shape} does not match grid dims {tuple(self.grid.dims)}")
 
 
 def gradient(f) -> np.ndarray:
@@ -365,7 +353,7 @@ def read_snapshot(path):
         if raw.size != 2 * npts:
             raise ValueError(f"{path}: payload size {raw.size} != 2*{npts}")
         vals = (raw[0::2] + 1j * raw[1::2]).reshape(grid.dims, order="F")
-        return ComplexField3(grid, vals)
+        return Field3(grid, vals)
     if raw.size != npts:
         raise ValueError(f"{path}: payload size {raw.size} != {npts}")
-    return RealField3(grid, raw.reshape(grid.dims, order="F").copy())
+    return Field3(grid, raw.reshape(grid.dims, order="F").copy())

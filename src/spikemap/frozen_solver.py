@@ -49,9 +49,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    Field3,
     Grid3,
     Hamiltonian,
-    RealField3,
     SolverError,
     _abs2,
     _re_dot,
@@ -789,28 +789,31 @@ def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
     h, eps = H.grid.spacing, H.eps
     p_curv = nonlin.p if nonlin.is_power else 3.0
     eta = 1.8 / (18.14 * eps * eps / (h * h) + (1.0 + p_curv) * H.V)
-    u, Tu, Q, slack = H.project(u * H.mask)
-    mom = np.zeros_like(Tu)
-    rn0 = None
-    for it in range(max_iters):
-        m2 = _abs2(u)
-        res, rn = H.residual(u, Tu)
-        J = 0.5 * Q - H.potential(m2)
-        trace.append({"iter": it, "energy": J, "residual": rn, "nehari_slack": slack})
-        if not math.isfinite(J):
-            raise ConvergenceError(f"{what} diverged to a non-finite energy", trace)
-        if rn0 is None:
-            rn0 = rn
-        elif rn > 1e3 * rn0:
-            raise ConvergenceError(f"{what} residual grew out of control", trace)
-        if rn <= H.stop_level(tol, m2):
-            _warn_if_pinned(u)
-            return u
-        if _re_dot(mom, res) < 0.0:
-            mom[:] = 0.0
-        mom *= 0.95
-        mom += np.multiply(res, eta, out=res)
-        u, Tu, Q, slack = H.project((u - mom) * H.mask)
+    # a diverging iterate overflows on its way to a non-finite J, which is
+    # the one report of it, so numpy's overflow and invalid warnings are off
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, Tu, Q, slack = H.project(u * H.mask)
+        mom = np.zeros_like(Tu)
+        rn0 = None
+        for it in range(max_iters):
+            m2 = _abs2(u)
+            res, rn = H.residual(u, Tu)
+            J = 0.5 * Q - H.potential(m2)
+            trace.append({"iter": it, "energy": J, "residual": rn, "nehari_slack": slack})
+            if not math.isfinite(J):
+                raise ConvergenceError(f"{what} diverged to a non-finite energy", trace)
+            if rn0 is None:
+                rn0 = rn
+            elif rn > 1e3 * rn0:
+                raise ConvergenceError(f"{what} residual grew out of control", trace)
+            if rn <= H.stop_level(tol, m2):
+                _warn_if_pinned(u)
+                return u
+            if _re_dot(mom, res) < 0.0:
+                mom[:] = 0.0
+            mom *= 0.95
+            mom += np.multiply(res, eta, out=res)
+            u, Tu, Q, slack = H.project((u - mom) * H.mask)
     raise ConvergenceError(f"{what} did not reach tol={tol} in {max_iters} iterations", trace)
 
 
@@ -822,7 +825,7 @@ def gradient_flow_3d_real(
     max_iters: int = 20000,
     trace: list | None = None,
     seed_profile: RadialProfile | None = None,
-) -> RealField3:
+) -> Field3:
     """Constraint-projected gradient descent for the frozen problem on a box.
 
     The shared descent on the frozen Hamiltonian with the free stencil, from
@@ -834,4 +837,4 @@ def gradient_flow_3d_real(
     H = Hamiltonian(grid, 1.0, point.Vz, point.Kz, nonlin, None)
     u = _descend(H, sample_profile_on_grid(prof, grid), tol, max_iters,
                  trace if trace is not None else [], "frozen 3D flow")
-    return RealField3(grid, u)
+    return Field3(grid, u)

@@ -13,7 +13,8 @@ descent's step is per node, 1.8 / (18.14 eps^2 / h^2 + (1 + p) V(x)): a
 bound on row x of the operator, so the spike, where V is small, is not held
 to the step that sup V at the box corners allows (see _descend).  The
 Hamiltonian of a complex field always holds a complex hop table, real unit
-phases included.
+phases included.  rescaled_model reads the coefficients in the blow-up
+frame, at z + eps x; the frozen problem at z is that frame at eps = 0.
 
 Every sum a solve or rescale takes runs on one thread in numpy's fixed order,
 none in a threaded BLAS, so runs with the same seed produce identical bytes
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import (
-    ComplexField3,
+    Field3,
     Grid3,
     Hamiltonian,
     boundary_fraction,
@@ -45,7 +46,7 @@ from .frozen_solver import (
     ground_state,
     sample_profile_on_grid,
 )
-from .model import ModelSpec, Num, PotentialExpr, validate_assumptions
+from .model import ModelSpec, PotentialExpr, expr_to_str, subs_affine, validate_assumptions
 
 
 class BoundaryMassError(SolverError):
@@ -88,7 +89,7 @@ class MagneticSolution:
     spike is the argmax of |u| after one parabolic refinement per axis.
     """
 
-    u: ComplexField3
+    u: Field3
     eps: float
     energy_J: float
     scaled_energy: float
@@ -100,30 +101,12 @@ class MagneticSolution:
 
 
 class PhaseSplit(NamedTuple):
-    U: ComplexField3
+    U: Field3
     omega: float
     imag_fraction: float
 
 
-def _const_expr(v: float) -> PotentialExpr:
-    return PotentialExpr(repr(float(v)), Num(float(v)))
-
-
-def frozen_model_at(z, model: ModelSpec) -> ModelSpec:
-    """Constant-coefficient model with V, K, A frozen at the point z."""
-    z = np.asarray(z, dtype=np.float64)
-    Vz = float(model.V.value(z))
-    Kz = float(model.K.value(z))
-    Az = model.A_at(z)
-    return ModelSpec(
-        V=_const_expr(Vz),
-        K=_const_expr(Kz),
-        A=tuple(_const_expr(a) for a in Az),
-        nonlin=model.nonlin,
-    )
-
-
-def _spike_location(u: ComplexField3) -> np.ndarray:
+def _spike_location(u: Field3) -> np.ndarray:
     """Argmax of |u| with one parabolic refinement along each axis."""
     m = np.abs(u.values) ** 2
     idx = np.unravel_index(int(np.argmax(m)), m.shape)
@@ -145,7 +128,7 @@ def _spike_location(u: ComplexField3) -> np.ndarray:
     return out
 
 
-def energy_J(u: ComplexField3, model: ModelSpec, eps: float, H: Hamiltonian | None = None) -> float:
+def energy_J(u: Field3, model: ModelSpec, eps: float, H: Hamiltonian | None = None) -> float:
     """J(u) = (kinetic form + V-mass)/2 minus the K-weighted potential term.
 
     The kinetic part is the phased quadratic form, so the value is invariant
@@ -155,7 +138,7 @@ def energy_J(u: ComplexField3, model: ModelSpec, eps: float, H: Hamiltonian | No
     return (H or Hamiltonian.from_model(model, u.grid, eps)).energy(u.values)
 
 
-def pde_residual(u: ComplexField3, model: ModelSpec, eps: float, H: Hamiltonian | None = None):
+def pde_residual(u: Field3, model: ModelSpec, eps: float, H: Hamiltonian | None = None):
     """Strong-form residual field of the magnetic equation and its rms.
 
     Applies the same phased discrete Hamiltonian the solver descends on, so a
@@ -167,7 +150,7 @@ def pde_residual(u: ComplexField3, model: ModelSpec, eps: float, H: Hamiltonian 
     """
     H = H or Hamiltonian.from_model(model, u.grid, eps)
     res, rms = H.residual(u.values, H.apply(u.values))
-    return ComplexField3(u.grid, res), rms
+    return Field3(u.grid, res), rms
 
 
 def _default_center(model: ModelSpec, grid: Grid3) -> np.ndarray:
@@ -251,7 +234,7 @@ def solve_magnetic(model: ModelSpec, cfg: MagneticSolveConfig) -> MagneticSoluti
     trace: list = []
     u = _descend(H, seed, cfg.tol, cfg.max_iters, trace, "magnetic descent")
     last = trace[-1]
-    sol_u = ComplexField3(grid, u)
+    sol_u = Field3(grid, u)
     return MagneticSolution(
         u=sol_u,
         eps=eps,
@@ -268,11 +251,12 @@ def solve_magnetic(model: ModelSpec, cfg: MagneticSolveConfig) -> MagneticSoluti
 def solve_frozen_magnetic(z, model: ModelSpec, grid: Grid3, **cfg_kwargs) -> MagneticSolution:
     """Solve the constant-coefficient magnetic problem frozen at z.
 
-    The coefficients (including the now-constant vector potential) are pinned
-    to their values at z and the problem is posed at unit semiclassical
-    parameter on the given box, seeded at the box center.
+    The frozen model is rescaled_model(model, z, 0.0): every coefficient,
+    the now-constant vector potential included, is read at z + 0 x = z, and
+    the problem is posed at unit semiclassical parameter on the given box,
+    seeded at the box center.
     """
-    frozen = frozen_model_at(z, model)
+    frozen = rescaled_model(model, z, 0.0)
     kwargs = {"eps": 1.0, "grid": grid, "center": tuple(grid.origin), "seed": "frozen"}
     kwargs.update(cfg_kwargs)
     cfg = MagneticSolveConfig(**kwargs)
@@ -319,7 +303,7 @@ def _spline_operator(n: int, x: np.ndarray) -> np.ndarray:
             + (4.0 - 6.0 * s * s + 3.0 * s**3) * MP[i + 1] + t**3 * MP[i + 2]) / 6.0
 
 
-def rescale(u: ComplexField3, eps: float, z0) -> ComplexField3:
+def rescale(u: Field3, eps: float, z0) -> Field3:
     """Blow-up view v(x) = u(z0 + eps x) on a unit-scale box.
 
     The target box is the largest cube around z0 whose image stays inside the
@@ -346,14 +330,13 @@ def rescale(u: ComplexField3, eps: float, z0) -> ComplexField3:
     w = np.einsum("ia,dabc->dibc", S[0], w)
     w = np.einsum("jb,dibc->dijc", S[1], w)
     w = np.einsum("kc,dijc->dijk", S[2], w)
-    return ComplexField3(target, w[0] + 1j * w[1])
+    return Field3(target, w[0] + 1j * w[1])
 
 
 def rescaled_model(model: ModelSpec, z0, eps: float) -> ModelSpec:
-    """Model with coefficients read at z0 + eps x, as the blow-up view sees them."""
-    from .model import expr_to_str, subs_affine
-
-    z0 = np.asarray(z0, dtype=np.float64)
+    """Model with coefficients read at z0 + eps x, as the blow-up view sees
+    them; at eps = 0 it is the model frozen at z0, each coefficient's value
+    there to the bit."""
 
     def sub(expr: PotentialExpr) -> PotentialExpr:
         root = subs_affine(expr.root, z0, eps)
@@ -367,7 +350,7 @@ def rescaled_model(model: ModelSpec, z0, eps: float) -> ModelSpec:
     )
 
 
-def phase_factor_split(v: ComplexField3, z, model: ModelSpec) -> PhaseSplit:
+def phase_factor_split(v: Field3, z, model: ModelSpec) -> PhaseSplit:
     """Split v into the linear magnetic phase at z and the remaining profile.
 
     Returns U = exp(-i sum_j A_j(z) x_j) v together with the constant phase
@@ -386,4 +369,4 @@ def phase_factor_split(v: ComplexField3, z, model: ModelSpec) -> PhaseSplit:
         raise SolverError("phase split needs a nonzero field")
     omega = float(np.angle(Uv[idx]))
     resid = np.abs(np.imag(Uv * np.exp(-1j * omega)))
-    return PhaseSplit(ComplexField3(v.grid, Uv), omega, float(resid.max() / peak))
+    return PhaseSplit(Field3(v.grid, Uv), omega, float(resid.max() / peak))

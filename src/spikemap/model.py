@@ -4,9 +4,10 @@ Coefficients V, K and the three components of A are given as closed-form
 expressions in x1, x2, x3.  A tiny recursive-descent parser builds an AST.
 Each expression is compiled once into a straight-line numpy function, which
 evaluates vectorized over arrays.  Derivatives come from the symbolic diff
-alone: gradients, gauge-shifted vector potentials and coefficient Jacobians
-are compiled from its trees.  ModelSpec.link_phases gives the single-hop
-phases of A on a grid; fields.link_table builds the stencil's hops from them.
+alone: gradients, coefficient Jacobians and the A + grad chi of a gauge
+change, chi a PotentialExpr like any coefficient, come from its trees.
+ModelSpec.link_phases gives the single-hop phases of A on a grid;
+fields.link_table builds the stencil's hops from them.
 
 ModelSpec holds the coefficients and the nonlinearity; V and K are read
 through their PotentialExpr methods, and only A, which stacks three
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import Grid3
+from .fields import Field3, Grid3
 
 
 class ModelError(Exception):
@@ -358,10 +359,6 @@ class PotentialExpr:
     def on_grid(self, grid: Grid3):
         return self.on_coords(grid.meshgrid(), tuple(grid.dims))
 
-    def derivative(self, k) -> "PotentialExpr":
-        root = diff(self.root, k)
-        return PotentialExpr(expr_to_str(root), root)
-
 
 def _bcast(v, shape):
     arr = np.asarray(v, dtype=np.float64)
@@ -386,21 +383,6 @@ def parse_potential(text: str, variables=_COORDS) -> PotentialExpr:
 
 
 ZERO_EXPR = PotentialExpr("0", Num(0.0))
-
-
-@dataclass
-class GaugeFunction:
-    """A scalar gauge function chi and its (symbolic) gradient."""
-
-    chi: PotentialExpr
-    grad: tuple = field(init=False)
-
-    def __post_init__(self):
-        self.grad = tuple(self.chi.derivative(k) for k in range(3))
-
-
-def parse_gauge(text: str) -> GaugeFunction:
-    return GaugeFunction(parse_potential(text))
 
 
 # ---------------------------------------------------------------------------
@@ -513,20 +495,17 @@ class ModelSpec:
         return tuple(per_axis)
 
 
-def gauge_transform(u, model: ModelSpec, chi: GaugeFunction, eps: float):
-    """Return (u * exp(i chi/eps), model with A replaced by A + grad chi)."""
-    from .fields import ComplexField3
-
-    chi_vals = chi.chi.on_coords(u.grid.meshgrid(), tuple(u.grid.dims))
-    u2 = ComplexField3(u.grid, u.values * np.exp(1j * chi_vals / eps))
+def gauge_transform(u, model: ModelSpec, chi: PotentialExpr, eps: float):
+    """Return (u * exp(i chi/eps), model with A replaced by A + grad chi),
+    grad chi taken by diff."""
+    u2 = Field3(u.grid, u.values * np.exp(1j * chi.on_grid(u.grid) / eps))
     new_A = []
     for m in range(3):
-        if is_zero_expr(model.A[m].root):
-            new_A.append(chi.grad[m])
-        elif is_zero_expr(chi.grad[m].root):
+        d = diff(chi.root, m)
+        if is_zero_expr(d):
             new_A.append(model.A[m])
         else:
-            root = Bin("+", model.A[m].root, chi.grad[m].root)
+            root = d if is_zero_expr(model.A[m].root) else Bin("+", model.A[m].root, d)
             new_A.append(PotentialExpr(expr_to_str(root), root))
     shifted = ModelSpec(model.V, model.K, tuple(new_A), model.nonlin)
     return u2, shifted

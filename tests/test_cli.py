@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from spikemap.cli import ConfigError, RunConfig, main
-from spikemap.fields import read_snapshot, write_snapshot
+from spikemap.fields import Field3, read_snapshot, write_snapshot
 from spikemap.frozen_solver import FrozenPoint, ResolutionWarning, canonical_profile, shoot_radial
 from spikemap.magnetic_solver import energy_J
 from spikemap.model import ModelError
@@ -157,6 +157,19 @@ def test_solve_frozen_outputs(tmp_path):
     assert "total" in man["wall_times_s"]
 
 
+@pytest.mark.parametrize("eol", ["\r\n", "\r"])
+def test_manifest_keeps_the_config_line_ends(tmp_path, eol):
+    # the parser reads universal newlines; the manifest records the file as it is
+    out = tmp_path / "run"
+    path = tmp_path / "run.ini"
+    path.write_bytes(frozen_config(out).replace("\n", eol).encode())
+    assert main(["solve-frozen", str(path)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config_text"].encode() == path.read_bytes()
+    assert man["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert json.loads((out / "sigma.json").read_text())["sigma"] == pytest.approx(E3, abs=1e-9)
+
+
 def test_solve_frozen_at_target_point(tmp_path):
     out = tmp_path / "run"
     text = frozen_config(out) + "\n[diagnostics]\ntarget = 0.5, 0, 0\n"
@@ -288,6 +301,7 @@ def config_text(sections):
     ("solve-magnetic", "solver", "tol", "-1"),
     ("solve-magnetic", "solver", "eps", "nan"),
     ("solve-magnetic", "solver", "eps", "1e-300"),
+    ("solve-magnetic", "solver", "eps", "1e300"),
     ("solve-magnetic", "solver", "center", "10, 0, 0"),
     ("landscape", "landscape", "resolution", "nan"),
     ("landscape", "landscape", "seeds", "inf"),
@@ -482,6 +496,30 @@ def test_verify_records_its_verdict_in_the_manifest(magnetic_run, tmp_path, caps
     assert man["outputs"] == ["verify_report.json"]
 
 
+def test_verify_reads_a_real_snapshot_as_its_complex_twin(tmp_path):
+    # without a field the solve's imaginary part is zero, so its real part,
+    # stored with flag 0, is the same field; read_snapshot returns the real
+    # one in C order and the complex one in F order, so sums may round apart
+    out = tmp_path / "run"
+    text = (
+        f"[model]\nV = {HARMONIC}\nK = 1\np = 3\n\n"
+        "[solver]\ngrid_radius = 9.0\ngrid_points = 24\neps = 1.0\ntol = 1e-6\n\n"
+        f"[diagnostics]\nreport = false\n\n[output]\ndirectory = {out}\n"
+    )
+    cfg_path = write_config(tmp_path / "run.ini", text)
+    assert main(["solve-magnetic", cfg_path]) == 0
+    u = read_snapshot(str(out / "solution_eps1.0.spkf"))
+    assert not np.any(u.values.imag)
+    write_snapshot(str(tmp_path / "real.spkf"), Field3(u.grid, u.values.real.copy()))
+    assert read_snapshot(str(tmp_path / "real.spkf")).values.dtype == np.float64
+    reports = []
+    for snap in (out / "solution_eps1.0.spkf", tmp_path / "real.spkf"):
+        assert main(["verify", cfg_path, str(snap)]) == 0
+        reports.append(json.loads((out / "verify_report.json").read_text()))
+    for key in ("diamagnetic_slack_min", "current_density_norm", "decay_rate_corrected"):
+        assert reports[1][key] == pytest.approx(reports[0][key], rel=1e-12)
+
+
 def test_verify_rejects_grid_mismatch(magnetic_run, tmp_path, capsys):
     cfg_path = write_config(
         tmp_path / "mismatch.ini", magnetic_config(tmp_path / "o", grid_points="24")
@@ -556,6 +594,23 @@ def test_non_convergence_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("non-convergence:")
 
 
+def test_eps_whose_descent_overflows_ends_in_one_line(tmp_path, capsys):
+    # at h = 1.2 the stencil scale 18.14 eps^2 / h^2 is finite for eps = 1e100,
+    # but the first steps overflow; the non-finite energy is the one report
+    text = (
+        f"[model]\nV = {HARMONIC}\nK = 1\np = 3\n\n"
+        "[solver]\ngrid_radius = 9.0\ngrid_points = 16\neps = 1e100\nseed = random\n\n"
+        f"[diagnostics]\nreport = false\n\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve-magnetic", write_config(tmp_path / "run.ini", text)]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "non-convergence: magnetic descent diverged to a non-finite energy"
+    ]
+    assert [str(w.message) for w in caught] == []
+
+
 # the solver keys a whole run reads: usable edge values, and bad spellings
 # that must end as config errors; grid_points stays at 16 or below, so no
 # draw can ask for a large field
@@ -564,7 +619,7 @@ RUN_EDGE = {
     "rng_seed": ["0", "1", "-0", "18446744073709551616"],
     "max_iters": ["1", "5"],
     "tol": ["1e-6", "1", "1e300", "1e-300", "5e-324"],
-    "eps": ["1.0", "0.5", "3", "1e-3", "1e3", "1e-100", "1e300", "1, 0.5"],
+    "eps": ["1.0", "0.5", "3", "1e-3", "1e3", "1e-100", "1, 0.5"],
     "center": ["0, 0, 0", "1, -1, 0.5"],
 }
 RUN_BAD = [
@@ -572,7 +627,7 @@ RUN_BAD = [
     *[("rng_seed", v) for v in ("-1", "2.5", "nan", "x")],
     *[("max_iters", v) for v in ("0", "-5", "2.5", "inf", "")],
     *[("tol", v) for v in ("0", "-1", "nan")],
-    *[("eps", v) for v in ("0", "-1", "inf", "1e-300")],
+    *[("eps", v) for v in ("0", "-1", "inf", "1e-300", "1e300")],
     *[("center", v) for v in ("nan, 0, 0", "0, 0", "inf, 0, 0", "100, 0, 0", "1e300, 0, 0")],
 ]
 
@@ -584,9 +639,8 @@ RUN_BAD = [
 @settings(max_examples=25, deadline=None)
 def test_whole_solve_magnetic_runs_end_in_a_documented_exit_code(solver, bad):
     # a random seed and no report: every run, converged or not, ends in a
-    # documented exit code, never in an exception out of main.  numpy's
-    # overflow warnings at eps = 1e300 and a pinned spike's ResolutionWarning
-    # are the run's to give, not failures here
+    # documented exit code, never in an exception out of main, and no numpy
+    # warning; a pinned spike's ResolutionWarning is the run's to give
     solver = {**solver, **dict(bad)}
     with tempfile.TemporaryDirectory() as tmp:
         text = (
@@ -597,7 +651,7 @@ def test_whole_solve_magnetic_runs_end_in_a_documented_exit_code(solver, bad):
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["solve-magnetic", write_config(Path(tmp) / "run.ini", text)])
     assert code in (0, 2, 3, 4, 5)
     if bad:

@@ -14,16 +14,16 @@ from spikemap.diagnostics import (
     current_density,
     decay_fit,
     diamagnetic_check,
-    directional_derivative_sigma,
     gamma_pm,
     limit_identity_residual,
     pucci_serrin_residual,
     run_diagnostics,
 )
-from spikemap.fields import BoundaryMassWarning, ComplexField3, make_grid
+from spikemap.fields import BoundaryMassWarning, Field3, make_grid
 from spikemap.frozen_solver import (
     FrozenPoint,
     canonical_profile,
+    ground_state,
     sample_profile_on_grid,
     shoot_radial,
     ground_energy,
@@ -96,7 +96,7 @@ def test_diamagnetic_equality_real_field_no_potential():
     grid = make_grid(8.0, 40)
     X = grid.meshgrid()
     w = np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 4.0)
-    slack = diamagnetic_check(ComplexField3(grid, w.astype(complex)), mk_model(), 1.0)
+    slack = diamagnetic_check(Field3(grid, w.astype(complex)), mk_model(), 1.0)
     assert slack == 0.0
 
 
@@ -105,7 +105,7 @@ def test_diamagnetic_twist_strictly_positive():
     X = grid.meshgrid()
     w = np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 4.0)
     a = (0.4, -0.25, 0.3)
-    u = ComplexField3(grid, w * np.exp(1j * (a[0] * X[0] + a[1] * X[1] + a[2] * X[2])))
+    u = Field3(grid, w * np.exp(1j * (a[0] * X[0] + a[1] * X[1] + a[2] * X[2])))
     slack = diamagnetic_check(u, mk_model(), 1.0)
     assert slack > 0.0
 
@@ -118,7 +118,7 @@ def test_diamagnetic_twist_matches_direct_algebra():
     w = np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 4.0)
     a = (0.4, -0.25, 0.3)
     phase = a[0] * X[0] + a[1] * X[1] + a[2] * X[2]
-    u = ComplexField3(grid, w * np.exp(1j * phase))
+    u = Field3(grid, w * np.exp(1j * phase))
     got = diamagnetic_check(u, mk_model(), 1.0)
 
     core = (slice(0, -1), slice(0, -1), slice(0, -1))
@@ -155,7 +155,7 @@ def test_diamagnetic_never_negative_for_any_field(seed, a1, a2, eps):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
     model = mk_model(A=(f"{a1}", f"{a2}", "0.1"))
-    slack = diamagnetic_check(ComplexField3(grid, vals), model, eps)
+    slack = diamagnetic_check(Field3(grid, vals), model, eps)
     assert slack >= -1e-12
 
 
@@ -163,7 +163,7 @@ def test_current_density_real_field_is_zero():
     grid = make_grid(6.0, 24)
     X = grid.meshgrid()
     w = np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 3.0)
-    J, norm, _ = current_density(ComplexField3(grid, w.astype(complex)))
+    J, norm, _ = current_density(Field3(grid, w.astype(complex)))
     assert norm == 0.0
     assert np.all(J == 0.0)
 
@@ -175,7 +175,7 @@ def test_current_density_constant_twist():
     X = grid.meshgrid()
     w = np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 4.0)
     a = np.array([0.2, -0.3, 0.15])
-    U = ComplexField3(grid, w * np.exp(1j * (a[0] * X[0] + a[1] * X[1] + a[2] * X[2])))
+    U = Field3(grid, w * np.exp(1j * (a[0] * X[0] + a[1] * X[1] + a[2] * X[2])))
     J, norm, _ = current_density(U)
     for k in range(3):
         assert np.abs(J[k] + a[k] * w**2).max() < 0.05 * abs(a[k])
@@ -207,7 +207,7 @@ def test_pucci_serrin_matches_equation_moment():
     )
     z0 = np.array([0.4, -0.3, 0.2])
     eps = 0.7
-    res, _ = pucci_serrin_residual(ComplexField3(grid, v), tuple(z0), eps, model)
+    res, _ = pucci_serrin_residual(Field3(grid, v), tuple(z0), eps, model)
 
     Q = z0 + eps * np.stack(grid.meshgrid(), axis=-1)
     Vq = model.V.value_and_gradient(Q)[0]
@@ -235,7 +235,7 @@ def test_pucci_serrin_matches_equation_moment():
 def test_pucci_serrin_constant_coefficients_vanish():
     grid = make_grid(5.0, 16)
     X = grid.meshgrid()
-    v = ComplexField3(grid, np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2)).astype(complex))
+    v = Field3(grid, np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2)).astype(complex))
     res, rel = pucci_serrin_residual(v, (0.0, 0.0, 0.0), 1.0, mk_model())
     assert np.all(res == 0.0)
     assert rel == 0.0
@@ -259,7 +259,7 @@ def test_pucci_serrin_noise_control(locked_solves):
     env = np.exp(-rr2 / 18.0) * (rr2 < 25.0)
     noisy = v.values + 0.05 * np.abs(v.values).max() * rng.standard_normal(v.values.shape) * env
     _, reln = pucci_serrin_residual(
-        ComplexField3(v.grid, noisy), tuple(sol.spike), 0.75, model
+        Field3(v.grid, noisy), tuple(sol.spike), 0.75, model
     )
     assert reln >= 10.0 * rel48
 
@@ -269,10 +269,10 @@ def test_pucci_serrin_boundary_gates():
     grid = make_grid(6.0, 24)
     X = grid.meshgrid()
     rr = X[0] ** 2 + X[1] ** 2 + X[2] ** 2
-    fat = ComplexField3(grid, np.exp(-rr / (2 * 3.2)).astype(complex))
+    fat = Field3(grid, np.exp(-rr / (2 * 3.2)).astype(complex))
     with pytest.raises(BoundaryMassError):
         pucci_serrin_residual(fat, (0.0, 0.0, 0.0), 1.0, model)
-    mid = ComplexField3(grid, np.exp(-rr / (2 * 2.0)).astype(complex))
+    mid = Field3(grid, np.exp(-rr / (2 * 2.0)).astype(complex))
     with pytest.warns(BoundaryMassWarning):
         pucci_serrin_residual(mid, (0.0, 0.0, 0.0), 1.0, model)
 
@@ -282,7 +282,7 @@ def test_limit_identity_matches_explicit_gradient(tilted_profile):
     # so a 128-point box already beats the 1e-4 contract by orders
     model, z0, prof = tilted_profile
     grid = make_grid(11.5, 128)
-    U = ComplexField3(grid, sample_profile_on_grid(prof, grid).astype(complex))
+    U = Field3(grid, sample_profile_on_grid(prof, grid).astype(complex))
     res, rel = limit_identity_residual(U, z0, model)
     grad = ground_energy(np.asarray(z0), model)[1]
     assert np.linalg.norm(res - grad) / np.linalg.norm(grad) < 1e-4
@@ -294,9 +294,9 @@ def test_limit_identity_twist_correction(tilted_profile):
     grid = make_grid(11.5, 96)
     X = grid.meshgrid()
     base = sample_profile_on_grid(prof, grid)
-    U1 = ComplexField3(grid, base.astype(complex))
+    U1 = Field3(grid, base.astype(complex))
     a = np.array([2e-6, -1e-6, 3e-6])
-    U2 = ComplexField3(grid, base * np.exp(1j * (a[0] * X[0] + a[1] * X[1] + a[2] * X[2])))
+    U2 = Field3(grid, base * np.exp(1j * (a[0] * X[0] + a[1] * X[1] + a[2] * X[2])))
     res1, _ = limit_identity_residual(U1, z0, model)
     res2, _ = limit_identity_residual(U2, z0, model)
     mass = float((base**2).sum()) * grid.cell_volume
@@ -323,7 +323,7 @@ def test_decay_fit_field_yukawa():
     X = grid.meshgrid()
     r = np.sqrt(X[0] ** 2 + X[1] ** 2 + X[2] ** 2)
     r = np.maximum(r, grid.spacing / 2)
-    u = ComplexField3(grid, (np.exp(-1.3 * r) / r).astype(complex))
+    u = Field3(grid, (np.exp(-1.3 * r) / r).astype(complex))
     fit = decay_fit(u, (2.0, 6.5))
     assert fit.corrected_rate == pytest.approx(1.3, rel=1e-2)
 
@@ -339,7 +339,7 @@ def test_decay_fit_frozen_profile_rate():
 def test_decay_fit_empty_window_raises():
     grid = make_grid(4.0, 16)
     X = grid.meshgrid()
-    u = ComplexField3(grid, np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2)).astype(complex))
+    u = Field3(grid, np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2)).astype(complex))
     with pytest.raises(DiagnosticsError):
         decay_fit(u, (100.0, 200.0))
 
@@ -354,10 +354,10 @@ def test_directional_derivative_matches_explicit_gradient():
     )
     z = np.array([0.3, -0.2, 0.1])
     w = np.array([1.0, -2.0, 2.0]) / 3.0
-    left, right = directional_derivative_sigma(z, w, model)
-    assert left == right
+    # the profile's envelope bracket against the closed-form gradient
+    b = float(ground_state(FrozenPoint.from_model(model, z), model.nonlin).grad_sigma @ w)
     want = float(ground_energy(z, model)[1] @ w)
-    assert left == pytest.approx(want, rel=1e-10)
+    assert b == pytest.approx(want, rel=1e-10)
 
 
 def test_directional_derivative_matches_finite_differences():
@@ -367,7 +367,7 @@ def test_directional_derivative_matches_finite_differences():
     )
     z = np.array([0.3, -0.2, 0.1])
     w = np.array([1.0, -2.0, 2.0]) / 3.0
-    b, _ = directional_derivative_sigma(z, w, model)
+    b = float(ground_state(FrozenPoint.from_model(model, z), model.nonlin).grad_sigma @ w)
     d = 1e-4
     sp = sigma_r(FrozenPoint.from_model(model, z + d * w), model.nonlin)[0]
     sm = sigma_r(FrozenPoint.from_model(model, z - d * w), model.nonlin)[0]
@@ -424,7 +424,7 @@ def test_gamma_bounds_at_critical_point():
     hi, lo = gamma_pm((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), model, [sol.u])
     assert abs(hi) < 1e-8
     assert abs(lo) < 1e-8
-    orbit = ComplexField3(sol.u.grid, sol.u.values * np.exp(1j * 0.9))
+    orbit = Field3(sol.u.grid, sol.u.values * np.exp(1j * 0.9))
     hi2, lo2 = gamma_pm((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), model, [sol.u, orbit])
     assert abs(hi2 - lo2) < 1e-12
 
@@ -458,8 +458,8 @@ def test_gamma_over_a_direction_stack_equals_single_directions():
     X = grid.meshgrid()
     w = np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 3.0)
     sols = [
-        ComplexField3(grid, w * np.exp(1j * (0.2 * X[0] - 0.1 * X[2]))),
-        ComplexField3(grid, 1.3 * w * np.exp(-1j * 0.4 * X[1])),
+        Field3(grid, w * np.exp(1j * (0.2 * X[0] - 0.1 * X[2]))),
+        Field3(grid, 1.3 * w * np.exp(-1j * 0.4 * X[1])),
     ]
     z = (0.3, -0.2, 0.1)
     his, los = gamma_pm(z, LATTICE_DIRECTIONS, model, sols)
@@ -490,7 +490,7 @@ def manufactured_family(model, z0=(0.0, 0.0, 0.0), n=32):
         amp = sample_profile_on_grid(prof, grid, scale=eps)
         X = grid.meshgrid()
         phase = (0.2 * X[0] + 0.1 * X[2]) / eps
-        u = ComplexField3(grid, amp * np.exp(1j * phase))
+        u = Field3(grid, amp * np.exp(1j * phase))
         J = energy_J(u, model, eps)
         fam.append(
             MagneticSolution(
@@ -582,7 +582,7 @@ def test_value_at_is_trilinear_map_coordinates():
 
     grid = make_grid(5.0, 16, origin=(0.3, -0.2, 0.1))
     rng = np.random.default_rng(2)
-    u = ComplexField3(grid, rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims))
+    u = Field3(grid, rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims))
     lo = np.array([grid.axis(k)[0] for k in range(3)])
     points = [*rng.uniform(-6.0, 6.0, (40, 3)), np.array(grid.origin), lo, -lo]
     for x in points:

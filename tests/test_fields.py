@@ -6,10 +6,9 @@ import pytest
 
 from spikemap import fields
 from spikemap.fields import (
-    ComplexField3,
+    Field3,
     Grid3,
     Hamiltonian,
-    RealField3,
     apply_link_kinetic,
     boundary_fraction,
     const_link_phases,
@@ -25,7 +24,7 @@ from spikemap.model import ModelSpec, Nonlinearity, parse_potential
 
 def gauss_field(grid, sigma=1.2):
     X1, X2, X3 = grid.meshgrid()
-    return RealField3(grid, np.exp(-(X1**2 + X2**2 + X3**2) / (2 * sigma**2)))
+    return Field3(grid, np.exp(-(X1**2 + X2**2 + X3**2) / (2 * sigma**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +36,19 @@ def test_grid_rejects_tiny_axes():
         Grid3(dims=(4, 16, 16), spacing=0.1)
     with pytest.raises(ValueError):
         Grid3(dims=(16, 16, 16), spacing=-0.1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_field_keeps_a_real_or_complex_dtype(dtype):
+    g = make_grid(radius=1.0, n=8)
+    assert Field3(g, np.ones(g.dims, dtype=dtype)).values.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex64])
+def test_field_rejects_any_other_dtype(dtype):
+    g = make_grid(radius=1.0, n=8)
+    with pytest.raises(ValueError, match="float64 or complex128"):
+        Field3(g, np.ones(g.dims, dtype=dtype))
 
 
 def test_make_grid_geometry():
@@ -64,7 +76,7 @@ def test_boundary_fraction_counts_the_outer_shell():
 def test_gradient_exact_on_affine():
     g = make_grid(radius=2.0, n=16)
     X1, X2, X3 = g.meshgrid()
-    f = RealField3(g, 3.0 * X1 - 2.0 * X2 + 0.5 * X3 + 7.0)
+    f = Field3(g, 3.0 * X1 - 2.0 * X2 + 0.5 * X3 + 7.0)
     grad = gradient(f)
     assert np.allclose(grad[0], 3.0, atol=1e-12)
     assert np.allclose(grad[1], -2.0, atol=1e-12)
@@ -389,7 +401,7 @@ def test_snapshot_roundtrip_complex(tmp_path):
     g = make_grid(radius=1.0, n=9)
     vals = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
     path = tmp_path / "c.spkf"
-    write_snapshot(path, ComplexField3(g, vals))
+    write_snapshot(path, Field3(g, vals))
     back = read_snapshot(path)
     assert np.array_equal(back.values, vals)
     assert back.values.dtype == np.complex128
@@ -406,7 +418,7 @@ def test_snapshot_bytes_deterministic(tmp_path):
 
 def test_snapshot_header_layout(tmp_path):
     g = make_grid(radius=1.0, n=8)
-    f = RealField3(g, np.zeros(g.dims))
+    f = Field3(g, np.zeros(g.dims))
     path = tmp_path / "h.spkf"
     write_snapshot(path, f)
     raw = path.read_bytes()

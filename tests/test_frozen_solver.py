@@ -162,7 +162,6 @@ def test_ground_state_shoots_a_custom_nonlinearity(monkeypatch):
 
 def test_power_callers_take_the_rescaling(monkeypatch, tmp_path, prof3):
     from spikemap.cli import main
-    from spikemap.diagnostics import directional_derivative_sigma
     from spikemap.landscape import find_Sstar
     from spikemap.magnetic_solver import MagneticSolveConfig, _seed_field
 
@@ -174,7 +173,6 @@ def test_power_callers_take_the_rescaling(monkeypatch, tmp_path, prof3):
     model = ModelSpec(V=parse_potential(V), K=parse_potential(K), A=(ZERO_EXPR,) * 3,
                       nonlin=Nonlinearity.power(1.0, 3.0))
     z = np.array([0.3, 0.0, 0.0])
-    directional_derivative_sigma(z, np.array([1.0, 0.0, 0.0]), model)
     find_Sstar(model, [z])
     _seed_field(model, MagneticSolveConfig(eps=1.0, grid=make_grid(6.0, 16)))
     cfg = tmp_path / "frozen.ini"

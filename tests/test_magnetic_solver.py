@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemap import fields, frozen_solver, magnetic_solver
-from spikemap.fields import ComplexField3, Hamiltonian, make_grid, write_snapshot
+from spikemap.fields import Field3, Hamiltonian, make_grid, write_snapshot
 from spikemap.frozen_solver import (
     ConvergenceError,
     FrozenPoint,
@@ -35,7 +35,6 @@ from spikemap.model import (
     Nonlinearity,
     ZERO_EXPR,
     gauge_transform,
-    parse_gauge,
     parse_potential,
 )
 
@@ -285,7 +284,7 @@ def test_constant_field_changes_nothing_observable(base48, const_field48):
 
 def test_gauge_change_moves_nothing_observable(base48):
     model, sol, _ = base48
-    chi = parse_gauge("0.3*x1*x2 - 0.2*x3^2 + 0.5*x1")
+    chi = parse_potential("0.3*x1*x2 - 0.2*x3^2 + 0.5*x1")
     u2, shifted = gauge_transform(sol.u, model, chi, 1.0)
     assert energy_J(u2, shifted, 1.0) == pytest.approx(sol.energy_J, rel=1e-12)
     m0 = float((np.abs(sol.u.values) ** 2).sum())
@@ -297,7 +296,7 @@ def test_gauge_change_moves_nothing_observable(base48):
 
 def test_energy_of_zero_field_is_zero():
     grid = make_grid(radius=5.0, n=12)
-    z = ComplexField3(grid, np.zeros(tuple(grid.dims), dtype=np.complex128))
+    z = Field3(grid, np.zeros(tuple(grid.dims), dtype=np.complex128))
     assert energy_J(z, mk_model(), 1.0) == 0.0
 
 
@@ -313,7 +312,7 @@ def test_energy_matches_gaussian_closed_form():
     grid = make_grid(radius=12.0, n=64)
     X = grid.meshgrid()
     r2 = X[0] ** 2 + X[1] ** 2 + X[2] ** 2
-    G = ComplexField3(grid, np.exp(-r2 / (2.0 * s * s)).astype(np.complex128))
+    G = Field3(grid, np.exp(-r2 / (2.0 * s * s)).astype(np.complex128))
     M = (math.pi * s * s) ** 1.5
     T = 1.5 / (s * s) * M
     P = 0.25 * (math.pi * s * s / 2.0) ** 1.5
@@ -371,6 +370,25 @@ def test_scaled_readings_are_unit_scale_quantities(bowl48):
     assert sol.scaled_energy == pytest.approx(
         energy_J(sol.u, model, sol.eps) / eps3, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("z", [(1.0, 0.5, 0.0), (-0.7, 2.3, -1.1)])
+def test_rescaled_model_at_eps_zero_reads_each_coefficient_at_z(z):
+    # x -> z + 0 x: every node of the frozen model holds the model's value
+    # at z to the bit, which is what solve_frozen_magnetic relies on
+    model = mk_model(
+        Vtxt="1 + 0.1*(x1^2 + x2^2 + x3^2) + 0.3*sin(x2)",
+        Ktxt="1 + 0.5*exp(-((x1-1)^2 + x2^2 + x3^2))",
+        A=("0.4*x2", "-0.3*x1*exp(-x3^2)", "0.2"),
+    )
+    grid = make_grid(radius=4.0, n=9)
+    frozen = rescaled_model(model, z, 0.0)
+    zz = np.asarray(z)
+    assert np.array_equal(frozen.V.on_grid(grid), np.full(grid.dims, model.V.value(zz)))
+    assert np.array_equal(frozen.K.on_grid(grid), np.full(grid.dims, model.K.value(zz)))
+    Az = model.A_at(zz)
+    for m in range(3):
+        assert np.array_equal(frozen.A[m].on_grid(grid), np.full(grid.dims, Az[m]))
 
 
 def test_frozen_solve_matches_the_real_flow():
@@ -476,7 +494,7 @@ def test_snapshot_seed_restarts_where_the_solve_ended(base48, tmp_path):
 def test_snapshot_seed_grid_must_match(tmp_path):
     small = make_grid(radius=8.0, n=16)
     path = tmp_path / "small.spkf"
-    write_snapshot(path, ComplexField3(small, np.zeros(tuple(small.dims), complex)))
+    write_snapshot(path, Field3(small, np.zeros(tuple(small.dims), complex)))
     cfg = MagneticSolveConfig(eps=1.0, grid=make_grid(radius=8.0, n=24), seed=str(path))
     with pytest.raises(SolverError):
         solve_magnetic(mk_model(), cfg)
@@ -507,7 +525,7 @@ def test_config_rejects_bad_knobs():
 
 def test_phase_split_rejects_a_zero_field():
     grid = make_grid(radius=5.0, n=12)
-    z = ComplexField3(grid, np.zeros(tuple(grid.dims), complex))
+    z = Field3(grid, np.zeros(tuple(grid.dims), complex))
     with pytest.raises(SolverError):
         phase_factor_split(z, (0.0, 0.0, 0.0), mk_model())
 
@@ -522,7 +540,7 @@ def test_phase_split_recovers_a_planted_rotation(omega):
     X = _SPLIT_GRID.meshgrid()
     G = np.exp(-(X[0] ** 2 + X[1] ** 2 + X[2] ** 2) / 2.0)
     planted = omega + 0.4 * X[0] - 0.1 * X[1] + 0.25 * X[2]
-    v = ComplexField3(_SPLIT_GRID, G * np.exp(1j * planted))
+    v = Field3(_SPLIT_GRID, G * np.exp(1j * planted))
     split = phase_factor_split(v, (0.0, 0.0, 0.0), _SPLIT_MODEL)
     assert split.omega == pytest.approx(omega, abs=1e-9)
     assert split.imag_fraction < 1e-10

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spikemap.fields import ComplexField3, Hamiltonian, make_grid
+from spikemap.fields import Field3, Hamiltonian, make_grid
 from spikemap.model import (
     EvalError,
     ModelError,
@@ -15,8 +15,9 @@ from spikemap.model import (
     ParseError,
     PotentialExpr,
     ZERO_EXPR,
+    diff,
+    expr_to_str,
     gauge_transform,
-    parse_gauge,
     parse_potential,
     validate_assumptions,
 )
@@ -233,7 +234,8 @@ def test_forward_gradient_matches_symbolic(i, x1, x2, x3):
     x = pt(x1, x2, x3)
     _, grad = V.value_and_gradient(x)
     for k in range(3):
-        assert grad[k] == pytest.approx(V.derivative(k).value(x), rel=1e-10, abs=1e-10)
+        d = diff(V.root, k)
+        assert grad[k] == pytest.approx(PotentialExpr(expr_to_str(d), d).value(x), rel=1e-10, abs=1e-10)
 
 
 def test_gradient_matches_finite_differences():
@@ -322,8 +324,8 @@ def test_gauge_transform_preserves_h_norm():
                        A=("-0.4*x2", "0.4*x1", "0.1"))
     eps = 0.5
     X1, X2, X3 = g.meshgrid()
-    u = ComplexField3(g, np.exp(-(X1**2 + X2**2 + X3**2)) * np.exp(1j * X1))
-    chi = parse_gauge("0.3*x1*x2 - 0.2*x3^2 + x1")
+    u = Field3(g, np.exp(-(X1**2 + X2**2 + X3**2)) * np.exp(1j * X1))
+    chi = parse_potential("0.3*x1*x2 - 0.2*x3^2 + x1")
     u2, model2 = gauge_transform(u, model, chi, eps)
     H1 = Hamiltonian.from_model(model, g, eps)
     H2 = Hamiltonian.from_model(model2, g, eps)
@@ -334,11 +336,14 @@ def test_gauge_transform_preserves_h_norm():
 
 
 def test_gauge_gradient_is_symbolic():
-    chi = parse_gauge("x1*x2^2 + 3*x3")
+    # without a field the shifted A is grad chi alone, taken by diff
+    g = make_grid(radius=1.0, n=8)
+    u = Field3(g, np.ones(g.dims, dtype=np.complex128))
+    _, shifted = gauge_transform(u, make_model(), parse_potential("x1*x2^2 + 3*x3"), 0.5)
     x = pt(0.5, 2.0, -1.0)
-    assert chi.grad[0].value(x) == pytest.approx(4.0)
-    assert chi.grad[1].value(x) == pytest.approx(2.0)
-    assert chi.grad[2].value(x) == pytest.approx(3.0)
+    assert shifted.A[0].value(x) == pytest.approx(4.0)
+    assert shifted.A[1].value(x) == pytest.approx(2.0)
+    assert shifted.A[2].value(x) == pytest.approx(3.0)
 
 
 def test_validate_passes_the_harmonic_model_and_returns_none():
