@@ -346,14 +346,13 @@ def read_snapshot(path):
             raise ValueError(f"{path}: unsupported snapshot version {version}")
         if flag not in (0, 1):
             raise ValueError(f"{path}: unknown field flag {flag} (0 real, 1 complex)")
-        raw = np.frombuffer(fh.read(), dtype="<f8")
+        payload = fh.read()
     npts = n1 * n2 * n3
     grid = Grid3((n1, n2, n3), spacing, (o1, o2, o3))
-    if flag == 1:
-        if raw.size != 2 * npts:
-            raise ValueError(f"{path}: payload size {raw.size} != 2*{npts}")
-        vals = (raw[0::2] + 1j * raw[1::2]).reshape(grid.dims, order="F")
-        return Field3(grid, vals)
-    if raw.size != npts:
-        raise ValueError(f"{path}: payload size {raw.size} != {npts}")
-    return Field3(grid, raw.reshape(grid.dims, order="F").copy())
+    words = 2 * npts if flag == 1 else npts
+    if len(payload) != 8 * words:
+        raise ValueError(f"{path}: payload size {len(payload) // 8} != {words}")
+    # a view of the interleaved (re, im) pairs keeps every bit, -0.0 included;
+    # the copy puts either dtype in C order
+    vals = np.frombuffer(payload, dtype="<c16" if flag == 1 else "<f8")
+    return Field3(grid, vals.reshape(grid.dims, order="F").copy())

@@ -16,10 +16,15 @@ profile for a custom f.  A profile's method records which route made it.
 
 Shooting keeps a bracket of amplitudes u(0) by the verdicts of its
 integrations (overshoot: u crosses zero; undershoot: u turns back up) and
-closes it by secant steps on the tail miss v + (sqrt V + 1/r) u, which is
-smooth in the amplitude: at n steps down to a relative width of 1e-9, then
-at the profile's step down to 1e-14.  The profile is the stored trajectory
-of the fine bracket's lower end, so no integration runs twice.
+closes it on the tail miss v + (sqrt V + 1/r) u, which is smooth in the
+amplitude: at n steps down to a relative width of 1e-9, then at the
+profile's step down to 1e-14.  Each step shoots one amplitude, the secant
+root of the misses moved past the root toward the bracket's far end and
+held within bisection's reach (_narrow, an ITP rule), so the search cannot
+stall.  The fine stage starts from the coarse pair's miss slope, which
+predicts the fine root from one fine shot (_fine_bracket).  The profile is
+the stored trajectory of the fine bracket's lower end, so no integration
+runs twice.
 
 A radial profile carries the point and the f it was solved for, and its
 integrals live on it: RadialProfile.moments computes them once, on first
@@ -254,24 +259,27 @@ def _integrate(u0, dr, nsteps, force):
 
     The first two nodes come from the Taylor series (an RK4 step across the
     coordinate singularity loses two orders there); RK4 takes over from
-    r = 2 dr, its four stages written out in the loop.  Returns (status, m,
-    us, vs): status +1 once u crosses zero (overshoot), -1 once v turns
-    nonnegative (undershoot), 0 if neither happened; nodes 0..m of the
-    stored trajectory us, vs are the monotone part.
+    r = 2 dr, its four stages written out.  Nodes below 256 take
+    ceil(256 / i) substeps; from node 256 on one step per node runs in a
+    loop of its own, with the same operations in the same order as a
+    substep loop with m = 1, so splitting the loop moved no bit.  Returns
+    (status, m, us, vs): status +1 once u crosses zero (overshoot), -1 once
+    v turns nonnegative (undershoot), 0 if neither happened; nodes 0..m of
+    the stored trajectory us, vs are the monotone part.
     """
     u, v = float(u0), 0.0
     uval, vval = _series_start(u, dr, force)
     us = np.empty(nsteps + 1)
     vs = np.empty(nsteps + 1)
     us[0], vs[0] = u, v
-    for i in range(nsteps):
+    for i in range(min(nsteps, 256)):
         if i < 2:
             u, v = uval((i + 1) * dr), vval((i + 1) * dr)
         else:
             # substep while the step is a noticeable fraction of the radius:
             # the 2v/r term reduces the RK4 order near the axis, and steep
             # profiles amplify whatever error the first full steps inject
-            m = 1 if i >= 256 else -(-256 // i)
+            m = -(-256 // i)
             h = dr / m
             half = 0.5 * h
             r = i * dr
@@ -294,6 +302,28 @@ def _integrate(u0, dr, nsteps, force):
             return 1, i, us, vs
         if v >= 0.0:
             return -1, i, us, vs
+    # one RK4 step per node from here on: the substepped loop's operations
+    # with m = 1, so h = dr and r0 = i dr
+    half = 0.5 * dr
+    for i in range(256, nsteps):
+        r0 = i * dr
+        rh = r0 + half
+        k1v = -2.0 * v / r0 + force(u)
+        k2u = v + half * k1v
+        k2v = -2.0 * k2u / rh + force(u + half * v)
+        k3u = v + half * k2v
+        k3v = -2.0 * k3u / rh + force(u + half * k2u)
+        k4u = v + dr * k3v
+        k4v = -2.0 * k4u / (r0 + dr) + force(u + dr * k3u)
+        u, v = (
+            u + dr * (v + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0,
+            v + dr * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0,
+        )
+        us[i + 1], vs[i + 1] = u, v
+        if u <= 0.0:
+            return 1, i, us, vs
+        if v >= 0.0:
+            return -1, i, us, vs
     return 0, nsteps, us, vs
 
 
@@ -308,8 +338,13 @@ class _Shot:
     v: np.ndarray
 
 
+def _miss(shot: _Shot, j: int, dr: float, s: float) -> float:
+    """The tail miss v + (s + 1/r) u of a shot at node j of its step dr."""
+    return shot.v[j] + (s + 1.0 / (j * dr)) * shot.u[j]
+
+
 def _secant_root(lo: _Shot, hi: _Shot, dr: float, s: float):
-    """Amplitude where the line through the two ends' tail misses is zero.
+    """Amplitude where the line through the two shots' tail misses is zero.
 
     The miss v + (s + 1/r) u vanishes on the decaying linear tail
     c exp(-s r) / r and measures the growing mode e^{+s r}, whose sign is
@@ -322,47 +357,58 @@ def _secant_root(lo: _Shot, hi: _Shot, dr: float, s: float):
     j -= j // 8
     if j < 2:
         return None
-    c = s + 1.0 / (j * dr)
-    m_lo = lo.v[j] + c * lo.u[j]
-    m_hi = hi.v[j] + c * hi.u[j]
+    m_lo = _miss(lo, j, dr, s)
+    m_hi = _miss(hi, j, dr, s)
     if m_lo == m_hi:
         return None
     return float(hi.a - m_hi * (hi.a - lo.a) / (m_hi - m_lo))
 
 
-def _narrow(lo: _Shot, hi: _Shot, shoot, dr: float, s: float, tol: float, prev: float):
+def _narrow(lo: _Shot, hi: _Shot, shoot, dr: float, s: float, tol: float):
     """Shrink the (undershoot, overshoot) bracket until hi - lo <= tol hi.
 
-    Each round puts a guess x at the secant root of the tail misses and
-    shoots one amplitude on each side of it, at x -/+ d with d the distance
-    x moved since the previous round's root prev, and at least 0.45 tol x,
-    so that a round whose two shots straddle the root ends the search.  The
-    verdict of each shot decides which end it replaces, so the bracket
-    always holds the critical amplitude.  A root outside the bracket, or two
-    rounds that together failed to halve it, make the next shot the
-    midpoint, so the width at least halves every three rounds.  Only the two
-    ends' trajectories are kept.  Returns the lower end and the last root.
+    One shot per step, placed by the ITP rule (interpolate, truncate,
+    project; Oliveira and Takahashi, ACM TOMS 47, 2021) with the secant root
+    x of the tail misses as the interpolant.  The secant root's error is set
+    by the bracket end farther from the root, so the shot goes past x toward
+    the midpoint, which is that end's side, by d = kappa width^2 / hi (at
+    least 0.45 tol hi): landing beyond the root, it replaces the far end.
+    kappa starts at 0.05, halves after a shot that crossed and grows
+    eightfold after one that fell short, so d follows the secant's accuracy,
+    quadratic in the width for steep powers, nearly linear toward p = 1.
+    The shot is then projected into the ball around the midpoint whose
+    radius keeps the width within that of bisection with one step to spare:
+    after k shots it is at most tol lo0 2^(n - k), n the bisection count
+    plus one, so the search cannot stall.  The verdict of each shot decides
+    which end it replaces, so the bracket always holds the critical
+    amplitude.  Only the two ends' trajectories are kept.
     """
-    width1 = width2 = math.inf  # the widths one and two rounds back
-    for _ in range(100):
+    eps = 0.5 * tol * lo.a
+    n_max = max(0, math.ceil(math.log2((hi.a - lo.a) / (2.0 * eps)))) + 1
+    kappa = 0.05
+    # two steps beyond the bound absorb rounding in the last midpoints
+    for k in range(n_max + 2):
         width = hi.a - lo.a
         if width <= tol * hi.a:
-            return lo, prev
-        x = None if width > 0.5 * width2 else _secant_root(lo, hi, dr, s)
-        width1, width2 = width, width1
+            return lo, hi
+        mid = 0.5 * (lo.a + hi.a)
+        x = _secant_root(lo, hi, dr, s)
+        side = 0.0
         if x is not None and lo.a < x < hi.a:
-            d = max(abs(x - prev), 0.45 * tol * x)
-            prev = x
-            guesses = (x - d, x + d)
+            side = 1.0 if mid > x else -1.0
+            d = max(kappa * width * width / hi.a, 0.45 * tol * hi.a)
+            x = x + side * d if d <= abs(mid - x) else mid
         else:
-            guesses = (0.5 * (lo.a + hi.a),)
-        for g in guesses:
-            if lo.a < g < hi.a:
-                shot = shoot(g)
-                if shot.status == 1:
-                    hi = shot
-                else:
-                    lo = shot
+            x = mid
+        r = max(0.0, eps * 2.0 ** (n_max - k) - 0.5 * width)
+        x = min(max(x, mid - r), mid + r)
+        shot = shoot(x)
+        if side:
+            kappa = kappa / 2.0 if (shot.status == 1) == (side > 0) else kappa * 8.0
+        if shot.status == 1:
+            hi = shot
+        else:
+            lo = shot
     raise SolverError(f"shooting bracket failed to shrink below {tol:g} relative width")
 
 
@@ -372,14 +418,14 @@ def shoot_radial(point: FrozenPoint, nonlin, n: int = 4000, refine: int = 8) -> 
     The amplitude ladder spans [0.1, 100] times the balance scale and is
     shot upward until its first (undershoot, overshoot) pair.  _narrow
     closes that bracket by secant steps on the smooth tail miss, the
-    verdicts keeping it: at n steps down to a relative width of 1e-9, inside
-    the fine stage's starting window of 1e-8, then at refine * n steps,
-    integrated out to 1.35 refine * n, down to 1e-14, near where rounding
-    makes the verdicts themselves noisy.  The kept profile is the fine
-    bracket's lower end, its stored trajectory cut at refine * n nodes: bit
-    for bit the integration a new run to refine * n steps would make.  The
-    fine step is what pushes the profile's finite-difference residual below
-    the contract threshold.
+    verdicts keeping it: at n steps down to a relative width of 1e-9, then,
+    from the bracket _fine_bracket finds, at refine * n steps, integrated
+    out to 1.35 refine * n, down to 1e-14, near where rounding makes the
+    verdicts themselves noisy.  The kept profile is the fine bracket's lower
+    end, its stored trajectory cut at refine * n nodes: bit for bit the
+    integration a new run to refine * n steps would make.  The fine step is
+    what pushes the profile's finite-difference residual below the contract
+    threshold.
     """
     dr = _R0 / math.sqrt(point.Vz) / n
     s = math.sqrt(point.Vz)
@@ -399,7 +445,7 @@ def shoot_radial(point: FrozenPoint, nonlin, n: int = 4000, refine: int = 8) -> 
             "no undershoot/overshoot pair on the amplitude ladder; "
             "the frozen problem has no bracketable ground state at this point"
         )
-    lo, prev = _narrow(lo, hi, coarse, dr, s, 1e-9, 0.5 * (lo.a + hi.a))
+    lo, hi = _narrow(lo, hi, coarse, dr, s, 1e-9)
 
     # Second stage at the profile resolution.  The coarse critical amplitude
     # is off the fine integrator's one by its truncation error, and that
@@ -413,27 +459,51 @@ def shoot_radial(point: FrozenPoint, nonlin, n: int = 4000, refine: int = 8) -> 
     def fine(a):
         return _Shot(a, *_integrate(a, dr_f, n_ext, force))
 
-    lo, prev = _narrow(*_fine_bracket(lo.a, fine), fine, dr_f, s, 1e-14, prev)
+    lo, _ = _narrow(*_fine_bracket(lo, hi, fine, dr, refine, s, 1e-14), fine, dr_f, s, 1e-14)
     m = min(lo.m, n_f)
     return _spliced_profile(point, nonlin, lo.u[: m + 1], lo.v[: m + 1], dr_f)
 
 
-def _fine_bracket(a0: float, fine):
-    """(undershoot, overshoot) shots of fine around a0: a window of 1e-8 a0
-    on the side a0's verdict points to, widened fourfold up to 14 times."""
-    w = 1e-8 * a0
+def _fine_bracket(lo: _Shot, hi: _Shot, fine, dr: float, refine: int, s: float, tol: float):
+    """(undershoot, overshoot) shots of fine next to the coarse lower end a0.
+
+    The fine miss of a0 over the slope of the coarse pair's misses, all read
+    at one radius 7/8 of the way along the shortest run, predicts the fine
+    critical amplitude, and the second shot goes just past it, by 0.45 tol
+    a0.  When the prediction is missing or on the wrong side, that window
+    is 1e-8 a0.  While the verdicts agree, each next window is the secant
+    extrapolation of the last two fine shots' misses, 1.5 times as far, and
+    at least four times the last window, up to 14 times.
+    """
+    dr_f = dr / refine
+    a0 = lo.a
     shot = fine(a0)
     down = shot.status == 1
-    lo, hi = (None, shot) if down else (shot, None)
+    f_lo, f_hi = (None, shot) if down else (shot, None)
+    w = 1e-8 * a0
+    j = min(lo.m, hi.m, shot.m // refine)
+    j -= j // 8
+    if j >= 2:
+        slope = (_miss(hi, j, dr, s) - _miss(lo, j, dr, s)) / (hi.a - lo.a)
+        if slope != 0.0:
+            x = a0 - _miss(shot, j * refine, dr_f, s) / slope
+            if (x < a0) == down:
+                w = abs(x - a0) + 0.45 * tol * a0
+    prev = shot
     for _ in range(14):
         shot = fine(a0 - w if down else a0 + w)
         if shot.status == 1:
-            hi = shot
+            f_hi = shot
         else:
-            lo = shot
-        if lo is not None and hi is not None:
-            return lo, hi
-        w *= 4.0
+            f_lo = shot
+        if f_lo is not None and f_hi is not None:
+            return f_lo, f_hi
+        x = _secant_root(prev, shot, dr_f, s)
+        prev = shot
+        if x is not None and (x < a0) == down:
+            w = max(4.0 * w, 1.5 * abs(x - a0))
+        else:
+            w *= 4.0
     raise SolverError("fine-stage shooting lost the overshoot/undershoot bracket")
 
 

@@ -407,6 +407,25 @@ def test_snapshot_roundtrip_complex(tmp_path):
     assert back.values.dtype == np.complex128
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_snapshot_reads_back_c_ordered_bytes_as_written(tmp_path, dtype):
+    # both flags come back C-contiguous with the written bits, -0.0 included
+    rng = np.random.default_rng(5)
+    g = make_grid(radius=1.0, n=8)
+    vals = rng.standard_normal(g.dims).astype(dtype)
+    if dtype == np.complex128:
+        vals = vals + 1j * rng.standard_normal(g.dims)
+        vals[1, 2, 3] = complex(-0.0, 1.0)
+        vals[2, 3, 4] = complex(1.0, -0.0)
+    else:
+        vals[1, 2, 3] = -0.0
+    path = tmp_path / "z.spkf"
+    write_snapshot(path, Field3(g, vals))
+    back = read_snapshot(path).values
+    assert back.dtype == dtype and back.flags.c_contiguous and back.flags.writeable
+    assert back.tobytes() == vals.tobytes()
+
+
 def test_snapshot_bytes_deterministic(tmp_path):
     g = make_grid(radius=2.0, n=12)
     f = gauss_field(g)
