@@ -56,12 +56,7 @@ from .landscape import (
     p_to_5_study,
     sweep_sigma,
 )
-from .magnetic_solver import (
-    MagneticSolveConfig,
-    energy_J,
-    pde_residual,
-    solve_magnetic,
-)
+from .magnetic_solver import energy_J, pde_residual, solve_magnetic
 from .model import (
     EvalError,
     ModelError,
@@ -476,6 +471,22 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
     return 0
 
 
+def _read_field(path, grid, what: str):
+    """The snapshot at path, read once and held to grid by Grid3.matches;
+    an unreadable file or another grid is one ConfigError naming what."""
+    try:
+        u = read_snapshot(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    if not grid.matches(u.grid):
+        raise ConfigError(
+            f"{what} grid {u.grid.dims} spacing {u.grid.spacing:.6g} origin {list(u.grid.origin)} "
+            f"does not match the configured grid {grid.dims} spacing {grid.spacing:.6g} "
+            f"origin {list(grid.origin)}"
+        )
+    return u
+
+
 def _family_grid(cfg: RunConfig):
     """The grid of an eps family, checked against the seed centre and the
     decay window."""
@@ -493,23 +504,21 @@ def _family_grid(cfg: RunConfig):
     return grid
 
 
-def _solve_family(cfg: RunConfig, grid, man: _Manifest):
+def _family_seed(cfg: RunConfig, grid):
+    """solver.seed as solve_magnetic takes it: frozen or random as written,
+    any other value the snapshot it names, read before any output exists."""
+    if cfg.seed in ("frozen", "random"):
+        return cfg.seed
+    return _read_field(cfg.seed, grid, f"solver.seed {cfg.seed!r}")
+
+
+def _solve_family(cfg: RunConfig, grid, seed, man: _Manifest):
     family = []
     man.descent = {}
     for eps in cfg.eps_list:
         t0 = time.perf_counter()
-        sol = solve_magnetic(
-            cfg.model,
-            MagneticSolveConfig(
-                eps=eps,
-                grid=grid,
-                max_iters=cfg.max_iters,
-                tol=cfg.tol,
-                seed=cfg.seed,
-                rng_seed=cfg.rng_seed,
-                center=cfg.center,
-            ),
-        )
+        sol = solve_magnetic(cfg.model, grid, eps, tol=cfg.tol, max_iters=cfg.max_iters, seed=seed,
+                             rng_seed=cfg.rng_seed, center=cfg.center)
         man.timings[f"solve_eps{_fmt(eps)}"] = time.perf_counter() - t0
         man.descent[_fmt(eps)] = {"iterations": sol.iterations, "residual_rms": sol.residual_rms}
         family.append(sol)
@@ -539,11 +548,9 @@ def _study_target(cfg: RunConfig, family) -> tuple:
 def cmd_solve_magnetic(cfg: RunConfig) -> int:
     """One magnetic solve per eps, each with snapshot, trace, and report."""
     grid = _family_grid(cfg)
+    seed = _family_seed(cfg, grid)
     with _Manifest(cfg, "solve-magnetic") as man:
-        family = _solve_family(cfg, grid, man)
-        if len(family) >= 2 and all(a.eps > b.eps for a, b in zip(family, family[1:])):
-            study = concentration_metrics(family, _study_target(cfg, family), cfg.model)
-            _write_study(man.out("concentration_study.csv"), study)
+        _solve_family(cfg, grid, seed, man)
     return 0
 
 
@@ -554,8 +561,9 @@ def cmd_concentration_study(cfg: RunConfig) -> int:
     if not all(a > b for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
         raise ConfigError("solver.eps must be strictly decreasing for a concentration study")
     grid = _family_grid(cfg)
+    seed = _family_seed(cfg, grid)
     with _Manifest(cfg, "concentration-study") as man:
-        family = _solve_family(cfg, grid, man)
+        family = _solve_family(cfg, grid, seed, man)
         study = concentration_metrics(family, _study_target(cfg, family), cfg.model)
         _write_study(man.out("concentration_study.csv"), study)
         _write_json(
@@ -632,23 +640,10 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
     Any violation exits 5 with the failing checks named, in stderr and in
     the manifest's failure entry.
     """
-    try:
-        u = read_snapshot(snapshot_path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read snapshot: {exc}") from None
     if cfg.eps_list is None or len(cfg.eps_list) != 1:
         raise ConfigError("verify needs exactly one eps in [solver]")
     eps = cfg.eps_list[0]
-    grid = cfg.grid()
-    if (
-        grid.dims != u.grid.dims
-        or not np.isclose(grid.spacing, u.grid.spacing)
-        or not np.allclose(grid.origin, u.grid.origin)
-    ):
-        raise ConfigError(
-            f"snapshot grid {u.grid.dims} spacing {u.grid.spacing:.6g} does not match "
-            f"the configured grid {grid.dims} spacing {grid.spacing:.6g}"
-        )
+    u = _read_field(snapshot_path, cfg.grid(), "snapshot")
     with _Manifest(cfg, "verify") as man:
         man.inputs.append(str(snapshot_path))
         H = Hamiltonian.from_model(cfg.model, u.grid, eps)

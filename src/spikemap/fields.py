@@ -63,6 +63,12 @@ class Grid3:
     def half_extent(self, k: int = 0) -> float:
         return (self.dims[k] - 1) / 2.0 * self.spacing
 
+    def matches(self, other: "Grid3") -> bool:
+        """Equal dims, spacing and origin equal to rounding (np.isclose,
+        np.allclose): a field on other can be read as a field on this grid."""
+        return (tuple(self.dims) == tuple(other.dims) and bool(np.isclose(self.spacing, other.spacing))
+                and bool(np.allclose(self.origin, other.origin)))
+
 
 def make_grid(radius: float, n: int, origin=(0.0, 0.0, 0.0)) -> Grid3:
     """Cube grid with n nodes per axis spanning [-radius, radius] around origin."""

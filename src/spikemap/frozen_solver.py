@@ -146,14 +146,14 @@ class RadialProfile:
         intfu2 = int f(u^2) u^2, all over R^3 (weight 4 pi r^2).  On the
         manifold T + V mass2 = K intfu2 (Nehari).
         """
-        r = self.r
+        r, dr = self.r, self.dr
         w = 4.0 * np.pi * r * r
         u2 = self.u**2
         return {
-            "T": _simpson(self.du**2 * w, r),
-            "mass2": _simpson(u2 * w, r),
-            "intF": _simpson(np.asarray(self.nonlin.F(u2), dtype=np.float64) * w, r),
-            "intfu2": _simpson(np.asarray(self.nonlin.f(u2), dtype=np.float64) * u2 * w, r),
+            "T": _simpson(self.du**2 * w, dr),
+            "mass2": _simpson(u2 * w, dr),
+            "intF": _simpson(np.asarray(self.nonlin.F(u2), dtype=np.float64) * w, dr),
+            "intfu2": _simpson(np.asarray(self.nonlin.f(u2), dtype=np.float64) * u2 * w, dr),
         }
 
     @property
@@ -538,34 +538,24 @@ def _spliced_profile(point: FrozenPoint, nonlin, us, vs, dr) -> RadialProfile:
     )
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson's rule for the samples y at the increasing nodes x.
+def _simpson(y: np.ndarray, dr: float) -> float:
+    """Composite Simpson's rule for the samples y on the nodes j dr.
 
-    Pairs of intervals take the three-point rule for uneven spacing; with an
-    even node count the last interval takes Cartwright's correction
-    (J. Math. Sci. Math. Educ. 12, 2017).  Every operation is that of
-    scipy.integrate.simpson(y, x=x) (scipy 1.17) in the same order, so the
+    Pairs of intervals take the three-point rule; with an even node count
+    the last interval takes Cartwright's correction (J. Math. Sci. Math.
+    Educ. 12, 2017) with both spacings dr.  Every operation is that of
+    scipy.integrate.simpson(y, dx=dr) (scipy 1.17) in the same order, so the
     value agrees with it bit for bit.  At least three nodes.
     """
     n = y.size
     stop = n - 2 if n % 2 else n - 3
-    h = np.diff(x)
-    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
-    hsum, hprod = h0 + h1, h0 * h1
-    q = h0 / h1
-    total = np.sum(
-        hsum / 6.0 * (
-            y[0:stop:2] * (2.0 - 1.0 / q)
-            + y[1 : stop + 1 : 2] * (hsum * (hsum / hprod))
-            + y[2 : stop + 2 : 2] * (2.0 - q)
-        )
-    )
+    total = np.sum(y[0:stop:2] + 4.0 * y[1 : stop + 1 : 2] + y[2 : stop + 2 : 2]) * (dr / 3.0)
     if n % 2 == 0:
-        a, b = h[-2:-1], h[-1:]
-        alpha = (2 * (b * b) + 3 * a * b) / (6 * (b + a))
-        beta = (b * b + 3.0 * a * b) / (6 * a)
+        a = b = np.float64(dr)
+        alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
+        beta = (b**2 + 3.0 * a * b) / (6 * a)
         eta = b**3 / (6 * a * (a + b))
-        total = total + (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
+        total = total + (alpha * y[-1] + beta * y[-2] - eta * y[-3])
     return float(total)
 
 

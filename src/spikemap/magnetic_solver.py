@@ -8,7 +8,10 @@ functions; fields.link_table walls ModelSpec.link_phases and forms the
 longer hops.  The expanded form of the operator (the one with an explicit
 div A term) is never assembled: the phases encode that term exactly.  The
 solve runs frozen_solver's descent, the one the real 3D flow runs, from this
-module's seeds; energy_J and pde_residual read the same Hamiltonian.  The
+module's seeds; energy_J and pde_residual read the same Hamiltonian.
+solve_magnetic takes values: the model, the grid, eps and keywords with
+defaults, and its seed is "frozen", "random" or a Field3 on the solve grid.
+This module opens no file; the CLI reads a snapshot seed.  The
 descent's step is per node, 1.8 / (18.14 eps^2 / h^2 + (1 + p) V(x)): a
 bound on row x of the operator, so the spike, where V is small, is not held
 to the step that sup V at the box corners allows (see _descend).  The
@@ -35,7 +38,6 @@ from .fields import (
     Hamiltonian,
     boundary_fraction,
     make_grid,
-    read_snapshot,
 )
 from .frozen_solver import (
     FrozenPoint,
@@ -51,33 +53,6 @@ from .model import ModelSpec, PotentialExpr, expr_to_str, subs_affine, validate_
 
 class BoundaryMassError(SolverError):
     """The box is too small: the outermost node shell carries real mass."""
-
-
-@dataclass
-class MagneticSolveConfig:
-    """Knobs for a single magnetic solve.
-
-    tol is relative: the iteration stops when the residual rms falls below
-    tol * max(1, sup V) * rms(u).  The descent's step, 1.8 over the
-    per-node row bound 18.14 eps^2 / h^2 + (1 + p) V(x), and its momentum
-    0.95 are constants of frozen_solver._descend, not knobs.  seed is "frozen"
-    (modulated frozen ground state), "random" (deterministic in rng_seed),
-    or a path to a field snapshot.
-    """
-
-    eps: float
-    grid: Grid3
-    max_iters: int = 20000
-    tol: float = 1e-5
-    seed: str = "frozen"
-    rng_seed: int = 0
-    center: tuple | None = None
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise SolverError("eps must be positive")
-        if self.tol <= 0:
-            raise SolverError("residual tolerance must be positive")
 
 
 @dataclass
@@ -174,65 +149,79 @@ def _default_center(model: ModelSpec, grid: Grid3) -> np.ndarray:
     return cand[int(np.argmin(d2))]
 
 
-def _seed_field(model: ModelSpec, cfg: MagneticSolveConfig) -> np.ndarray:
-    grid = cfg.grid
-    if cfg.seed == "frozen":
-        c = np.asarray(cfg.center, dtype=np.float64) if cfg.center is not None \
+def _seed_field(model: ModelSpec, grid: Grid3, eps: float, seed, rng_seed: int, center) -> np.ndarray:
+    if isinstance(seed, Field3):
+        if not grid.matches(seed.grid):
+            raise SolverError("seed field's grid does not match the solve grid")
+        return np.asarray(seed.values, dtype=np.complex128)
+    if seed == "frozen":
+        c = np.asarray(center, dtype=np.float64) if center is not None \
             else _default_center(model, grid)
         point = FrozenPoint.from_model(model, c)
         prof = ground_state(point, model.nonlin)
-        amp = sample_profile_on_grid(prof, grid, center=c, scale=cfg.eps)
+        amp = sample_profile_on_grid(prof, grid, center=c, scale=eps)
         X = grid.meshgrid()
         Az = model.A_at(c)
-        phase = sum(Az[m] * (X[m] - c[m]) for m in range(3)) / cfg.eps
+        phase = sum(Az[m] * (X[m] - c[m]) for m in range(3)) / eps
         return amp * np.exp(1j * phase)
-    if cfg.seed == "random":
-        rng = np.random.default_rng(cfg.rng_seed)
+    if seed == "random":
+        rng = np.random.default_rng(rng_seed)
         raw = rng.standard_normal(tuple(grid.dims)) + 1j * rng.standard_normal(tuple(grid.dims))
         # a few diffusion sweeps leave a smooth, box-scale random field
         for _ in range(8):
             for ax in range(3):
                 raw = raw + 0.5 * (np.roll(raw, 1, axis=ax) + np.roll(raw, -1, axis=ax) - 2 * raw)
-        c = np.asarray(cfg.center, dtype=np.float64) if cfg.center is not None \
+        c = np.asarray(center, dtype=np.float64) if center is not None \
             else np.asarray(grid.origin, dtype=np.float64)
         X = grid.meshgrid()
         r2 = sum((X[m] - c[m]) ** 2 for m in range(3))
         # wide enough to be seen by the descent, narrow enough that the
         # envelope tail clears the boundary-mass gate
         half = min(grid.half_extent(k) for k in range(3))
-        w = min(max(4.0 * cfg.eps, 6.0 * grid.spacing), 0.2 * half)
+        w = min(max(4.0 * eps, 6.0 * grid.spacing), 0.2 * half)
         return raw * np.exp(-r2 / (2.0 * w * w))
-    snap = read_snapshot(cfg.seed)
-    if snap.grid.dims != grid.dims or not np.allclose(snap.grid.spacing, grid.spacing):
-        raise SolverError("seed snapshot grid does not match the solve grid")
-    return np.asarray(snap.values, dtype=np.complex128)
+    raise SolverError(f"unknown seed {seed!r}: give 'frozen', 'random' or a Field3")
 
 
-def solve_magnetic(model: ModelSpec, cfg: MagneticSolveConfig) -> MagneticSolution:
-    """Least-energy descent for the magnetic problem.
+def solve_magnetic(model: ModelSpec, grid: Grid3, eps: float, *, tol: float = 1e-5,
+                   max_iters: int = 20000, seed="frozen", rng_seed: int = 0,
+                   center=None) -> MagneticSolution:
+    """Least-energy descent for the magnetic problem on grid at semiclassical
+    parameter eps.
 
     Each iteration takes a heavy-ball gradient step of the discrete action and
     rescales the iterate back onto the set where the action's derivative
     against the iterate itself vanishes, so the constraint holds along the
-    whole descent path.  Deterministic for a fixed seed policy.
+    whole descent path.  tol is relative: the descent stops when the residual
+    rms falls below tol * max(1, sup V) * rms(u), or fails after max_iters
+    iterations; its step and momentum are constants of _descend.  seed is
+    "frozen" (the frozen ground state at center, or at the lattice minimizer
+    of the explicit ground energy, modulated by the magnetic phase there),
+    "random" (a smoothed Gaussian-windowed random field around center or the
+    box center, deterministic in rng_seed), or a Field3 on grid to restart
+    from.  Deterministic for fixed arguments.
 
-    Raises ModelError when the model fails validate_assumptions,
-    BoundaryMassError when the seed puts more than 1e-5 of its
-    squared-modulus mass on the outermost node shell (the box is then too
-    small for the problem), and ConvergenceError (carrying the trace) when
-    max_iters runs out.
+    Raises SolverError for eps <= 0, tol <= 0, an unknown seed string or a
+    seed field on another grid (Grid3.matches), ModelError when the model
+    fails validate_assumptions, BoundaryMassError when the seed puts more
+    than 1e-5 of its squared-modulus mass on the outermost node shell (the
+    box is then too small for the problem), and ConvergenceError (carrying
+    the trace) when max_iters runs out.
     """
+    if eps <= 0:
+        raise SolverError("eps must be positive")
+    if tol <= 0:
+        raise SolverError("residual tolerance must be positive")
     validate_assumptions(model)
-    grid, eps = cfg.grid, cfg.eps
     H = Hamiltonian.from_model(model, grid, eps)
-    seed = _seed_field(model, cfg)
-    bm = boundary_fraction(np.abs(seed) ** 2)
+    u0 = _seed_field(model, grid, eps, seed, rng_seed, center)
+    bm = boundary_fraction(np.abs(u0) ** 2)
     if bm > 1e-5:
         raise BoundaryMassError(
             f"seed field keeps {bm:.2e} of its mass on the box boundary; enlarge the box"
         )
     trace: list = []
-    u = _descend(H, seed, cfg.tol, cfg.max_iters, trace, "magnetic descent")
+    u = _descend(H, u0, tol, max_iters, trace, "magnetic descent")
     last = trace[-1]
     sol_u = Field3(grid, u)
     return MagneticSolution(
@@ -248,19 +237,15 @@ def solve_magnetic(model: ModelSpec, cfg: MagneticSolveConfig) -> MagneticSoluti
     )
 
 
-def solve_frozen_magnetic(z, model: ModelSpec, grid: Grid3, **cfg_kwargs) -> MagneticSolution:
+def solve_frozen_magnetic(z, model: ModelSpec, grid: Grid3, **kwargs) -> MagneticSolution:
     """Solve the constant-coefficient magnetic problem frozen at z.
 
     The frozen model is rescaled_model(model, z, 0.0): every coefficient,
     the now-constant vector potential included, is read at z + 0 x = z, and
     the problem is posed at unit semiclassical parameter on the given box,
-    seeded at the box center.
+    seeded at the box center; kwargs are solve_magnetic's keywords.
     """
-    frozen = rescaled_model(model, z, 0.0)
-    kwargs = {"eps": 1.0, "grid": grid, "center": tuple(grid.origin), "seed": "frozen"}
-    kwargs.update(cfg_kwargs)
-    cfg = MagneticSolveConfig(**kwargs)
-    return solve_magnetic(frozen, cfg)
+    return solve_magnetic(rescaled_model(model, z, 0.0), grid, 1.0, center=tuple(grid.origin), **kwargs)
 
 
 _PAD = 12  # edge copies on each side ahead of the spline prefilter

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from spikemap.cli import ConfigError, RunConfig, main
-from spikemap.fields import Field3, read_snapshot, write_snapshot
+from spikemap.fields import Field3, make_grid, read_snapshot, write_snapshot
 from spikemap.frozen_solver import FrozenPoint, ResolutionWarning, canonical_profile, shoot_radial
 from spikemap.magnetic_solver import energy_J
 from spikemap.model import ModelError
@@ -534,6 +534,34 @@ def test_verify_needs_exactly_one_eps(magnetic_run, tmp_path):
     assert main(["verify", cfg_path, str(magnetic_run["snap"])]) == 2
 
 
+def test_snapshot_seed_restarts_the_solve_where_it_ended(magnetic_run, tmp_path):
+    out = tmp_path / "restart"
+    text = magnetic_config(out, solver_extra=f"seed = {magnetic_run['snap']}\n",
+                           sections="[diagnostics]\nreport = false\n\n")
+    assert main(["solve-magnetic", write_config(tmp_path / "restart.ini", text)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["descent"]["1.0"]["iterations"] == 0
+    assert man["seeds"]["seed"] == str(magnetic_run["snap"])
+
+
+@pytest.mark.parametrize("fault", ["missing", "empty", "shifted_origin", "other_dims"])
+@pytest.mark.parametrize("command", ["solve-magnetic", "concentration-study"])
+def test_bad_seed_snapshot_exits_2_before_any_output(tmp_path, capsys, command, fault):
+    # the seed snapshot is read and held to the configured 16-node grid by
+    # the rule verify uses, before the output directory exists
+    grids = {"shifted_origin": make_grid(9.0, 16, origin=(0.5, 0.0, 0.0)), "other_dims": make_grid(9.0, 12)}
+    seed = "" if fault == "empty" else str(tmp_path / "seed.spkf")
+    if fault in grids:
+        g = grids[fault]
+        write_snapshot(seed, Field3(g, np.zeros(tuple(g.dims), complex)))
+    out = tmp_path / "out"
+    text = magnetic_config(out, eps="1.0, 0.5", grid_points="16", solver_extra=f"seed = {seed}\n")
+    assert main([command, write_config(tmp_path / "run.ini", text)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "solver.seed" in err[0]
+    assert not out.exists()
+
+
 def test_solve_magnetic_decay_window_beyond_the_box_exits_2(tmp_path, capsys):
     # on 24 nodes at R = 7 the eps = 1 blow-up box reaches sqrt(3) * 7 = 12.1,
     # so a [40, 60] window is refused before the solve writes anything
@@ -615,6 +643,7 @@ def test_eps_whose_descent_overflows_ends_in_one_line(tmp_path, capsys):
 # draw can ask for a large field
 RUN_EDGE = {
     "grid_points": ["8", "12", "16"],
+    "seed": ["random", "frozen"],
     "rng_seed": ["0", "1", "-0", "18446744073709551616"],
     "max_iters": ["1", "5"],
     "tol": ["1e-6", "1", "1e300", "1e-300", "5e-324"],
@@ -623,6 +652,7 @@ RUN_EDGE = {
 }
 RUN_BAD = [
     ("grid_points", "7"),
+    *[("seed", v) for v in ("", "Random", "missing.spkf")],
     *[("rng_seed", v) for v in ("-1", "2.5", "nan", "x")],
     *[("max_iters", v) for v in ("0", "-5", "2.5", "inf", "")],
     *[("tol", v) for v in ("0", "-1", "nan")],
@@ -633,18 +663,18 @@ RUN_BAD = [
 
 @given(st.fixed_dictionaries({k: st.sampled_from(v) for k, v in RUN_EDGE.items()}),
        st.lists(st.sampled_from(RUN_BAD), max_size=2))
-@example(dict(grid_points="16", rng_seed="0", max_iters="5", tol="1e-6", eps="1.0", center="0, 0, 0"),
-         [("rng_seed", "-1")])
+@example(dict(grid_points="16", seed="random", rng_seed="0", max_iters="5", tol="1e-6", eps="1.0",
+              center="0, 0, 0"), [("rng_seed", "-1")])
 @settings(max_examples=25, deadline=None)
 def test_whole_solve_magnetic_runs_end_in_a_documented_exit_code(solver, bad):
-    # a random seed and no report: every run, converged or not, ends in a
-    # documented exit code, never in an exception out of main, and no numpy
-    # warning; a pinned spike's ResolutionWarning is the run's to give
+    # no report: every run, converged or not, ends in a documented exit
+    # code, never in an exception out of main, and no numpy warning; a
+    # pinned spike's ResolutionWarning is the run's to give
     solver = {**solver, **dict(bad)}
     with tempfile.TemporaryDirectory() as tmp:
         text = (
             f"[model]\nV = {HARMONIC}\nK = 1\np = 3\n\n"
-            "[solver]\ngrid_radius = 9.0\nseed = random\n"
+            "[solver]\ngrid_radius = 9.0\n"
             + "".join(f"{k} = {v}\n" for k, v in solver.items())
             + f"\n[diagnostics]\nreport = false\n\n[output]\ndirectory = {tmp}/out\n"
         )

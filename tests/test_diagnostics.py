@@ -31,7 +31,6 @@ from spikemap.frozen_solver import (
 )
 from spikemap.magnetic_solver import (
     BoundaryMassError,
-    MagneticSolveConfig,
     MagneticSolution,
     energy_J,
     rescale,
@@ -68,9 +67,7 @@ def locked_solves():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for n in (32, 48):
-            sol = solve_magnetic(
-                model, MagneticSolveConfig(eps=0.75, grid=make_grid(5.25, n), tol=1e-6)
-            )
+            sol = solve_magnetic(model, make_grid(5.25, n), 0.75, tol=1e-6)
             v = rescale(sol.u, sol.eps, tuple(sol.spike))
             res, rel = pucci_serrin_residual(v, tuple(sol.spike), 0.75, model)
             out[n] = (sol, v, rel)

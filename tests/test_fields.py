@@ -18,7 +18,7 @@ from spikemap.fields import (
     read_snapshot,
     write_snapshot,
 )
-from spikemap.magnetic_solver import MagneticSolveConfig, solve_magnetic
+from spikemap.magnetic_solver import solve_magnetic
 from spikemap.model import ModelSpec, Nonlinearity, parse_potential
 
 
@@ -370,10 +370,10 @@ def test_solve_linear_raises_when_it_does_not_converge():
 def test_solve_with_roll_oracle_agrees(monkeypatch):
     # the same descent with the oracle stencil: the same path to rounding
     model = bench_model()
-    cfg = MagneticSolveConfig(eps=1.0, grid=make_grid(radius=6.0, n=20), tol=1e-6)
-    new = solve_magnetic(model, cfg)
+    grid = make_grid(radius=6.0, n=20)
+    new = solve_magnetic(model, grid, 1.0, tol=1e-6)
     monkeypatch.setattr(fields, "apply_link_kinetic", _roll_stencil)
-    ref = solve_magnetic(model, cfg)
+    ref = solve_magnetic(model, grid, 1.0, tol=1e-6)
     assert new.iterations == ref.iterations
     assert abs(new.energy_J - ref.energy_J) <= 1e-12 * abs(ref.energy_J)
     assert np.max(np.abs(new.spike - ref.spike)) <= 1e-10

@@ -163,7 +163,7 @@ def test_ground_state_shoots_a_custom_nonlinearity(monkeypatch):
 def test_power_callers_take_the_rescaling(monkeypatch, tmp_path, prof3):
     from spikemap.cli import main
     from spikemap.landscape import find_Sstar
-    from spikemap.magnetic_solver import MagneticSolveConfig, _seed_field
+    from spikemap.magnetic_solver import _seed_field
 
     def no_shot(*args, **kwargs):
         raise AssertionError("a power nonlinearity reached shoot_radial")
@@ -174,7 +174,7 @@ def test_power_callers_take_the_rescaling(monkeypatch, tmp_path, prof3):
                       nonlin=Nonlinearity.power(1.0, 3.0))
     z = np.array([0.3, 0.0, 0.0])
     find_Sstar(model, [z])
-    _seed_field(model, MagneticSolveConfig(eps=1.0, grid=make_grid(6.0, 16)))
+    _seed_field(model, make_grid(6.0, 16), 1.0, "frozen", 0, None)
     cfg = tmp_path / "frozen.ini"
     cfg.write_text(f"[model]\nV = {V}\nK = {K}\np = 3\n\n"
                    f"[output]\ndirectory = {tmp_path / 'out'}\n")
@@ -444,7 +444,7 @@ def test_profile_integrals_are_computed_once(monkeypatch):
     # moments all read one pass of four integrals
     calls = []
     simpson = frozen_solver._simpson
-    monkeypatch.setattr(frozen_solver, "_simpson", lambda y, x: calls.append(1) or simpson(y, x))
+    monkeypatch.setattr(frozen_solver, "_simpson", lambda y, dr: calls.append(1) or simpson(y, dr))
     z = (0.2, 0.0, -0.1)
     gV, gK = (0.37, -0.1, 0.2), (-0.21, 0.05, 0.11)
     prof = ground_state(FrozenPoint(z, 1.3, 0.8, gV, gK), Nonlinearity.power(1.0, 3.0))
@@ -689,13 +689,12 @@ def test_simpson_is_scipys_bit_for_bit(prof3):
 
     rng = np.random.default_rng(5)
     for n in (3, 4, 5, 6, 7, 1001, 1002):
-        for x in (np.arange(n) * 0.37, np.cumsum(rng.uniform(0.1, 2.0, n))):
+        for dx in (0.37, rng.uniform(0.1, 2.0)):
             y = rng.standard_normal(n)
-            assert _simpson(y, x) == float(simpson(y, x=x))
-    r = prof3.r
+            assert _simpson(y, dx) == float(simpson(y, dx=dx))
+    r, dr = prof3.r, prof3.dr
     assert r.size % 2 == 0  # the canonical p = 3 profile takes the even-count correction
     w = 4.0 * np.pi * r * r
     for y in (prof3.du**2 * w, prof3.u**2 * w, prof3.u**4 * w):
-        assert _simpson(y, r) == float(simpson(y, x=r))
-    odd = r[:-1]
-    assert _simpson(prof3.u[:-1] ** 2 * w[:-1], odd) == float(simpson(prof3.u[:-1] ** 2 * w[:-1], x=odd))
+        assert _simpson(y, dr) == float(simpson(y, dx=dr))
+    assert _simpson(prof3.u[:-1] ** 2 * w[:-1], dr) == float(simpson(prof3.u[:-1] ** 2 * w[:-1], dx=dr))

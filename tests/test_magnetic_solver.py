@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemap import fields, frozen_solver, magnetic_solver
-from spikemap.fields import Field3, Hamiltonian, make_grid, write_snapshot
+from spikemap.fields import Field3, Hamiltonian, make_grid
 from spikemap.frozen_solver import (
     ConvergenceError,
     FrozenPoint,
@@ -20,7 +20,6 @@ from spikemap.frozen_solver import (
 )
 from spikemap.magnetic_solver import (
     BoundaryMassError,
-    MagneticSolveConfig,
     ResolutionWarning,
     energy_J,
     pde_residual,
@@ -57,26 +56,23 @@ def mk_model(Vtxt="1", Ktxt="1", A=None, lam=1.0, p=3.0):
 def base48():
     """Unit-coefficient solve on the calibrated box, with captured warnings."""
     model = mk_model()
-    cfg = MagneticSolveConfig(eps=1.0, grid=make_grid(radius=11.5, n=48), tol=1e-5)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        sol = solve_magnetic(model, cfg)
+        sol = solve_magnetic(model, make_grid(radius=11.5, n=48), 1.0, tol=1e-5)
     return model, sol, rec
 
 
 @pytest.fixture(scope="module")
 def const_field48(base48):
     model = mk_model(A=("0.3", "-0.2", "0.1"))
-    cfg = MagneticSolveConfig(eps=1.0, grid=make_grid(radius=11.5, n=48), tol=1e-5)
-    return model, solve_magnetic(model, cfg)
+    return model, solve_magnetic(model, make_grid(radius=11.5, n=48), 1.0, tol=1e-5)
 
 
 @pytest.fixture(scope="module")
 def bowl48():
     """Small-eps solve in a shallow potential well centered at the origin."""
     model = mk_model(Vtxt="1 + 0.05*(x1^2 + x2^2 + x3^2)")
-    cfg = MagneticSolveConfig(eps=0.5, grid=make_grid(radius=8.0, n=48), tol=1e-5)
-    return model, solve_magnetic(model, cfg)
+    return model, solve_magnetic(model, make_grid(radius=8.0, n=48), 0.5, tol=1e-5)
 
 
 def test_base_energy_near_frozen_ground_energy(base48):
@@ -136,8 +132,8 @@ def test_descent_applies_the_stencil_once_per_iteration(monkeypatch):
     for mod in (fields, frozen_solver, magnetic_solver):
         if getattr(mod, "apply_link_kinetic", None) is kinetic:
             monkeypatch.setattr(mod, "apply_link_kinetic", counted)
-    cfg = MagneticSolveConfig(eps=1.0, grid=make_grid(radius=9.0, n=24), tol=1e-4)
-    sol = solve_magnetic(mk_model(Vtxt="1 + 0.1*(x1^2 + x2^2 + x3^2)"), cfg)
+    sol = solve_magnetic(mk_model(Vtxt="1 + 0.1*(x1^2 + x2^2 + x3^2)"), make_grid(radius=9.0, n=24), 1.0,
+                         tol=1e-4)
     assert sol.iterations > 10
     assert len(calls) == sol.iterations + 1
 
@@ -207,8 +203,7 @@ def test_descent_reads_scalar_and_array_V_alike():
 def test_per_node_step_converges_the_bench_model_in_few_iterations():
     # a work guard: the global step 1.8 / (18.14 eps^2 / h^2 + 4 sup V), with
     # sup V = 244 reached only at the box corners, took 93 iterations here
-    cfg = MagneticSolveConfig(eps=1.0, grid=make_grid(radius=9.0, n=32), tol=1e-6)
-    sol = solve_magnetic(mk_model(**BENCH), cfg)
+    sol = solve_magnetic(mk_model(**BENCH), make_grid(radius=9.0, n=32), 1.0, tol=1e-6)
     assert sol.iterations <= 40
 
 
@@ -216,8 +211,8 @@ def test_tighter_tolerance_moves_neither_energy_nor_spike():
     # a thousandfold tighter stop rule: the tol-1e-6 answer already sits on
     # the converged one (1.6e-10 relative in energy, measured)
     model, grid = mk_model(**BENCH), make_grid(radius=9.0, n=32)
-    loose = solve_magnetic(model, MagneticSolveConfig(eps=1.0, grid=grid, tol=1e-6))
-    tight = solve_magnetic(model, MagneticSolveConfig(eps=1.0, grid=grid, tol=1e-9))
+    loose = solve_magnetic(model, grid, 1.0, tol=1e-6)
+    tight = solve_magnetic(model, grid, 1.0, tol=1e-9)
     assert tight.iterations > loose.iterations
     assert abs(loose.scaled_energy - tight.scaled_energy) <= 1e-8 * tight.scaled_energy
     assert np.max(np.abs(loose.spike - tight.spike)) <= grid.spacing / 100
@@ -420,12 +415,8 @@ def test_frozen_solve_ignores_the_field_value():
 
 def test_spike_width_halves_when_eps_halves():
     model = mk_model()
-    s1 = solve_magnetic(
-        model, MagneticSolveConfig(eps=1.0, grid=make_grid(radius=11.5, n=64), tol=1e-4)
-    )
-    s2 = solve_magnetic(
-        model, MagneticSolveConfig(eps=0.5, grid=make_grid(radius=6.5, n=64), tol=1e-4)
-    )
+    s1 = solve_magnetic(model, make_grid(radius=11.5, n=64), 1.0, tol=1e-4)
+    s2 = solve_magnetic(model, make_grid(radius=6.5, n=64), 0.5, tol=1e-4)
     f1, f2 = _fwhm(s1), _fwhm(s2)
     assert f1 == pytest.approx(1.3294477328082464, rel=1e-3)
     assert abs(f1 / f2 - 2.0) < 0.2
@@ -458,11 +449,8 @@ def test_random_seed_descent_is_deterministic():
     grid = make_grid(radius=8.0, n=24)
 
     def burst(rng_seed):
-        cfg = MagneticSolveConfig(
-            eps=1.0, grid=grid, seed="random", rng_seed=rng_seed, tol=1e-12, max_iters=40
-        )
         with pytest.raises(ConvergenceError) as e:
-            solve_magnetic(model, cfg)
+            solve_magnetic(model, grid, 1.0, seed="random", rng_seed=rng_seed, tol=1e-12, max_iters=40)
         return e.value.trace
 
     assert burst(7) == burst(7)
@@ -471,56 +459,47 @@ def test_random_seed_descent_is_deterministic():
 
 def test_random_seed_on_coarse_grid_warns_when_pinned():
     model = mk_model()
-    cfg = MagneticSolveConfig(
-        eps=1.0, grid=make_grid(radius=11.5, n=32), seed="random", rng_seed=3, tol=1e-4
-    )
     with pytest.warns(ResolutionWarning):
-        sol = solve_magnetic(model, cfg)
+        sol = solve_magnetic(model, make_grid(radius=11.5, n=32), 1.0, seed="random", rng_seed=3, tol=1e-4)
     assert math.isfinite(sol.energy_J)
 
 
-def test_snapshot_seed_restarts_where_the_solve_ended(base48, tmp_path):
+def test_snapshot_seed_restarts_where_the_solve_ended(base48):
     model, sol, _ = base48
-    path = tmp_path / "state.spkf"
-    write_snapshot(path, sol.u)
-    cfg = MagneticSolveConfig(
-        eps=1.0, grid=make_grid(radius=11.5, n=48), tol=1e-5, seed=str(path)
-    )
-    again = solve_magnetic(model, cfg)
+    again = solve_magnetic(model, make_grid(radius=11.5, n=48), 1.0, tol=1e-5, seed=sol.u)
     assert again.iterations == 0
     assert again.energy_J == pytest.approx(sol.energy_J, rel=1e-12)
 
 
-def test_snapshot_seed_grid_must_match(tmp_path):
-    small = make_grid(radius=8.0, n=16)
-    path = tmp_path / "small.spkf"
-    write_snapshot(path, Field3(small, np.zeros(tuple(small.dims), complex)))
-    cfg = MagneticSolveConfig(eps=1.0, grid=make_grid(radius=8.0, n=24), seed=str(path))
-    with pytest.raises(SolverError):
-        solve_magnetic(mk_model(), cfg)
+def test_snapshot_seed_grid_must_match():
+    # other dims, and the same dims and spacing around another origin
+    for other in (make_grid(radius=8.0, n=16), make_grid(radius=8.0, n=24, origin=(0.5, 0.0, 0.0))):
+        seed = Field3(other, np.zeros(tuple(other.dims), complex))
+        with pytest.raises(SolverError, match="does not match"):
+            solve_magnetic(mk_model(), make_grid(radius=8.0, n=24), 1.0, seed=seed)
 
 
 def test_boundary_gate_rejects_undersized_boxes():
-    cfg = MagneticSolveConfig(eps=1.0, grid=make_grid(radius=4.0, n=24))
     with pytest.raises(BoundaryMassError):
-        solve_magnetic(mk_model(), cfg)
+        solve_magnetic(mk_model(), make_grid(radius=4.0, n=24), 1.0)
 
 
 def test_iteration_budget_error_carries_the_trace():
-    cfg = MagneticSolveConfig(
-        eps=1.0, grid=make_grid(radius=11.5, n=16), tol=1e-14, max_iters=5
-    )
     with pytest.raises(ConvergenceError) as e:
-        solve_magnetic(mk_model(), cfg)
+        solve_magnetic(mk_model(), make_grid(radius=11.5, n=16), 1.0, tol=1e-14, max_iters=5)
     assert len(e.value.trace) == 5
 
 
 def test_config_rejects_bad_knobs():
     grid = make_grid(radius=8.0, n=16)
-    with pytest.raises(SolverError):
-        MagneticSolveConfig(eps=0.0, grid=grid)
-    with pytest.raises(SolverError):
-        MagneticSolveConfig(eps=1.0, grid=grid, tol=0.0)
+    with pytest.raises(SolverError, match="eps must be positive"):
+        solve_magnetic(mk_model(), grid, 0.0)
+    with pytest.raises(SolverError, match="tolerance must be positive"):
+        solve_magnetic(mk_model(), grid, 1.0, tol=0.0)
+    # a path is no seed: the CLI reads snapshots, the solve takes a Field3
+    for seed in ("Frozen", "", "state.spkf"):
+        with pytest.raises(SolverError, match="unknown seed"):
+            solve_magnetic(mk_model(), grid, 1.0, seed=seed)
 
 
 def test_phase_split_rejects_a_zero_field():
