@@ -215,11 +215,12 @@ class Hamiltonian:
     model's link phases, complex, in from_model, None (free real hops) for
     frozen V, K.  V and K are node arrays or scalars.  Every 3D solve,
     energy and residual goes through its quadratic form
-    Q(u) = <u, T u> + int V |u|^2, its pairing P(t) = int K f(t^2 |u|^2) |u|^2
-    and the energy J(u) = Q(u) / 2 - int K F(|u|^2).  The residual is zero on
-    the two-node rim, which carries the Dirichlet data, not the equation.
-    vmax is sup V over the nodes; through stop_level it sets the residual
-    level a solve stops at and verify gates on.  The descent's per-node step
+    Q(u) = <u, T u> + int V |u|^2, its node weight K f(|u|^2), its pairing
+    P(t) = int K f(t^2 |u|^2) |u|^2 and the energy
+    J(u) = Q(u) / 2 - int K F(|u|^2).  The residual is zero on the two-node
+    rim, which carries the Dirichlet data, not the equation.  vmax is sup V
+    over the nodes; through stop_level it sets the residual level a solve
+    stops at and verify gates on.  The descent's per-node preconditioner
     reads V itself.
     """
 
@@ -247,10 +248,14 @@ class Hamiltonian:
         kinetic part Re <u, Tu> summed in a fixed order by _re_dot."""
         return _re_dot(u, Tu) * self.vol + float((self.V * _abs2(u)).sum()) * self.vol
 
+    def weight(self, m2: np.ndarray) -> np.ndarray:
+        """K f(m2) node by node: K f(|u|^2) u is the nonlinear term of the
+        field with |u|^2 = m2."""
+        return self.K * np.asarray(self.nonlin.f(m2))
+
     def pairing(self, m2: np.ndarray, t: float) -> float:
         """P(t) for the field with |u|^2 = m2."""
-        ft = np.asarray(self.nonlin.f(t * t * m2))
-        return float((self.K * ft * m2).sum()) * self.vol
+        return float((self.weight(t * t * m2) * m2).sum()) * self.vol
 
     def potential(self, m2: np.ndarray) -> float:
         """int K F(|u|^2) for the field with |u|^2 = m2."""
@@ -280,9 +285,13 @@ class Hamiltonian:
 
     def residual(self, u: np.ndarray, Tu: np.ndarray):
         """The rim-masked residual field, given Tu = apply(u), and its rms."""
-        fu = np.asarray(self.nonlin.f(_abs2(u))) * u
-        res = (Tu + self.V * u - self.K * fu) * self.mask
-        return res, math.sqrt(float(np.mean(np.abs(res) ** 2)))
+        return self._residual(u, Tu * self.mask, self.weight(_abs2(u)))
+
+    def _residual(self, u: np.ndarray, mTu: np.ndarray, kf: np.ndarray):
+        """The residual mask ((V - kf) u + Tu) and its rms, summed by _re_dot,
+        from mTu = mask Tu and kf = weight(|u|^2) already in hand."""
+        res = mTu + ((self.V - kf) * self.mask) * u
+        return res, math.sqrt(_re_dot(res, res) / res.size)
 
     def solve_linear(self, b: np.ndarray) -> np.ndarray:
         """x = (T + V)^-1 b on the nodes inside the rim, for b zero on the rim.

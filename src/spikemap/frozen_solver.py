@@ -31,12 +31,14 @@ integrals live on it: RadialProfile.moments computes them once, on first
 use, and the profile's energy (Sigma at the point) and grad_sigma (the
 envelope bracket) read them.  radial_residual takes the profile alone.
 
-Every 3D quadratic form, Nehari projection, energy, residual and stop
-level, here and in magnetic_solver, comes from fields.Hamiltonian, and the
-real 3D flow and the magnetic solve run one descent, _descend.  The flow
-stays an independent route through its seed, a shot profile, and its free
-stencil on a real field.  Shooting, the rescaling and the constrained
-minimization share none of it.
+Every 3D quadratic form, Nehari scale, energy, residual and stop level,
+here and in magnetic_solver, comes from fields.Hamiltonian, and the real 3D
+flow and the magnetic solve run one descent, _descend: nonlinear conjugate
+gradients preconditioned node by node, with a secant line search on the
+closed-form slope of the action along the Nehari curve, one stencil
+application per iteration.  The flow stays an independent route through its
+seed, a shot profile, and its free stencil on a real field.  Shooting, the
+rescaling and the constrained minimization share none of it.
 
 Radial integrals are _simpson's, scipy's composite Simpson rule to the bit.
 scipy is loaded only by the bracketed root solves in _amplitude_scale and
@@ -58,7 +60,7 @@ from .fields import (
     Grid3,
     Hamiltonian,
     SolverError,
-    _abs2,
+    _nehari_scale,
     _re_dot,
 )
 from .model import Nonlinearity
@@ -89,6 +91,7 @@ class ConvergenceError(SolverError):
 _R0 = 15.0
 _SPLICE_RATIO = 1e-5  # switch to the exact linear tail once u drops below this
 _TAIL_RATIO = 1e-11  # extend until u is below this times u(0)
+_LINE_TRIALS = 30  # trials of the descent's line search before it takes its best
 
 
 @dataclass(frozen=True)
@@ -822,30 +825,80 @@ def _warn_if_pinned(uv: np.ndarray) -> None:
         )
 
 
-def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
-    """Heavy-ball descent of the action of H on its Nehari manifold, from u.
+def _line_search(slope, g0, a):
+    """A step a > 0 with |g| <= 0.1 |g0|, g0 = slope(0) < 0, by a safeguarded
+    secant on the slope, and what slope returned there: (g, *rest).
 
-    Each step moves node by node against the residual scaled by the per-node
-    step eta(x) = 1.8 / D(x), D(x) = 18.14 eps^2 / h^2 + (1 + p) V(x), built
-    once from H.V, plus a heavy-ball term with momentum 0.95, and projects
-    back onto the manifold, which hands over t Tu: one stencil application
-    per iteration.  18.14 eps^2 / h^2 is the Gershgorin row bound of the
-    sixth-order stencil, 3 (|C0| + 2 (|C1| + |C2| + |C3|)) = 18.133 times
-    eps^2 / h^2, and it holds with any field because every hop has modulus 1
-    or 0; so D bounds row x of T + V, with the margin (1 + p) on V for the
-    curvature of the nonlinear term, and rho(D^-1 H) <= 1: the stability
-    argument of a global step 1.8 / sup D, which would let sup V, reached
-    only at the box corners, set the step at the spike.  With constant V the
-    step is that scalar one.  The momentum is kept in the step's units, the
-    metric D^-1, and is reset whenever the direction it takes points uphill
-    against the residual.  Returns the first iterate whose residual rms is
-    at or below H.stop_level, tol * max(1, sup V) * rms(u), and warns if
-    that iterate is lattice-pinned (_warn_if_pinned), whichever solve ran
-    the descent.  Appends {iter, energy, residual, nehari_slack} to trace
-    per iteration; ConvergenceError carries it on divergence or when
-    max_iters runs out.
+    Until a trial's slope turns positive the secant extrapolates, held
+    within [1.5 a, 4 a]; once [lo, hi] brackets the sign change it
+    interpolates through the last two trials, or through the bracket's ends
+    when that leaves it, and keeps a tenth of the bracket from either end.
+    After _LINE_TRIALS trials it takes the last point of negative slope, or
+    the last trial if there is none.
     """
-    nonlin = H.nonlin
+    lo, hi, g_lo, g_hi = 0.0, math.inf, g0, 0.0
+    a_prev, g_prev = 0.0, g0
+    for _ in range(_LINE_TRIALS):
+        out = slope(a)
+        g = out[0]
+        if not abs(g) > 0.1 * abs(g0):  # met, or non-finite: J reports that
+            return a, out
+        if g < 0.0:
+            lo, g_lo, best = a, g, (a, out)
+        else:
+            hi, g_hi = a, g
+        nxt = a - g * (a - a_prev) / (g - g_prev) if g != g_prev else math.nan
+        a_prev, g_prev = a, g
+        if hi == math.inf:
+            a = min(max(nxt, 1.5 * a), 4.0 * a) if nxt > a else 4.0 * a
+        else:
+            if not lo < nxt < hi:
+                nxt = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+            w = hi - lo
+            a = min(max(nxt, lo + 0.1 * w), hi - 0.1 * w)
+    return best if lo > 0.0 else (a_prev, out)
+
+
+def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
+    """Preconditioned nonlinear conjugate gradients for the action of H on
+    its Nehari manifold, from u (Polak-Ribiere with restarts; Antoine,
+    Levitt & Tang, J. Comput. Phys. 343, 2017).
+
+    The preconditioner is the per-node step eta(x) = 1.8 / D(x),
+    D(x) = 18.14 eps^2 / h^2 + (1 + p) V(x), built once from H.V.  18.14
+    eps^2 / h^2 is the Gershgorin row bound of the sixth-order stencil,
+    3 (|C0| + 2 (|C1| + |C2| + |C3|)) = 18.133 times eps^2 / h^2, and it
+    holds with any field because every hop has modulus 1 or 0; so D bounds
+    row x of T + V, with the margin (1 + p) on V for the curvature of the
+    nonlinear term, and sup V, reached only at the box corners, does not
+    set the scale at the spike.  With z = eta res the direction is
+    d = -z + beta d_old, beta = max(0, Re <z, res - res_old> / Re <z_old,
+    res_old>), restarted to -z whenever Re <d, res> >= 0.
+
+    The step follows the Nehari curve phi(a) = J(t(a) (u + a d)), t(a) the
+    Nehari scale of u + a d (fields._nehari_scale, so a power and any other
+    f take one rule).  With T d from the one stencil call of the iteration
+    every trial is real node passes: Q(u + a d) = vol (q0 + 2 a q1 + a^2 q2)
+    and |u + a d|^2 = |u|^2 + a (2 b + a c), b = Re(conj(u) d), c = |d|^2,
+    and since t(a) puts u + a d on the manifold, phi'(a) = vol t^2 [(q1 +
+    a q2) - sum K f(t^2 |u + a d|^2) (b + a c)] in closed form.
+    _line_search stops at |phi'| <= 0.1 |phi'(0)|, a rule that keeps working
+    where the energy's steps fall below float64 resolution.  Its first trial
+    is the minimum of the quadratic model whose curvature per unit of q2 is
+    the last search's secant one (a = 1 at the start, or after a search that
+    met negative curvature), held to sqrt(q0 / q2), where u + a d has turned
+    45 degrees from u in Q: far out on the curve t, and phi' with it, is
+    small, and a search started there could stop past the minimum.  The
+    accepted trial hands over t (u + a d), t (Tu + a T d) and its Q: one
+    stencil application per iteration.
+
+    Returns the first iterate whose residual rms is at or below
+    H.stop_level, tol * max(1, sup V) * rms(u), and warns if that iterate is
+    lattice-pinned (_warn_if_pinned), whichever solve ran the descent.
+    Appends {iter, energy, residual, nehari_slack} to trace per iteration;
+    ConvergenceError carries it on divergence or when max_iters runs out.
+    """
+    nonlin, vol = H.nonlin, H.vol
     h, eps = H.grid.spacing, H.eps
     p_curv = nonlin.p if nonlin.is_power else 3.0
     eta = 1.8 / (18.14 * eps * eps / (h * h) + (1.0 + p_curv) * H.V)
@@ -853,11 +906,20 @@ def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
     # the one report of it, so numpy's overflow and invalid warnings are off
     with np.errstate(over="ignore", invalid="ignore"):
         u, Tu, Q, slack = H.project(u * H.mask)
-        mom = np.zeros_like(Tu)
-        rn0 = None
+        # u and d are zero on the rim, so only mask Tu is ever read
+        Tu *= H.mask
+        d, z = np.zeros_like(Tu), np.empty_like(Tu)
+
+        def re_conj(x, y):
+            # Re(conj(x) y) by one complex product in z, faster than
+            # fields._abs2's strided parts
+            return np.multiply(np.conjugate(x, out=z), y, out=z).real.copy()
+
+        m2 = re_conj(u, u)
+        kf = H.weight(m2)
+        res_old, zr_old, curv, rn0 = None, 0.0, 0.0, None
         for it in range(max_iters):
-            m2 = _abs2(u)
-            res, rn = H.residual(u, Tu)
+            res, rn = H._residual(u, Tu, kf)
             J = 0.5 * Q - H.potential(m2)
             trace.append({"iter": it, "energy": J, "residual": rn, "nehari_slack": slack})
             if not math.isfinite(J):
@@ -869,11 +931,46 @@ def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
             if rn <= H.stop_level(tol, m2):
                 _warn_if_pinned(u)
                 return u
-            if _re_dot(mom, res) < 0.0:
-                mom[:] = 0.0
-            mom *= 0.95
-            mom += np.multiply(res, eta, out=res)
-            u, Tu, Q, slack = H.project((u - mom) * H.mask)
+            np.multiply(res, eta, out=z)
+            zr = _re_dot(z, res)
+            beta = max(0.0, (zr - _re_dot(z, res_old)) / zr_old) if zr_old > 0.0 else 0.0
+            d *= beta
+            d -= z
+            g0 = _re_dot(d, res)
+            if g0 >= 0.0:
+                np.negative(z, out=d)
+                g0 = -zr
+            res_old, zr_old = res, zr
+            Td = H.apply(d)
+            Td *= H.mask
+            b, c = re_conj(u, d), re_conj(d, d)
+            q0 = Q / vol
+            q1 = _re_dot(d, Tu) + float((H.V * b).sum())
+            q2 = _re_dot(d, Td) + float((H.V * c).sum())
+
+            def slope(a):
+                m2a = c * a
+                m2a += 2.0 * b
+                m2a *= a
+                m2a += m2
+                Qa = vol * (q0 + a * (2.0 * q1 + a * q2))
+                t = _nehari_scale(Qa, lambda s: H.pairing(m2a, s), nonlin)
+                kfa = H.weight(t * t * m2a)
+                return vol * t * t * (q1 + a * q2 - _re_dot(kfa, b) - a * _re_dot(kfa, c)), t, m2a, Qa, kfa
+
+            a0 = -g0 / (curv * q2) if curv > 0.0 else 1.0
+            step, (g, t, m2a, Qa, kfa) = _line_search(slope, vol * g0, min(a0, math.sqrt(q0 / q2)))
+            curv = (g / vol - g0) / (step * q2)
+            u += np.multiply(d, step, out=z)
+            u *= t
+            Tu += np.multiply(Td, step, out=z)
+            Tu *= t
+            Q = Qa * t * t
+            slack = abs(Qa - vol * _re_dot(kfa, m2a)) / Qa
+            # |u|^2 afresh: carried as t^2 m2a its rounding doubled the drift
+            # of the carried residual from a fresh one
+            m2 = re_conj(u, u)
+            kf = H.weight(m2)
     raise ConvergenceError(f"{what} did not reach tol={tol} in {max_iters} iterations", trace)
 
 
@@ -886,12 +983,12 @@ def gradient_flow_3d_real(
     trace: list | None = None,
     seed_profile: RadialProfile | None = None,
 ) -> Field3:
-    """Constraint-projected gradient descent for the frozen problem on a box.
+    """Nehari-constrained descent for the frozen problem on a box.
 
-    The shared descent on the frozen Hamiltonian with the free stencil, from
-    the shot profile sampled on the grid, so the field stays real.  Converged
-    when the residual rms drops below tol relative to max(1, V) times the
-    field rms.
+    The shared descent, _descend's preconditioned nonlinear conjugate
+    gradients, on the frozen Hamiltonian with the free stencil, from the shot
+    profile sampled on the grid, so the field stays real.  Converged when the
+    residual rms drops below tol relative to max(1, V) times the field rms.
     """
     prof = seed_profile if seed_profile is not None else shoot_radial(point, nonlin)
     H = Hamiltonian(grid, 1.0, point.Vz, point.Kz, nonlin, None)

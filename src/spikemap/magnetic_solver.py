@@ -12,11 +12,11 @@ module's seeds; energy_J and pde_residual read the same Hamiltonian.
 solve_magnetic takes values: the model, the grid, eps and keywords with
 defaults, and its seed is "frozen", "random" or a Field3 on the solve grid.
 This module opens no file; the CLI reads a snapshot seed.  The
-descent's step is per node, 1.8 / (18.14 eps^2 / h^2 + (1 + p) V(x)): a
-bound on row x of the operator, so the spike, where V is small, is not held
-to the step that sup V at the box corners allows (see _descend).  The
-Hamiltonian of a complex field always holds a complex hop table, real unit
-phases included.  rescaled_model reads the coefficients in the blow-up
+descent is nonlinear conjugate gradients preconditioned node by node with
+1.8 / (18.14 eps^2 / h^2 + (1 + p) V(x)): a bound on row x of the operator,
+so the spike, where V is small, is not held to the scale that sup V at the
+box corners sets (see _descend).  The Hamiltonian of a complex field always
+holds a complex hop table, real unit phases included.  rescaled_model reads the coefficients in the blow-up
 frame, at z + eps x; the frozen problem at z is that frame at eps = 0.
 
 Every sum a solve or rescale takes runs on one thread in numpy's fixed order,
@@ -154,12 +154,17 @@ def _seed_field(model: ModelSpec, grid: Grid3, eps: float, seed, rng_seed: int, 
         if not grid.matches(seed.grid):
             raise SolverError("seed field's grid does not match the solve grid")
         return np.asarray(seed.values, dtype=np.complex128)
+    if not isinstance(seed, str):
+        raise SolverError(f"unknown seed of type {type(seed).__name__}: give 'frozen', 'random' or a Field3")
     if seed == "frozen":
         c = np.asarray(center, dtype=np.float64) if center is not None \
             else _default_center(model, grid)
         point = FrozenPoint.from_model(model, c)
         prof = ground_state(point, model.nonlin)
         amp = sample_profile_on_grid(prof, grid, center=c, scale=eps)
+        if not amp.any():
+            raise SolverError(f"frozen seed is zero on every node: the spike, eps / h = {eps / grid.spacing:.3g} "
+                              "nodes wide, falls between them; refine the grid or raise eps")
         X = grid.meshgrid()
         Az = model.A_at(c)
         phase = sum(Az[m] * (X[m] - c[m]) for m in range(3)) / eps
@@ -189,20 +194,23 @@ def solve_magnetic(model: ModelSpec, grid: Grid3, eps: float, *, tol: float = 1e
     """Least-energy descent for the magnetic problem on grid at semiclassical
     parameter eps.
 
-    Each iteration takes a heavy-ball gradient step of the discrete action and
-    rescales the iterate back onto the set where the action's derivative
-    against the iterate itself vanishes, so the constraint holds along the
-    whole descent path.  tol is relative: the descent stops when the residual
-    rms falls below tol * max(1, sup V) * rms(u), or fails after max_iters
-    iterations; its step and momentum are constants of _descend.  seed is
-    "frozen" (the frozen ground state at center, or at the lattice minimizer
-    of the explicit ground energy, modulated by the magnetic phase there),
-    "random" (a smoothed Gaussian-windowed random field around center or the
-    box center, deterministic in rng_seed), or a Field3 on grid to restart
-    from.  Deterministic for fixed arguments.
+    Each iteration takes a preconditioned nonlinear conjugate-gradient step
+    of the discrete action, with a line search along the curve of iterates
+    rescaled onto the set where the action's derivative against the iterate
+    itself vanishes, so the constraint holds along the whole descent path
+    (see frozen_solver._descend).  tol is relative: the descent stops when
+    the residual rms falls below tol * max(1, sup V) * rms(u), or fails after
+    max_iters iterations; its preconditioner and line-search rule are
+    constants of _descend.  seed is "frozen" (the frozen ground state at
+    center, or at the lattice minimizer of the explicit ground energy,
+    modulated by the magnetic phase there), "random" (a smoothed
+    Gaussian-windowed random field around center or the box center,
+    deterministic in rng_seed), or a Field3 on grid to restart from.
+    Deterministic for fixed arguments.
 
-    Raises SolverError for eps <= 0, tol <= 0, an unknown seed string or a
-    seed field on another grid (Grid3.matches), ModelError when the model
+    Raises SolverError for eps <= 0, tol <= 0, a seed of any other value or
+    type, a seed field on another grid (Grid3.matches), a frozen seed that
+    is zero on every node (eps / h too small), ModelError when the model
     fails validate_assumptions, BoundaryMassError when the seed puts more
     than 1e-5 of its squared-modulus mass on the outermost node shell (the
     box is then too small for the problem), and ConvergenceError (carrying

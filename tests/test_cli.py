@@ -638,6 +638,20 @@ def test_eps_whose_descent_overflows_ends_in_one_line(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+def test_frozen_seed_between_the_nodes_exits_3_naming_eps_over_h(tmp_path, capsys):
+    # at eps = 1e-3 on h = 1.2 the frozen profile, sampled at scale eps, is
+    # zero on every node; the one line names eps / h as the cause
+    text = (
+        f"[model]\nV = {HARMONIC}\nK = 1\np = 3\n\n"
+        "[solver]\ngrid_radius = 9.0\ngrid_points = 16\neps = 1e-3\nseed = frozen\n\n"
+        f"[diagnostics]\nreport = false\n\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    assert main(["solve-magnetic", write_config(tmp_path / "run.ini", text)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("solver failure: frozen seed is zero on every node") and "eps / h = 0.000833" in err[0]
+
+
 # the solver keys a whole run reads: usable edge values, and bad spellings
 # that must end as config errors; grid_points stays at 16 or below, so no
 # draw can ask for a large field

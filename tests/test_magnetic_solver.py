@@ -119,8 +119,8 @@ def test_hamiltonian_is_what_energy_and_residual_read(base48):
 
 
 def test_descent_applies_the_stencil_once_per_iteration(monkeypatch):
-    # the projection carries t Tu to the next residual, so only the seed's
-    # projection and one per step apply the stencil
+    # the accepted step carries t (Tu + a T d) to the next residual, so only
+    # the seed's projection and T d, one per step, apply the stencil
     calls = []
     kinetic = fields.apply_link_kinetic
 
@@ -133,7 +133,7 @@ def test_descent_applies_the_stencil_once_per_iteration(monkeypatch):
         if getattr(mod, "apply_link_kinetic", None) is kinetic:
             monkeypatch.setattr(mod, "apply_link_kinetic", counted)
     sol = solve_magnetic(mk_model(Vtxt="1 + 0.1*(x1^2 + x2^2 + x3^2)"), make_grid(radius=9.0, n=24), 1.0,
-                         tol=1e-4)
+                         tol=1e-6)
     assert sol.iterations > 10
     assert len(calls) == sol.iterations + 1
 
@@ -142,9 +142,10 @@ BENCH = dict(Vtxt="1 + x1^2 + x2^2 + x3^2", A=("-0.25*x2", "0.25*x1", "0"))
 
 
 def _global_step_descend(H, u, tol, max_iters):
-    """The descent with one scalar step 1.8 / (18.14 eps^2 / h^2 + (1 + p)
-    sup V) for every node and the momentum in residual units: the oracle
-    the per-node step must reproduce when V is constant."""
+    """A heavy-ball descent with one scalar step 1.8 / (18.14 eps^2 / h^2 +
+    (1 + p) sup V) for every node, momentum 0.95 and a fixed step: the
+    independent oracle whose converged energy the conjugate-gradient descent
+    must reach."""
     eta = 1.8 / (18.14 * H.eps**2 / H.grid.spacing**2 + (1.0 + H.nonlin.p) * H.vmax)
     u, Tu, Q, _ = H.project(u * H.mask)
     mom = np.zeros_like(u)
@@ -166,26 +167,43 @@ def _frozen_seed(grid):
 
 
 def test_per_node_step_with_constant_V_is_the_global_step():
-    # on the frozen problem eta(x) is the one scalar step, so the per-node
-    # descent walks the oracle's path; only its momentum is stored in step
-    # units and rounds differently (3.7e-11 apart at the end, measured).  At
-    # tol 1e-8 both leave the symmetric state, a saddle on this coarse
-    # lattice, for a lattice-pinned one at a moment rounding decides.
+    # on the frozen problem eta(x) is the oracle's one scalar step, and both
+    # descents stop at the symmetric state: its energy agrees to 2.7e-13
+    # relative (measured), and CG gets there in 23 iterations to the heavy
+    # ball's 39.  That state is a saddle on this coarse lattice: at tol 1e-8
+    # the heavy ball leaves it for a lattice-pinned one, and CG, whose
+    # residual meets 1e-8 there, leaves it at tol 1e-10
+    # (test_descent_reads_scalar_and_array_V_alike).
     grid = make_grid(radius=8.0, n=20)
     nl = Nonlinearity.power(1.0, 3.0)
     H = Hamiltonian(grid, 1.0, 1.7, 1.3, nl, None)
     trace = []
     u = frozen_solver._descend(H, _frozen_seed(grid), 1e-6, 500, trace, "test")
     ref, iters, energy = _global_step_descend(H, _frozen_seed(grid), 1e-6, 500)
-    assert trace[-1]["iter"] == iters > 10
-    assert trace[-1]["energy"] == pytest.approx(energy, rel=1e-12)
-    assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert 10 < trace[-1]["iter"] < iters
+    assert trace[-1]["energy"] == pytest.approx(energy, rel=1e-8)
+    assert np.max(np.abs(u - ref)) <= 1e-6 * np.max(np.abs(ref))  # 8.7e-8 measured
+
+
+def test_descent_reaches_the_oracle_energy_on_the_bench_model():
+    # where V varies the oracle's global step is held to sup V = 244 at the
+    # box corners and takes 142 iterations to tol 1e-8; CG, preconditioned
+    # node by node, takes 18, and the energies agree to 7e-14 (measured)
+    model, grid = mk_model(**BENCH), make_grid(radius=9.0, n=32)
+    H = Hamiltonian.from_model(model, grid, 1.0)
+    seed = magnetic_solver._seed_field(model, grid, 1.0, "frozen", 0, None)
+    trace = []
+    frozen_solver._descend(H, seed, 1e-8, 500, trace, "test")
+    _, iters, energy = _global_step_descend(H, seed, 1e-8, 500)
+    assert trace[-1]["iter"] < iters
+    assert trace[-1]["energy"] == pytest.approx(energy, rel=1e-8)
 
 
 def test_descent_reads_scalar_and_array_V_alike():
     # the step is built from H.V node by node: a constant V given as a full
-    # array takes the very iterates of the scalar.  This case ends
-    # lattice-pinned, so each descent raises the pinning warning.
+    # array takes the very iterates of the scalar.  At tol 1e-10 the descent
+    # leaves the symmetric saddle for a lattice-pinned state (energy
+    # 12.4553), so each run raises the pinning warning.
     grid = make_grid(radius=8.0, n=20)
     nl = Nonlinearity.power(1.0, 3.0)
     runs = []
@@ -193,18 +211,20 @@ def test_descent_reads_scalar_and_array_V_alike():
         trace = []
         with pytest.warns(ResolutionWarning):
             u = frozen_solver._descend(Hamiltonian(grid, 1.0, V, 1.3, nl, None),
-                                       _frozen_seed(grid), 1e-8, 500, trace, "test")
+                                       _frozen_seed(grid), 1e-10, 500, trace, "test")
         runs.append((u, trace))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
     assert len(runs[0][1]) > 10
+    assert runs[0][1][-1]["energy"] < 13.0
 
 
 def test_per_node_step_converges_the_bench_model_in_few_iterations():
     # a work guard: the global step 1.8 / (18.14 eps^2 / h^2 + 4 sup V), with
-    # sup V = 244 reached only at the box corners, took 93 iterations here
+    # sup V = 244 reached only at the box corners, took 93 iterations here,
+    # the per-node heavy ball 30, and CG takes 12
     sol = solve_magnetic(mk_model(**BENCH), make_grid(radius=9.0, n=32), 1.0, tol=1e-6)
-    assert sol.iterations <= 40
+    assert sol.iterations <= 16
 
 
 def test_tighter_tolerance_moves_neither_energy_nor_spike():
@@ -215,6 +235,9 @@ def test_tighter_tolerance_moves_neither_energy_nor_spike():
     tight = solve_magnetic(model, grid, 1.0, tol=1e-9)
     assert tight.iterations > loose.iterations
     assert abs(loose.scaled_energy - tight.scaled_energy) <= 1e-8 * tight.scaled_energy
+    # the residual carried through t (Tu + a T d) from step to step is the
+    # fresh one to rounding (1.3e-9 relative here, measured)
+    assert tight.residual_rms == pytest.approx(pde_residual(tight.u, model, 1.0)[1], rel=1e-8)
     assert np.max(np.abs(loose.spike - tight.spike)) <= grid.spacing / 100
 
 
@@ -496,8 +519,9 @@ def test_config_rejects_bad_knobs():
         solve_magnetic(mk_model(), grid, 0.0)
     with pytest.raises(SolverError, match="tolerance must be positive"):
         solve_magnetic(mk_model(), grid, 1.0, tol=0.0)
-    # a path is no seed: the CLI reads snapshots, the solve takes a Field3
-    for seed in ("Frozen", "", "state.spkf"):
+    # a path is no seed: the CLI reads snapshots, the solve takes a Field3;
+    # nor is a bare array of the grid's shape
+    for seed in ("Frozen", "", "state.spkf", np.zeros((16, 16, 16), complex)):
         with pytest.raises(SolverError, match="unknown seed"):
             solve_magnetic(mk_model(), grid, 1.0, seed=seed)
 
