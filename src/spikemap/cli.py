@@ -38,9 +38,8 @@ from .diagnostics import (
     decay_fit,
     run_diagnostics,
 )
-from .fields import Hamiltonian, make_grid, read_snapshot, write_snapshot
+from .fields import STENCIL_ROW_BOUND, ConvergenceError, Hamiltonian, make_grid, read_snapshot, write_snapshot
 from .frozen_solver import (
-    ConvergenceError,
     FrozenPoint,
     SolverError,
     explicit_sigma_and_grad,
@@ -316,9 +315,9 @@ class RunConfig:
         h = 2.0 * self.grid_radius / (self.grid_points - 1)
         if not 0.0 < h < math.inf:
             raise ConfigError("solver.grid_radius and solver.grid_points give no finite positive spacing")
-        # the descent's step and the stencil scale by 18.14 eps^2 / h^2
-        if not all(h * h > 0.0 and 18.14 * e * e / (h * h) < math.inf for e in self.eps_list or ()):
-            raise ConfigError(f"solver.eps {self.eps_list} makes the stencil scale 18.14 eps^2 / h^2 "
+        # the descent's step and the stencil scale by STENCIL_ROW_BOUND eps^2 / h^2
+        if not all(h * h > 0.0 and STENCIL_ROW_BOUND * e * e / (h * h) < math.inf for e in self.eps_list or ()):
+            raise ConfigError(f"solver.eps {self.eps_list} makes the stencil scale {STENCIL_ROW_BOUND} eps^2 / h^2 "
                               f"overflow at spacing h = {h:.6g}")
         return make_grid(self.grid_radius, self.grid_points)
 

@@ -392,12 +392,6 @@ class ConcentrationStudy:
     energy_gaps: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not all(a > b for a, b in zip(self.eps_list, self.eps_list[1:])):
-            raise DiagnosticsError("eps_list must be strictly decreasing")
-        if len(self.spikes) != len(self.eps_list):
-            raise DiagnosticsError("one spike per eps is required")
-
 
 _RHO_LADDER = (4.0, 6.0, 8.0, 10.0)
 
@@ -420,7 +414,8 @@ def _value_at(u: Field3, x) -> float:
 def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
     """Empirical pointwise and energetic concentration readings at z0.
 
-    family is a list of solutions sorted by strictly decreasing eps.  For
+    family is a nonempty list of solutions sorted by strictly decreasing
+    eps; any other raises DiagnosticsError before a member is read.  For
     each member: spike location, |u(z0)|, tail suprema outside fixed-radius
     balls, the error estimate sup |(T + V)^-1 res| outside the same balls,
     and the gap between the scaled energy and the ground energy at z0.  The
@@ -433,6 +428,10 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
     within the accuracy the members were solved to is not read as growth.
     """
     eps_list = [s.eps for s in family]
+    if not eps_list:
+        raise DiagnosticsError("the family has no members")
+    if not all(a > b for a, b in zip(eps_list, eps_list[1:])):
+        raise DiagnosticsError("eps_list must be strictly decreasing")
     z0 = np.asarray(z0, dtype=np.float64)
     sig = float(ground_energy(z0, model)[0])
     spikes, pointwise, fixed, floors, gaps = [], [], [], [], []
@@ -462,7 +461,7 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
     notes = {
         "fixed_tails_decreasing": fixed_dec,
         "pointwise_bounded_away": bool(min(pointwise) > 0.5 * max(pointwise)),
-        "energy_gap_final": gaps[-1] if gaps else float("nan"),
+        "energy_gap_final": gaps[-1],
     }
     return ConcentrationStudy(
         eps_list=eps_list,

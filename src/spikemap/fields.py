@@ -7,14 +7,16 @@ plain node sums times the cell volume (spectrally accurate for smooth fields
 that decay below rounding before the boundary).  Field3 is the one field
 type, real or complex; a gradient is a (3,) + dims array, link phases are
 one single-hop array per axis, and link_table alone forms the longer hops
-and the wall.  scipy is loaded only by _nehari_scale's bracket, the Nehari
-scale of a custom f, which imports brentq when it runs.
+and the wall.  The Hamiltonian holds its descent, Hamiltonian.descend, the
+one every 3D solve runs.  scipy is loaded only by _nehari_scale's bracket,
+the Nehari scale of a custom f, which imports brentq when it runs.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,11 @@ SNAPSHOT_VERSION = 1
 
 # sixth-order second-derivative stencil weights (per axis, divided by h^2)
 _C0, _C1, _C2, _C3 = -49.0 / 18.0, 1.5, -3.0 / 20.0, 1.0 / 90.0
+# Gershgorin row bound of the kinetic operator in units of eps^2 / h^2,
+# 3 (|C0| + 2 (|C1| + |C2| + |C3|)) = 18.133 rounded up; it holds with any
+# field because every hop has modulus 1 or 0
+STENCIL_ROW_BOUND = 18.14
+_LINE_TRIALS = 30  # trials of the descent's line search before it takes its best
 
 
 class SolverError(Exception):
@@ -32,6 +39,22 @@ class SolverError(Exception):
 
 class BoundaryMassWarning(UserWarning):
     """Raised when a field carries non-negligible weight on the box faces."""
+
+
+class ResolutionWarning(UserWarning):
+    """The converged spike is about one node wide.
+
+    Coarse grids admit lattice-pinned bound states whose discrete kinetic
+    cost is underpriced by the stencil; they satisfy the discrete equation
+    but do not approximate any continuum solution.  Refine the grid until
+    the spike spans several nodes.
+    """
+
+
+class ConvergenceError(SolverError):
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = trace if trace is not None else []
 
 
 @dataclass(frozen=True)
@@ -207,6 +230,66 @@ def _nehari_scale(Q: float, pairing, nonlin) -> float:
     return float(brentq(lambda t: pairing(t) - Q, t_lo, t_hi, xtol=1e-300, rtol=1e-15))
 
 
+def _warn_if_pinned(uv: np.ndarray) -> None:
+    """Warn when |u| falls by more than 60% within one node of its peak."""
+    m = np.abs(uv)
+    idx = np.unravel_index(int(np.argmax(m)), m.shape)
+    peak = m[idx]
+    if peak == 0.0:
+        return
+    worst = 1.0
+    for ax in range(3):
+        lo = list(idx)
+        best = 0.0
+        for d in (-1, 1):
+            j = idx[ax] + d
+            if 0 <= j < m.shape[ax]:
+                lo[ax] = j
+                best = max(best, float(m[tuple(lo)]))
+        worst = min(worst, best / peak)
+    if worst < 0.4:
+        warnings.warn(
+            "converged spike is about one node wide; the grid cannot resolve "
+            "it and the state may be lattice-pinned",
+            ResolutionWarning,
+            stacklevel=4,
+        )
+
+
+def _line_search(slope, g0, a):
+    """A step a > 0 with |g| <= 0.1 |g0|, g0 = slope(0) < 0, by a safeguarded
+    secant on the slope, and what slope returned there: (g, *rest).
+
+    Until a trial's slope turns positive the secant extrapolates, held
+    within [1.5 a, 4 a]; once [lo, hi] brackets the sign change it
+    interpolates through the last two trials, or through the bracket's ends
+    when that leaves it, and keeps a tenth of the bracket from either end.
+    After _LINE_TRIALS trials it takes the last point of negative slope, or
+    the last trial if there is none.
+    """
+    lo, hi, g_lo, g_hi = 0.0, math.inf, g0, 0.0
+    a_prev, g_prev = 0.0, g0
+    for _ in range(_LINE_TRIALS):
+        out = slope(a)
+        g = out[0]
+        if not abs(g) > 0.1 * abs(g0):  # met, or non-finite: J reports that
+            return a, out
+        if g < 0.0:
+            lo, g_lo, best = a, g, (a, out)
+        else:
+            hi, g_hi = a, g
+        nxt = a - g * (a - a_prev) / (g - g_prev) if g != g_prev else math.nan
+        a_prev, g_prev = a, g
+        if hi == math.inf:
+            a = min(max(nxt, 1.5 * a), 4.0 * a) if nxt > a else 4.0 * a
+        else:
+            if not lo < nxt < hi:
+                nxt = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+            w = hi - lo
+            a = min(max(nxt, lo + 0.1 * w), hi - 0.1 * w)
+    return best if lo > 0.0 else (a_prev, out)
+
+
 class Hamiltonian:
     """The discrete problem T u + V u = K f(|u|^2) u on one grid, T the
     kinetic operator apply_link_kinetic.
@@ -220,8 +303,8 @@ class Hamiltonian:
     J(u) = Q(u) / 2 - int K F(|u|^2).  The residual is zero on the two-node
     rim, which carries the Dirichlet data, not the equation.  vmax is sup V
     over the nodes; through stop_level it sets the residual level a solve
-    stops at and verify gates on.  The descent's per-node preconditioner
-    reads V itself.
+    stops at and verify gates on.  descend's per-node preconditioner reads
+    V itself.
     """
 
     def __init__(self, grid: Grid3, eps: float, V, K, nonlin, p1s: tuple | None):
@@ -292,6 +375,117 @@ class Hamiltonian:
         from mTu = mask Tu and kf = weight(|u|^2) already in hand."""
         res = mTu + ((self.V - kf) * self.mask) * u
         return res, math.sqrt(_re_dot(res, res) / res.size)
+
+    def descend(self, u, tol, max_iters, trace):
+        """Preconditioned nonlinear conjugate gradients for the action on its
+        Nehari manifold, from u (Polak-Ribiere with restarts; Antoine, Levitt
+        & Tang, J. Comput. Phys. 343, 2017): the descent of every 3D solve.
+
+        The preconditioner is the per-node step eta(x) = 1.8 / D(x),
+        D(x) = STENCIL_ROW_BOUND eps^2 / h^2 + (1 + p) V(x), built once from
+        V: D bounds row x of T + V, with the margin (1 + p) on V for the
+        curvature of the nonlinear term, and sup V, reached only at the box
+        corners, does not set the scale at the spike.  With z = eta res the
+        direction is d = -z + beta d_old, beta = max(0, Re <z, res - res_old>
+        / Re <z_old, res_old>), restarted to -z whenever Re <d, res> >= 0.
+
+        The step follows the Nehari curve phi(a) = J(t(a) (u + a d)), t(a) the
+        Nehari scale of u + a d (_nehari_scale, so a power and any other
+        f take one rule).  With T d from the one stencil call of the iteration
+        every trial is real node passes: Q(u + a d) = vol (q0 + 2 a q1 + a^2 q2)
+        and |u + a d|^2 = |u|^2 + a (2 b + a c), b = Re(conj(u) d), c = |d|^2,
+        and since t(a) puts u + a d on the manifold, phi'(a) = vol t^2 [(q1 +
+        a q2) - sum K f(t^2 |u + a d|^2) (b + a c)] in closed form.
+        _line_search stops at |phi'| <= 0.1 |phi'(0)|, a rule that keeps working
+        where the energy's steps fall below float64 resolution.  Its first trial
+        is the minimum of the quadratic model whose curvature per unit of q2 is
+        the last search's secant one (a = 1 at the start, or after a search that
+        met negative curvature), held to sqrt(q0 / q2), where u + a d has turned
+        45 degrees from u in Q: far out on the curve t, and phi' with it, is
+        small, and a search started there could stop past the minimum.  The
+        accepted trial hands over t (u + a d), t (Tu + a T d) and its Q: one
+        stencil application per iteration.
+
+        Returns the first iterate whose residual rms is at or below
+        stop_level, tol * max(1, sup V) * rms(u), and warns if that iterate
+        is lattice-pinned (_warn_if_pinned), whichever solve ran the descent.
+        Appends {iter, energy, residual, nehari_slack} to trace per iteration;
+        ConvergenceError carries it on divergence or when max_iters runs out.
+        """
+        nonlin, vol = self.nonlin, self.vol
+        h, eps = self.grid.spacing, self.eps
+        p_curv = nonlin.p if nonlin.is_power else 3.0
+        eta = 1.8 / (STENCIL_ROW_BOUND * eps * eps / (h * h) + (1.0 + p_curv) * self.V)
+        # a diverging iterate overflows on its way to a non-finite J, which is
+        # the one report of it, so numpy's overflow and invalid warnings are off
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, Tu, Q, slack = self.project(u * self.mask)
+            # u and d are zero on the rim, so only mask Tu is ever read
+            Tu *= self.mask
+            d, z = np.zeros_like(Tu), np.empty_like(Tu)
+
+            def re_conj(x, y):
+                # Re(conj(x) y) by one complex product in z, faster than
+                # _abs2's strided parts
+                return np.multiply(np.conjugate(x, out=z), y, out=z).real.copy()
+
+            m2 = re_conj(u, u)
+            kf = self.weight(m2)
+            res_old, zr_old, curv, rn0 = None, 0.0, 0.0, None
+            for it in range(max_iters):
+                res, rn = self._residual(u, Tu, kf)
+                J = 0.5 * Q - self.potential(m2)
+                trace.append({"iter": it, "energy": J, "residual": rn, "nehari_slack": slack})
+                if not math.isfinite(J):
+                    raise ConvergenceError("magnetic descent diverged to a non-finite energy", trace)
+                if rn0 is None:
+                    rn0 = rn
+                elif rn > 1e3 * rn0:
+                    raise ConvergenceError("magnetic descent residual grew out of control", trace)
+                if rn <= self.stop_level(tol, m2):
+                    _warn_if_pinned(u)
+                    return u
+                np.multiply(res, eta, out=z)
+                zr = _re_dot(z, res)
+                beta = max(0.0, (zr - _re_dot(z, res_old)) / zr_old) if zr_old > 0.0 else 0.0
+                d *= beta
+                d -= z
+                g0 = _re_dot(d, res)
+                if g0 >= 0.0:
+                    np.negative(z, out=d)
+                    g0 = -zr
+                res_old, zr_old = res, zr
+                Td = self.apply(d)
+                Td *= self.mask
+                b, c = re_conj(u, d), re_conj(d, d)
+                q0 = Q / vol
+                q1 = _re_dot(d, Tu) + float((self.V * b).sum())
+                q2 = _re_dot(d, Td) + float((self.V * c).sum())
+
+                def slope(a):
+                    m2a = c * a
+                    m2a += 2.0 * b
+                    m2a *= a
+                    m2a += m2
+                    Qa = vol * (q0 + a * (2.0 * q1 + a * q2))
+                    t = _nehari_scale(Qa, lambda s: self.pairing(m2a, s), nonlin)
+                    kfa = self.weight(t * t * m2a)
+                    return vol * t * t * (q1 + a * q2 - _re_dot(kfa, b) - a * _re_dot(kfa, c)), t, m2a, Qa, kfa
+
+                a0 = -g0 / (curv * q2) if curv > 0.0 else 1.0
+                step, (g, t, m2a, Qa, kfa) = _line_search(slope, vol * g0, min(a0, math.sqrt(q0 / q2)))
+                curv = (g / vol - g0) / (step * q2)
+                u += np.multiply(d, step, out=z)
+                u *= t
+                Tu += np.multiply(Td, step, out=z)
+                Tu *= t
+                Q = Qa * t * t
+                slack = abs(Qa - vol * _re_dot(kfa, m2a)) / Qa
+                # |u|^2 afresh: carried as t^2 m2a its rounding doubled the drift
+                # of the carried residual from a fresh one
+                m2 = re_conj(u, u)
+                kf = self.weight(m2)
+        raise ConvergenceError(f"magnetic descent did not reach tol={tol} in {max_iters} iterations", trace)
 
     def solve_linear(self, b: np.ndarray) -> np.ndarray:
         """x = (T + V)^-1 b on the nodes inside the rim, for b zero on the rim.

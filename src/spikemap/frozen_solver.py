@@ -1,4 +1,4 @@
-"""Ground states of the frozen-coefficient scalar problem.
+"""Radial ground states of the frozen-coefficient scalar problem.
 
 At a point z the problem is -Lap u + V(z) u = K(z) f(u^2) u on R^3, and the
 least energy among nontrivial solutions defines the ground-energy landscape
@@ -6,8 +6,11 @@ over z.  ground_energy is the production route to Sigma and the one place
 that picks the closed form or shooting for it.  The other routes are
 cross-checks: radial shooting (sigma_r), the closed-form rescaling to the
 canonical V=K=1 problem for powers, a constrained minimization of the
-kinetic term, and a 3D gradient flow on a box grid.  They deliberately
-share as little code as possible so they can check each other.
+kinetic term, and the 3D flow on a box grid, which lives in
+magnetic_solver.solve_frozen_magnetic and fields.Hamiltonian.descend and
+reads this module only through a profile sample_profile_on_grid puts on
+the grid.  They deliberately share as little code as possible so they can
+check each other.
 
 For a power nonlinearity the ground state at z is an exact rescaling of the
 cached canonical profile, so ground_state shoots nothing there; shooting is
@@ -31,15 +34,6 @@ integrals live on it: RadialProfile.moments computes them once, on first
 use, and the profile's energy (Sigma at the point) and grad_sigma (the
 envelope bracket) read them.  radial_residual takes the profile alone.
 
-Every 3D quadratic form, Nehari scale, energy, residual and stop level,
-here and in magnetic_solver, comes from fields.Hamiltonian, and the real 3D
-flow and the magnetic solve run one descent, _descend: nonlinear conjugate
-gradients preconditioned node by node, with a secant line search on the
-closed-form slope of the action along the Nehari curve, one stencil
-application per iteration.  The flow stays an independent route through its
-seed, a shot profile, and its free stencil on a real field.  Shooting, the
-rescaling and the constrained minimization share none of it.
-
 Radial integrals are _simpson's, scipy's composite Simpson rule to the bit.
 scipy is loaded only by the bracketed root solves in _amplitude_scale and
 fields._nehari_scale, which import brentq where they run, on a custom f's
@@ -50,19 +44,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    Field3,
-    Grid3,
-    Hamiltonian,
-    SolverError,
-    _nehari_scale,
-    _re_dot,
-)
+from .fields import Grid3, SolverError
 from .model import Nonlinearity
 
 
@@ -70,28 +56,11 @@ class BracketError(SolverError):
     """Shooting could not bracket the ground-state amplitude."""
 
 
-class ResolutionWarning(UserWarning):
-    """The converged spike is about one node wide.
-
-    Coarse grids admit lattice-pinned bound states whose discrete kinetic
-    cost is underpriced by the stencil; they satisfy the discrete equation
-    but do not approximate any continuum solution.  Refine the grid until
-    the spike spans several nodes.
-    """
-
-
-class ConvergenceError(SolverError):
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace if trace is not None else []
-
-
 # Shooting integrates to _R0 / sqrt(V): the dimensionless tail length is fixed,
 # which keeps scaled parameter sets on identical node ladders.
 _R0 = 15.0
 _SPLICE_RATIO = 1e-5  # switch to the exact linear tail once u drops below this
 _TAIL_RATIO = 1e-11  # extend until u is below this times u(0)
-_LINE_TRIALS = 30  # trials of the descent's line search before it takes its best
 
 
 @dataclass(frozen=True)
@@ -789,7 +758,7 @@ def constrained_sigma(point: FrozenPoint, nonlin, n: int = 3000) -> ConstrainedS
 
 
 # ---------------------------------------------------------------------------
-# 3D gradient flow on a box grid
+# a profile on a box grid
 
 def sample_profile_on_grid(prof: RadialProfile, grid: Grid3, center=None, scale: float = 1.0) -> np.ndarray:
     """Profile values u(|x - center| / scale) sampled on the grid nodes."""
@@ -797,201 +766,3 @@ def sample_profile_on_grid(prof: RadialProfile, grid: Grid3, center=None, scale:
     X1, X2, X3 = grid.meshgrid()
     rr = np.sqrt((X1 - c[0]) ** 2 + (X2 - c[1]) ** 2 + (X3 - c[2]) ** 2) / scale
     return np.interp(rr.ravel(), prof.r, prof.u, right=0.0).reshape(grid.dims)
-
-
-def _warn_if_pinned(uv: np.ndarray) -> None:
-    """Warn when |u| falls by more than 60% within one node of its peak."""
-    m = np.abs(uv)
-    idx = np.unravel_index(int(np.argmax(m)), m.shape)
-    peak = m[idx]
-    if peak == 0.0:
-        return
-    worst = 1.0
-    for ax in range(3):
-        lo = list(idx)
-        best = 0.0
-        for d in (-1, 1):
-            j = idx[ax] + d
-            if 0 <= j < m.shape[ax]:
-                lo[ax] = j
-                best = max(best, float(m[tuple(lo)]))
-        worst = min(worst, best / peak)
-    if worst < 0.4:
-        warnings.warn(
-            "converged spike is about one node wide; the grid cannot resolve "
-            "it and the state may be lattice-pinned",
-            ResolutionWarning,
-            stacklevel=4,
-        )
-
-
-def _line_search(slope, g0, a):
-    """A step a > 0 with |g| <= 0.1 |g0|, g0 = slope(0) < 0, by a safeguarded
-    secant on the slope, and what slope returned there: (g, *rest).
-
-    Until a trial's slope turns positive the secant extrapolates, held
-    within [1.5 a, 4 a]; once [lo, hi] brackets the sign change it
-    interpolates through the last two trials, or through the bracket's ends
-    when that leaves it, and keeps a tenth of the bracket from either end.
-    After _LINE_TRIALS trials it takes the last point of negative slope, or
-    the last trial if there is none.
-    """
-    lo, hi, g_lo, g_hi = 0.0, math.inf, g0, 0.0
-    a_prev, g_prev = 0.0, g0
-    for _ in range(_LINE_TRIALS):
-        out = slope(a)
-        g = out[0]
-        if not abs(g) > 0.1 * abs(g0):  # met, or non-finite: J reports that
-            return a, out
-        if g < 0.0:
-            lo, g_lo, best = a, g, (a, out)
-        else:
-            hi, g_hi = a, g
-        nxt = a - g * (a - a_prev) / (g - g_prev) if g != g_prev else math.nan
-        a_prev, g_prev = a, g
-        if hi == math.inf:
-            a = min(max(nxt, 1.5 * a), 4.0 * a) if nxt > a else 4.0 * a
-        else:
-            if not lo < nxt < hi:
-                nxt = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-            w = hi - lo
-            a = min(max(nxt, lo + 0.1 * w), hi - 0.1 * w)
-    return best if lo > 0.0 else (a_prev, out)
-
-
-def _descend(H: Hamiltonian, u, tol, max_iters, trace, what):
-    """Preconditioned nonlinear conjugate gradients for the action of H on
-    its Nehari manifold, from u (Polak-Ribiere with restarts; Antoine,
-    Levitt & Tang, J. Comput. Phys. 343, 2017).
-
-    The preconditioner is the per-node step eta(x) = 1.8 / D(x),
-    D(x) = 18.14 eps^2 / h^2 + (1 + p) V(x), built once from H.V.  18.14
-    eps^2 / h^2 is the Gershgorin row bound of the sixth-order stencil,
-    3 (|C0| + 2 (|C1| + |C2| + |C3|)) = 18.133 times eps^2 / h^2, and it
-    holds with any field because every hop has modulus 1 or 0; so D bounds
-    row x of T + V, with the margin (1 + p) on V for the curvature of the
-    nonlinear term, and sup V, reached only at the box corners, does not
-    set the scale at the spike.  With z = eta res the direction is
-    d = -z + beta d_old, beta = max(0, Re <z, res - res_old> / Re <z_old,
-    res_old>), restarted to -z whenever Re <d, res> >= 0.
-
-    The step follows the Nehari curve phi(a) = J(t(a) (u + a d)), t(a) the
-    Nehari scale of u + a d (fields._nehari_scale, so a power and any other
-    f take one rule).  With T d from the one stencil call of the iteration
-    every trial is real node passes: Q(u + a d) = vol (q0 + 2 a q1 + a^2 q2)
-    and |u + a d|^2 = |u|^2 + a (2 b + a c), b = Re(conj(u) d), c = |d|^2,
-    and since t(a) puts u + a d on the manifold, phi'(a) = vol t^2 [(q1 +
-    a q2) - sum K f(t^2 |u + a d|^2) (b + a c)] in closed form.
-    _line_search stops at |phi'| <= 0.1 |phi'(0)|, a rule that keeps working
-    where the energy's steps fall below float64 resolution.  Its first trial
-    is the minimum of the quadratic model whose curvature per unit of q2 is
-    the last search's secant one (a = 1 at the start, or after a search that
-    met negative curvature), held to sqrt(q0 / q2), where u + a d has turned
-    45 degrees from u in Q: far out on the curve t, and phi' with it, is
-    small, and a search started there could stop past the minimum.  The
-    accepted trial hands over t (u + a d), t (Tu + a T d) and its Q: one
-    stencil application per iteration.
-
-    Returns the first iterate whose residual rms is at or below
-    H.stop_level, tol * max(1, sup V) * rms(u), and warns if that iterate is
-    lattice-pinned (_warn_if_pinned), whichever solve ran the descent.
-    Appends {iter, energy, residual, nehari_slack} to trace per iteration;
-    ConvergenceError carries it on divergence or when max_iters runs out.
-    """
-    nonlin, vol = H.nonlin, H.vol
-    h, eps = H.grid.spacing, H.eps
-    p_curv = nonlin.p if nonlin.is_power else 3.0
-    eta = 1.8 / (18.14 * eps * eps / (h * h) + (1.0 + p_curv) * H.V)
-    # a diverging iterate overflows on its way to a non-finite J, which is
-    # the one report of it, so numpy's overflow and invalid warnings are off
-    with np.errstate(over="ignore", invalid="ignore"):
-        u, Tu, Q, slack = H.project(u * H.mask)
-        # u and d are zero on the rim, so only mask Tu is ever read
-        Tu *= H.mask
-        d, z = np.zeros_like(Tu), np.empty_like(Tu)
-
-        def re_conj(x, y):
-            # Re(conj(x) y) by one complex product in z, faster than
-            # fields._abs2's strided parts
-            return np.multiply(np.conjugate(x, out=z), y, out=z).real.copy()
-
-        m2 = re_conj(u, u)
-        kf = H.weight(m2)
-        res_old, zr_old, curv, rn0 = None, 0.0, 0.0, None
-        for it in range(max_iters):
-            res, rn = H._residual(u, Tu, kf)
-            J = 0.5 * Q - H.potential(m2)
-            trace.append({"iter": it, "energy": J, "residual": rn, "nehari_slack": slack})
-            if not math.isfinite(J):
-                raise ConvergenceError(f"{what} diverged to a non-finite energy", trace)
-            if rn0 is None:
-                rn0 = rn
-            elif rn > 1e3 * rn0:
-                raise ConvergenceError(f"{what} residual grew out of control", trace)
-            if rn <= H.stop_level(tol, m2):
-                _warn_if_pinned(u)
-                return u
-            np.multiply(res, eta, out=z)
-            zr = _re_dot(z, res)
-            beta = max(0.0, (zr - _re_dot(z, res_old)) / zr_old) if zr_old > 0.0 else 0.0
-            d *= beta
-            d -= z
-            g0 = _re_dot(d, res)
-            if g0 >= 0.0:
-                np.negative(z, out=d)
-                g0 = -zr
-            res_old, zr_old = res, zr
-            Td = H.apply(d)
-            Td *= H.mask
-            b, c = re_conj(u, d), re_conj(d, d)
-            q0 = Q / vol
-            q1 = _re_dot(d, Tu) + float((H.V * b).sum())
-            q2 = _re_dot(d, Td) + float((H.V * c).sum())
-
-            def slope(a):
-                m2a = c * a
-                m2a += 2.0 * b
-                m2a *= a
-                m2a += m2
-                Qa = vol * (q0 + a * (2.0 * q1 + a * q2))
-                t = _nehari_scale(Qa, lambda s: H.pairing(m2a, s), nonlin)
-                kfa = H.weight(t * t * m2a)
-                return vol * t * t * (q1 + a * q2 - _re_dot(kfa, b) - a * _re_dot(kfa, c)), t, m2a, Qa, kfa
-
-            a0 = -g0 / (curv * q2) if curv > 0.0 else 1.0
-            step, (g, t, m2a, Qa, kfa) = _line_search(slope, vol * g0, min(a0, math.sqrt(q0 / q2)))
-            curv = (g / vol - g0) / (step * q2)
-            u += np.multiply(d, step, out=z)
-            u *= t
-            Tu += np.multiply(Td, step, out=z)
-            Tu *= t
-            Q = Qa * t * t
-            slack = abs(Qa - vol * _re_dot(kfa, m2a)) / Qa
-            # |u|^2 afresh: carried as t^2 m2a its rounding doubled the drift
-            # of the carried residual from a fresh one
-            m2 = re_conj(u, u)
-            kf = H.weight(m2)
-    raise ConvergenceError(f"{what} did not reach tol={tol} in {max_iters} iterations", trace)
-
-
-def gradient_flow_3d_real(
-    point: FrozenPoint,
-    nonlin,
-    grid: Grid3,
-    tol: float = 1e-6,
-    max_iters: int = 20000,
-    trace: list | None = None,
-    seed_profile: RadialProfile | None = None,
-) -> Field3:
-    """Nehari-constrained descent for the frozen problem on a box.
-
-    The shared descent, _descend's preconditioned nonlinear conjugate
-    gradients, on the frozen Hamiltonian with the free stencil, from the shot
-    profile sampled on the grid, so the field stays real.  Converged when the
-    residual rms drops below tol relative to max(1, V) times the field rms.
-    """
-    prof = seed_profile if seed_profile is not None else shoot_radial(point, nonlin)
-    H = Hamiltonian(grid, 1.0, point.Vz, point.Kz, nonlin, None)
-    u = _descend(H, sample_profile_on_grid(prof, grid), tol, max_iters,
-                 trace if trace is not None else [], "frozen 3D flow")
-    return Field3(grid, u)

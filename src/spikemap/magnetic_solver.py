@@ -7,17 +7,14 @@ reported residual gauge covariant to rounding for polynomial gauge
 functions; fields.link_table walls ModelSpec.link_phases and forms the
 longer hops.  The expanded form of the operator (the one with an explicit
 div A term) is never assembled: the phases encode that term exactly.  The
-solve runs frozen_solver's descent, the one the real 3D flow runs, from this
+solve runs the Hamiltonian's own descent, Hamiltonian.descend, from this
 module's seeds; energy_J and pde_residual read the same Hamiltonian.
 solve_magnetic takes values: the model, the grid, eps and keywords with
 defaults, and its seed is "frozen", "random" or a Field3 on the solve grid.
-This module opens no file; the CLI reads a snapshot seed.  The
-descent is nonlinear conjugate gradients preconditioned node by node with
-1.8 / (18.14 eps^2 / h^2 + (1 + p) V(x)): a bound on row x of the operator,
-so the spike, where V is small, is not held to the scale that sup V at the
-box corners sets (see _descend).  The Hamiltonian of a complex field always
-holds a complex hop table, real unit phases included.  rescaled_model reads the coefficients in the blow-up
-frame, at z + eps x; the frozen problem at z is that frame at eps = 0.
+This module opens no file; the CLI reads a snapshot seed.  The Hamiltonian
+of a complex field always holds a complex hop table, real unit phases
+included.  rescaled_model reads the coefficients in the blow-up frame, at
+z + eps x; the frozen problem at z is that frame at eps = 0.
 
 Every sum a solve or rescale takes runs on one thread in numpy's fixed order,
 none in a threaded BLAS, so runs with the same seed produce identical bytes
@@ -41,9 +38,7 @@ from .fields import (
 )
 from .frozen_solver import (
     FrozenPoint,
-    ResolutionWarning,  # _descend warns with it; solve_magnetic's callers catch it here
     SolverError,
-    _descend,
     explicit_sigma_and_grad,
     ground_state,
     sample_profile_on_grid,
@@ -194,32 +189,27 @@ def solve_magnetic(model: ModelSpec, grid: Grid3, eps: float, *, tol: float = 1e
     """Least-energy descent for the magnetic problem on grid at semiclassical
     parameter eps.
 
-    Each iteration takes a preconditioned nonlinear conjugate-gradient step
-    of the discrete action, with a line search along the curve of iterates
-    rescaled onto the set where the action's derivative against the iterate
-    itself vanishes, so the constraint holds along the whole descent path
-    (see frozen_solver._descend).  tol is relative: the descent stops when
-    the residual rms falls below tol * max(1, sup V) * rms(u), or fails after
-    max_iters iterations; its preconditioner and line-search rule are
-    constants of _descend.  seed is "frozen" (the frozen ground state at
-    center, or at the lattice minimizer of the explicit ground energy,
-    modulated by the magnetic phase there), "random" (a smoothed
-    Gaussian-windowed random field around center or the box center,
-    deterministic in rng_seed), or a Field3 on grid to restart from.
-    Deterministic for fixed arguments.
+    The descent is Hamiltonian.descend, which keeps every iterate on the
+    Nehari manifold.  tol is relative: the descent stops when the residual
+    rms falls below tol * max(1, sup V) * rms(u), or fails after max_iters
+    iterations.  seed is "frozen" (the frozen ground state at center, or at
+    the lattice minimizer of the explicit ground energy, modulated by the
+    magnetic phase there), "random" (a smoothed Gaussian-windowed random
+    field around center or the box center, deterministic in rng_seed), or a
+    Field3 on grid to restart from.  Deterministic for fixed arguments.
 
-    Raises SolverError for eps <= 0, tol <= 0, a seed of any other value or
-    type, a seed field on another grid (Grid3.matches), a frozen seed that
-    is zero on every node (eps / h too small), ModelError when the model
-    fails validate_assumptions, BoundaryMassError when the seed puts more
-    than 1e-5 of its squared-modulus mass on the outermost node shell (the
-    box is then too small for the problem), and ConvergenceError (carrying
-    the trace) when max_iters runs out.
+    Raises SolverError for eps or tol outside (0, inf), a seed of any other
+    value or type, a seed field on another grid (Grid3.matches), a frozen
+    seed that is zero on every node (eps / h too small), ModelError when the
+    model fails validate_assumptions, BoundaryMassError when the seed puts
+    more than 1e-5 of its squared-modulus mass on the outermost node shell
+    (the box is then too small for the problem), and ConvergenceError
+    (carrying the trace) when max_iters runs out.
     """
-    if eps <= 0:
-        raise SolverError("eps must be positive")
-    if tol <= 0:
-        raise SolverError("residual tolerance must be positive")
+    if not 0 < eps < math.inf:
+        raise SolverError(f"eps must be positive and finite, got {eps}")
+    if not 0 < tol < math.inf:
+        raise SolverError(f"residual tolerance must be positive and finite, got {tol}")
     validate_assumptions(model)
     H = Hamiltonian.from_model(model, grid, eps)
     u0 = _seed_field(model, grid, eps, seed, rng_seed, center)
@@ -229,7 +219,7 @@ def solve_magnetic(model: ModelSpec, grid: Grid3, eps: float, *, tol: float = 1e
             f"seed field keeps {bm:.2e} of its mass on the box boundary; enlarge the box"
         )
     trace: list = []
-    u = _descend(H, u0, tol, max_iters, trace, "magnetic descent")
+    u = H.descend(u0, tol, max_iters, trace)
     last = trace[-1]
     sol_u = Field3(grid, u)
     return MagneticSolution(

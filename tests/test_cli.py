@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from spikemap.cli import ConfigError, RunConfig, main
-from spikemap.fields import Field3, make_grid, read_snapshot, write_snapshot
-from spikemap.frozen_solver import FrozenPoint, ResolutionWarning, canonical_profile, shoot_radial
+from spikemap.fields import Field3, ResolutionWarning, make_grid, read_snapshot, write_snapshot
+from spikemap.frozen_solver import FrozenPoint, canonical_profile, shoot_radial
 from spikemap.magnetic_solver import energy_J
 from spikemap.model import ModelError
 

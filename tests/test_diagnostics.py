@@ -19,7 +19,7 @@ from spikemap.diagnostics import (
     pucci_serrin_residual,
     run_diagnostics,
 )
-from spikemap.fields import BoundaryMassWarning, Field3, make_grid
+from spikemap.fields import BoundaryMassWarning, Field3, Hamiltonian, make_grid
 from spikemap.frozen_solver import (
     FrozenPoint,
     canonical_profile,
@@ -562,11 +562,17 @@ def test_concentration_metrics_forgives_tails_below_the_floor():
     assert study.notes["fixed_tails_decreasing"]
 
 
-def test_concentration_metrics_rejects_unsorted_eps():
+def test_concentration_metrics_rejects_unsorted_eps(monkeypatch):
+    # the family is checked before any member's error estimate is solved
+    calls = []
+    solve = Hamiltonian.solve_linear
+    monkeypatch.setattr(Hamiltonian, "solve_linear", lambda self, b: calls.append(b) or solve(self, b))
     model = mk_model(A=("0.2", "0", "0.1"))
-    fam = manufactured_family(model)[::-1]
-    with pytest.raises(DiagnosticsError):
-        concentration_metrics(fam, (0.0, 0.0, 0.0), model)
+    fam = manufactured_family(model)
+    for bad in (fam[::-1], [fam[0], fam[0]], []):
+        with pytest.raises(DiagnosticsError):
+            concentration_metrics(bad, (0.0, 0.0, 0.0), model)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

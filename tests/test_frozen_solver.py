@@ -11,18 +11,15 @@ from hypothesis import strategies as st
 
 from spikemap import frozen_solver
 from spikemap.cli import _write_profile
-from spikemap.fields import Hamiltonian, make_grid
+from spikemap.fields import ConvergenceError, Hamiltonian, ResolutionWarning, make_grid
 from spikemap.frozen_solver import (
     BracketError,
-    ConvergenceError,
     FrozenPoint,
-    ResolutionWarning,
     _simpson,
     canonical_energy,
     canonical_profile,
     constrained_sigma,
     explicit_sigma_and_grad,
-    gradient_flow_3d_real,
     ground_state,
     radial_residual,
     sample_profile_on_grid,
@@ -637,14 +634,21 @@ def test_sample_profile_on_grid(prof3):
     assert vals[i4, 12, 12] == pytest.approx(np.interp(2.0, prof3.r, prof3.u), rel=1e-12)
 
 
+def _flow3d(point, nl, grid, prof, tol, trace, max_iters=20000):
+    """The real 3D flow of the frozen problem: the descent on the free
+    stencil from the shot profile sampled on the grid."""
+    H = Hamiltonian(grid, 1.0, point.Vz, point.Kz, nl, None)
+    return H.descend(sample_profile_on_grid(prof, grid), tol, max_iters, trace)
+
+
 def test_flow3d_agrees_with_shooting(prof3):
     nl = Nonlinearity.power(1.0, 3.0)
     grid = make_grid(radius=9.0, n=32)
     trace = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResolutionWarning)  # a resolved spike, not a pinned one
-        u = gradient_flow_3d_real(P0, nl, grid, tol=1e-5, trace=trace, seed_profile=prof3)
-    I3 = Hamiltonian(grid, 1.0, P0.Vz, P0.Kz, nl, None).energy(u.values)
+        u = _flow3d(P0, nl, grid, prof3, 1e-5, trace)
+    I3 = Hamiltonian(grid, 1.0, P0.Vz, P0.Kz, nl, None).energy(u)
     assert I3 == pytest.approx(prof3.energy, rel=0.05)
     # constraint is enforced at every accepted step: the slack is |Q - P| / Q
     assert set(trace[-1]) == {"iter", "energy", "residual", "nehari_slack"}
@@ -667,8 +671,7 @@ def test_flow3d_warns_when_it_ends_lattice_pinned():
     seed = dataclasses.replace(shot, u=5.0 * np.exp(-shot.r**2 / 2.0))
     trace = []
     with pytest.warns(ResolutionWarning):
-        gradient_flow_3d_real(point, nl, make_grid(radius=8.0, n=20), tol=1e-10, trace=trace,
-                              seed_profile=seed)
+        _flow3d(point, nl, make_grid(radius=8.0, n=20), seed, 1e-10, trace)
     assert trace[-1]["energy"] < 0.7 * shot.energy
 
 
@@ -680,7 +683,7 @@ def test_flow3d_custom_f_takes_the_power_route_energy(prof3):
     runs = []
     for nl in (Nonlinearity.power(1.0, 3.0), CUBIC_AS_CUSTOM):
         trace = []
-        gradient_flow_3d_real(P0, nl, grid, tol=1e-8, trace=trace, seed_profile=prof3)
+        _flow3d(P0, nl, grid, prof3, 1e-8, trace)
         runs.append(trace[-1])
     assert abs(runs[0]["iter"] - runs[1]["iter"]) <= 1
     assert runs[1]["energy"] == pytest.approx(runs[0]["energy"], rel=1e-12)
@@ -690,8 +693,7 @@ def test_flow3d_raises_with_trace_when_starved(prof3):
     nl = Nonlinearity.power(1.0, 3.0)
     grid = make_grid(radius=8.0, n=16)
     with pytest.raises(ConvergenceError) as exc:
-        gradient_flow_3d_real(P0, nl, grid, tol=1e-12, max_iters=3, seed_profile=prof3,
-                              trace=[])
+        _flow3d(P0, nl, grid, prof3, 1e-12, [], max_iters=3)
     assert exc.value.trace is not None
     assert len(exc.value.trace) == 3
 

@@ -11,16 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemap import fields, frozen_solver, magnetic_solver
-from spikemap.fields import Field3, Hamiltonian, make_grid
+from spikemap.fields import ConvergenceError, Field3, Hamiltonian, ResolutionWarning, make_grid
 from spikemap.frozen_solver import (
-    ConvergenceError,
     FrozenPoint,
     SolverError,
-    gradient_flow_3d_real,
+    sample_profile_on_grid,
+    shoot_radial,
 )
 from spikemap.magnetic_solver import (
     BoundaryMassError,
-    ResolutionWarning,
     energy_J,
     pde_residual,
     phase_factor_split,
@@ -178,7 +177,7 @@ def test_per_node_step_with_constant_V_is_the_global_step():
     nl = Nonlinearity.power(1.0, 3.0)
     H = Hamiltonian(grid, 1.0, 1.7, 1.3, nl, None)
     trace = []
-    u = frozen_solver._descend(H, _frozen_seed(grid), 1e-6, 500, trace, "test")
+    u = H.descend(_frozen_seed(grid), 1e-6, 500, trace)
     ref, iters, energy = _global_step_descend(H, _frozen_seed(grid), 1e-6, 500)
     assert 10 < trace[-1]["iter"] < iters
     assert trace[-1]["energy"] == pytest.approx(energy, rel=1e-8)
@@ -193,7 +192,7 @@ def test_descent_reaches_the_oracle_energy_on_the_bench_model():
     H = Hamiltonian.from_model(model, grid, 1.0)
     seed = magnetic_solver._seed_field(model, grid, 1.0, "frozen", 0, None)
     trace = []
-    frozen_solver._descend(H, seed, 1e-8, 500, trace, "test")
+    H.descend(seed, 1e-8, 500, trace)
     _, iters, energy = _global_step_descend(H, seed, 1e-8, 500)
     assert trace[-1]["iter"] < iters
     assert trace[-1]["energy"] == pytest.approx(energy, rel=1e-8)
@@ -210,8 +209,7 @@ def test_descent_reads_scalar_and_array_V_alike():
     for V in (1.7, np.full(grid.dims, 1.7)):
         trace = []
         with pytest.warns(ResolutionWarning):
-            u = frozen_solver._descend(Hamiltonian(grid, 1.0, V, 1.3, nl, None),
-                                       _frozen_seed(grid), 1e-10, 500, trace, "test")
+            u = Hamiltonian(grid, 1.0, V, 1.3, nl, None).descend(_frozen_seed(grid), 1e-10, 500, trace)
         runs.append((u, trace))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
@@ -415,8 +413,9 @@ def test_frozen_solve_matches_the_real_flow():
     grid = make_grid(radius=9.0, n=32)
     sol = solve_frozen_magnetic(z, model, grid, tol=1e-6)
     point = FrozenPoint.from_model(model, np.asarray(z))
-    u = gradient_flow_3d_real(point, model.nonlin, grid, tol=1e-6)
-    I = Hamiltonian(grid, 1.0, point.Vz, point.Kz, model.nonlin, None).energy(u.values)
+    H = Hamiltonian(grid, 1.0, point.Vz, point.Kz, model.nonlin, None)
+    u = H.descend(sample_profile_on_grid(shoot_radial(point, model.nonlin), grid), 1e-6, 20000, [])
+    I = H.energy(u)
     assert sol.energy_J == pytest.approx(I, rel=1e-10)
 
 
@@ -515,10 +514,14 @@ def test_iteration_budget_error_carries_the_trace():
 
 def test_config_rejects_bad_knobs():
     grid = make_grid(radius=8.0, n=16)
-    with pytest.raises(SolverError, match="eps must be positive"):
-        solve_magnetic(mk_model(), grid, 0.0)
-    with pytest.raises(SolverError, match="tolerance must be positive"):
-        solve_magnetic(mk_model(), grid, 1.0, tol=0.0)
+    # a tol of inf would stop at the projected seed, nan would run the whole
+    # budget, and a non-finite eps would end in an error that blames the box
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(SolverError, match="eps must be positive"):
+            solve_magnetic(mk_model(), grid, eps)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(SolverError, match="tolerance must be positive"):
+            solve_magnetic(mk_model(), grid, 1.0, tol=tol)
     # a path is no seed: the CLI reads snapshots, the solve takes a Field3;
     # nor is a bare array of the grid's shape
     for seed in ("Frozen", "", "state.spkf", np.zeros((16, 16, 16), complex)):
