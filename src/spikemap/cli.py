@@ -495,8 +495,9 @@ def _family_grid(cfg: RunConfig):
     if cfg.center is not None and max(map(abs, cfg.center)) > grid.half_extent():
         raise ConfigError(f"solver.center {list(cfg.center)} lies outside the grid box, "
                           f"|x_k| <= {grid.half_extent():.6g}")
-    # the largest eps has the smallest blow-up box, reaching sqrt(3) R / eps
-    # at most: a decay window starting beyond that leaves its fit no shell
+    # the blow-up box is the solve box over eps, smallest for the largest
+    # eps; its corners lie sqrt(3) R / eps from the box centre, so a decay
+    # window starting beyond that leaves a centred spike's fit no shell
     reach = math.sqrt(3.0) * grid.half_extent() / max(cfg.eps_list)
     if cfg.report and cfg.decay_window is not None and cfg.decay_window[0] >= reach:
         raise ConfigError(f"decay window starts beyond r = {reach:.6g}, the reach of the blow-up box")

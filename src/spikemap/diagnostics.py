@@ -139,10 +139,11 @@ def pucci_serrin_residual(v: Field3, z0, eps: float, model: ModelSpec):
     every integrand is, as for constant coefficients.
 
     Warns when the box boundary carries more than 1e-5 of the field's mass
-    and refuses above 1e-3.  The truncation bias of the integrals is of the
-    order of that boundary fraction, so 1e-3 keeps it well under the 1e-2
-    scale this residual is judged against, while still rejecting fields
-    whose tail never fit in the box.
+    and refuses above 1e-3; on rescale's view that boundary is the wall the
+    field was solved against.  The truncation bias of the integrals is of
+    the order of that boundary fraction, so 1e-3 keeps it well under the
+    1e-2 scale this residual is judged against, while still rejecting
+    fields whose tail never fit in the box.
     """
     frac = boundary_fraction(np.abs(v.values))
     if frac > 1e-3:
@@ -242,12 +243,11 @@ class DecayFit:
 
 def _shell_maxima(u):
     """Radii h j and the maxima of |u| over the shells round(r / h) = j around
-    the grid origin."""
+    the point 0, which in a blow-up view (rescale) is the spike."""
     grid = u.grid
     h = grid.spacing
     X = grid.meshgrid()
-    o = grid.origin
-    rr = np.sqrt(sum((X[m] - o[m]) ** 2 for m in range(3)))
+    rr = np.sqrt(sum(X[m] ** 2 for m in range(3)))
     idx = np.rint(rr / h).astype(np.int64).ravel()
     sup = np.zeros(int(idx.max()) + 1)
     np.maximum.at(sup, idx, np.abs(u.values).ravel())
@@ -257,9 +257,9 @@ def _shell_maxima(u):
 def decay_fit(u, window) -> DecayFit:
     """Least-squares decay rates of a field or radial profile over [r1, r2].
 
-    Fields are reduced to shell maxima around the grid origin first (the
-    bound being certified is sup-type).  Shells with maxima at or below
-    1e-12 are dropped; an empty window raises.
+    Fields are reduced to shell maxima around the point 0, the spike of a
+    blow-up view, first (the bound being certified is sup-type).  Shells
+    with maxima at or below 1e-12 are dropped; an empty window raises.
     """
     r1, r2 = float(window[0]), float(window[1])
     if hasattr(u, "grid"):
@@ -493,11 +493,12 @@ def run_diagnostics(u: Field3, eps: float, model: ModelSpec, window=None) -> dic
     writes: every value a float or a list of floats, with the denominators
     behind the ratios in notes.
 
-    The field is blown up around its spike (_spike_location), phase-split
-    there, and pushed through every identity check.  The decay window
-    defaults to starting at twice the blow-up profile's width and ending
-    just inside the box.  The Nehari slack is the caller's to add: the solve
-    reads it off its last iterate, verify off the stored field.
+    The field is viewed around its spike (_spike_location) by rescale, its
+    own values on its own nodes and walls, phase-split there, and pushed
+    through every identity check.  The decay window defaults to starting at
+    twice the blow-up profile's width and ending at 0.8 times the spike's
+    distance to the nearest wall.  The Nehari slack is the caller's to add:
+    the solve reads it off its last iterate, verify off the stored field.
     """
     z0 = tuple(float(c) for c in _spike_location(u))
     dia = diamagnetic_check(u, model, eps)
@@ -508,8 +509,8 @@ def run_diagnostics(u: Field3, eps: float, model: ModelSpec, window=None) -> dic
     split = phase_factor_split(v, z0, model)
     _, cnorm, cdenom = current_density(split.U)
     if window is None:
-        r_box = float(v.grid.half_extent())
-        window = (2.0 * _shell_fwhm(v), 0.8 * r_box)
+        wall = min(v.grid.half_extent(k) - abs(v.grid.origin[k]) for k in range(3))
+        window = (2.0 * _shell_fwhm(v), 0.8 * wall)
     fit = decay_fit(v, window)
     ps_terms = float(np.linalg.norm(ps_vec)) / ps_rel if ps_rel > 0.0 else 0.0
     return {

@@ -13,10 +13,11 @@ solve_magnetic takes values: the model, the grid, eps and keywords with
 defaults, and its seed is "frozen", "random" or a Field3 on the solve grid.
 This module opens no file; the CLI reads a snapshot seed.  The Hamiltonian
 of a complex field always holds a complex hop table, real unit phases
-included.  rescaled_model reads the coefficients in the blow-up frame, at
-z + eps x; the frozen problem at z is that frame at eps = 0.
+included.  rescale views a field in the blow-up frame y = (x - z) / eps, and
+rescaled_model reads the coefficients there, at z + eps y; the frozen
+problem at z is that frame at eps = 0.
 
-Every sum a solve or rescale takes runs on one thread in numpy's fixed order,
+Every sum a solve takes runs on one thread in numpy's fixed order,
 none in a threaded BLAS, so runs with the same seed produce identical bytes
 whatever the BLAS thread count.  Separate solves share no mutable state.
 """
@@ -34,7 +35,6 @@ from .fields import (
     Grid3,
     Hamiltonian,
     boundary_fraction,
-    make_grid,
 )
 from .frozen_solver import (
     FrozenPoint,
@@ -246,74 +246,19 @@ def solve_frozen_magnetic(z, model: ModelSpec, grid: Grid3, **kwargs) -> Magneti
     return solve_magnetic(rescaled_model(model, z, 0.0), grid, 1.0, center=tuple(grid.origin), **kwargs)
 
 
-_PAD = 12  # edge copies on each side ahead of the spline prefilter
-
-
-def _spline_operator(n: int, x: np.ndarray) -> np.ndarray:
-    """The (x.size, n) matrix S = B M P that takes n samples on the nodes
-    0..n-1 to their cubic B-spline interpolant at the fractional node
-    positions x, all within [0, n - 1].
-
-    P pads the samples by _PAD edge copies on each side; M is the cubic
-    B-spline prefilter of the padded samples with mirror boundaries, gain 6
-    and one causal and one anticausal pass with the pole z = sqrt(3) - 2
-    (Unser, IEEE Signal Process. Mag. 1999), run on the unit samples, so
-    column j holds the coefficients of sample j; B holds the four B-spline
-    weights at each x.  Together that is map_coordinates(order=3,
-    mode="nearest") along one axis.  Rows are combined by numpy
-    elementwise operations only, in a fixed order.
-    """
-    m = n + 2 * _PAD
-    z = math.sqrt(3.0) - 2.0
-    c = 6.0 * np.eye(m)
-    zk = z ** np.arange(m)
-    c[0] = zk
-    c[0, 1:-1] += zk[-1] * zk[-2:0:-1]  # the mirrored samples' share
-    c[0] *= 6.0 / (1.0 - zk[-1] * zk[-1])
-    for i in range(1, m):
-        c[i] += z * c[i - 1]
-    c[-1] = (z / (z * z - 1.0)) * (c[-1] + z * c[-2])
-    for i in range(m - 2, -1, -1):
-        c[i] = z * (c[i + 1] - c[i])
-    MP = np.concatenate(
-        [c[:, : _PAD + 1].sum(axis=1, keepdims=True), c[:, _PAD + 1 : _PAD + n - 1],
-         c[:, _PAD + n - 1 :].sum(axis=1, keepdims=True)], axis=1)
-    xp = x + _PAD
-    i = np.floor(xp).astype(np.int64)
-    t = (xp - i)[:, None]
-    s = 1.0 - t
-    return (s**3 * MP[i - 1] + (4.0 - 6.0 * t * t + 3.0 * t**3) * MP[i]
-            + (4.0 - 6.0 * s * s + 3.0 * s**3) * MP[i + 1] + t**3 * MP[i + 2]) / 6.0
-
-
 def rescale(u: Field3, eps: float, z0) -> Field3:
-    """Blow-up view v(x) = u(z0 + eps x) on a unit-scale box.
+    """Blow-up view v(y) = u(z0 + eps y), exact on the nodes u was solved on.
 
-    The target box is the largest cube around z0 whose image stays inside the
-    source box, with as many nodes as the source.  Values are the cubic
-    B-spline interpolant of u, edge-continued, which is what
-    map_coordinates(order=3, mode="nearest") gives: the target grid is a
-    tensor product, so the interpolant is one _spline_operator per axis,
-    applied along that axis by einsum to the real and imaginary parts.  At
-    eps = 1 with z0 the source box center it is the identity to rounding.
+    y = (x - z0) / eps is affine, so the view is u.values itself, shared, on
+    the grid with spacing h / eps and origin (origin - z0) / eps: the solve
+    box over eps, whose walls a boundary-mass gate on the view reads.  The
+    point y = 0 is z0.  Raises SolverError when z0 lies outside the box.
     """
-    z0 = np.asarray(z0, dtype=np.float64)
-    src = u.grid
-    origin = np.asarray(src.origin, dtype=np.float64)
-    half = np.array([src.half_extent(k) for k in range(3)])
-    room = half - np.abs(z0 - origin)
-    if np.any(room <= 0):
+    g = u.grid
+    off = np.asarray(z0, dtype=np.float64) - g.origin
+    if np.any(np.abs(off) >= [g.half_extent(k) for k in range(3)]):
         raise SolverError("rescale center sits outside the source box")
-    radius = float(room.min()) / eps
-    n = int(src.dims[0])
-    target = make_grid(radius=radius, n=n)
-    ax, lo = np.linspace(-radius, radius, n), origin - half
-    S = [_spline_operator(src.dims[k], (z0[k] + eps * ax - lo[k]) / src.spacing) for k in range(3)]
-    w = np.stack((u.values.real, u.values.imag))
-    w = np.einsum("ia,dabc->dibc", S[0], w)
-    w = np.einsum("jb,dibc->dijc", S[1], w)
-    w = np.einsum("kc,dijc->dijk", S[2], w)
-    return Field3(target, w[0] + 1j * w[1])
+    return Field3(Grid3(g.dims, g.spacing / eps, tuple(float(c) for c in -off / eps)), u.values)
 
 
 def rescaled_model(model: ModelSpec, z0, eps: float) -> ModelSpec:

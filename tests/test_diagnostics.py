@@ -315,14 +315,34 @@ def test_decay_fit_profile_yukawa_exact():
     assert fit.rate > fit.corrected_rate
 
 
-def test_decay_fit_field_yukawa():
-    grid = make_grid(8.0, 48)
+def _yukawa_decay(origin, window):
+    grid = make_grid(8.0, 48, origin=origin)
     X = grid.meshgrid()
     r = np.sqrt(X[0] ** 2 + X[1] ** 2 + X[2] ** 2)
     r = np.maximum(r, grid.spacing / 2)
     u = Field3(grid, (np.exp(-1.3 * r) / r).astype(complex))
-    fit = decay_fit(u, (2.0, 6.5))
+    return decay_fit(u, window)
+
+
+def test_decay_fit_field_yukawa():
+    fit = _yukawa_decay((0.0, 0.0, 0.0), (2.0, 6.5))
     assert fit.corrected_rate == pytest.approx(1.3, rel=1e-2)
+
+
+def test_decay_fit_shells_centre_on_the_spike_not_the_box():
+    # the shells are centred on the coordinate point 0, where the Yukawa
+    # spike sits, however the box is centred.  A box moved by whole nodes
+    # holds the centred box's nodes around 0, so it reads the same rate
+    h = make_grid(8.0, 48).spacing
+    centred = _yukawa_decay((0.0, 0.0, 0.0), (2.0, 5.5)).corrected_rate
+    moved = _yukawa_decay((3 * h, -2 * h, h), (2.0, 5.5)).corrected_rate
+    assert moved == pytest.approx(centred, rel=1e-12)
+    # off the lattice the shell maxima sit at other radii inside their
+    # shells: 1.315 here, against 1.310 for the centred box (each shell is
+    # read at radius h j, up to h / 2 from its maximum's node); shells
+    # around the box centre read 1.494
+    off = _yukawa_decay((1.1, -0.7, 0.4), (2.0, 5.5)).corrected_rate
+    assert off == pytest.approx(1.3, rel=2e-2)
 
 
 def test_decay_fit_frozen_profile_rate():
