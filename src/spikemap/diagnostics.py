@@ -2,15 +2,18 @@
 
 Every check here is a necessary condition a true solution family satisfies:
 the diamagnetic pointwise bound, the vanishing current density of least-energy
-profiles, the translation-test integral identity and its limit form, the
-exponential decay rate, Clarke criticality of candidate spike points, and
-the two concentration metrics.  Nothing in this module solves the equation;
-it consumes fields and models produced elsewhere and reports residuals with
-their denominators, so a caller can tell "small because it holds" from
-"small because everything is".  run_diagnostics gathers the checks on one
-magnetic Field3, real or complex, into a plain dict, the report the CLI
-writes as it stands.  The one linear solve, the
-concentration metrics' error estimate, is Hamiltonian.solve_linear.
+profiles, the translation-test integral identity, the exponential decay rate,
+Clarke criticality of candidate spike points, and the two concentration
+metrics.  The translation identity has one formula, pucci_serrin_residual:
+read at eps in the blow-up variable it is the strong-sense check, and at
+eps = 0 it is its limit form, the envelope bracket gamma_pm bounds for the
+weak sense.  Nothing in this module solves the equation; it consumes fields
+and models produced elsewhere and reports residuals with their
+denominators, so a caller can tell "small because it holds" from "small
+because everything is".  run_diagnostics gathers the checks on one magnetic
+Field3, real or complex, into a plain dict, the report the CLI writes as it
+stands.  The one linear solve, the concentration metrics' error estimate,
+is Hamiltonian.solve_linear.
 """
 
 from __future__ import annotations
@@ -98,8 +101,10 @@ def _grad4(arr: np.ndarray, h: float) -> list[np.ndarray]:
 
     The current density is the only second-order-limited piece of the
     translation test, and it is what caps the residual's refinement rate,
-    so it gets the wider stencil.  The two-node border is filled from the
-    ordinary second-order formula; the fields this is applied to are
+    so it gets the wider stencil.  It is applied to the phase-split profile
+    U, whose linear magnetic phase is gone, so it differentiates the
+    envelope and not the oscillation.  The two-node border is filled from
+    the ordinary second-order formula; the fields this is applied to are
     rim-masked, so those nodes are zeros anyway.
     """
     out = []
@@ -128,15 +133,27 @@ def pucci_serrin_residual(v: Field3, z0, eps: float, model: ModelSpec):
               + d_k V |v|^2 / 2 - d_k K F(|v|^2) ] dx
 
     vanishes on true solutions of the unit-scale equation; all coefficients
-    and their analytic derivatives are read at z0 + eps x.  Returns the
-    3-vector of integrals and a relative scale: its norm over the norm of
-    the 3-vector of term sizes.  A term's size along k is the larger of the
-    integrals of its integrand's positive and negative parts: its absolute
-    integral when the integrand keeps one sign, half of int |integrand|
-    when the two parts cancel, as they do by symmetry at a symmetric
-    spike.  So a symmetric solution reads rounding over the size of its
-    terms, not rounding over rounding, and the ratio is zero only when
-    every integrand is, as for constant coefficients.
+    and their analytic derivatives are read at z0 + eps x.  The current
+    Im(conj(v) grad v) is formed from the phase-split profile
+    U = exp(-i A(z0).x) v (magnetic_solver.phase_factor_split) as
+    Im(conj(U) grad U) + A(z0) |v|^2, so the stencil never differentiates
+    the linear phase.
+
+    At eps = 0 every coefficient is read at z0 and the integrals are the
+    limit form: res_k = <d_k A(z0), int Re(i conj(U) grad U)>
+    + d_k V(z0) int |U|^2 / 2 - d_k K(z0) int F(|U|^2).  For a real profile
+    that is the gradient of the ground-energy map, which ties spike
+    locations to its critical points, and its component along w is the
+    envelope bracket gamma_pm bounds.
+
+    Returns the 3-vector of integrals and a relative scale: its norm over
+    the norm of the 3-vector of term sizes.  A term's size along k is the
+    larger of the integrals of its integrand's positive and negative parts:
+    its absolute integral when the integrand keeps one sign, half of
+    int |integrand| when the two parts cancel, as they do by symmetry at a
+    symmetric spike.  So a symmetric solution reads rounding over the size
+    of its terms, not rounding over rounding, and the ratio is zero only
+    when every integrand is, as for constant coefficients.
 
     Warns when the box boundary carries more than 1e-5 of the field's mass
     and refuses above 1e-3; on rescale's view that boundary is the wall the
@@ -162,15 +179,18 @@ def pucci_serrin_residual(v: Field3, z0, eps: float, model: ModelSpec):
     grid = v.grid
     vol = grid.cell_volume
     z0 = np.asarray(z0, dtype=np.float64)
+    m2 = np.abs(v.values) ** 2
+    U = phase_factor_split(v, z0, model).U.values
+    g = _grad4(U, grid.spacing)
+    cur = np.stack([np.imag(g[m] * np.conj(U)) for m in range(3)], axis=-1)
+    del U, g  # the coefficient arrays below are the larger share of the peak
+    cur += model.A_at(z0) * m2[..., None]
     Q = z0 + eps * np.stack(grid.meshgrid(), axis=-1)
     _, gV = model.V.value_and_gradient(Q)
     _, gK = model.K.value_and_gradient(Q)
     Av = model.A_at(Q)
     Aj = model.A_jacobian(Q)
-    g = _grad4(v.values, grid.spacing)
-    m2 = np.abs(v.values) ** 2
     Fv = np.asarray(model.nonlin.F(m2), dtype=np.float64)
-    cur = np.stack([np.imag(g[m] * np.conj(v.values)) for m in range(3)], axis=-1)
     integrands = (
         np.einsum("abcmk,abcm->abck", Aj, Av) * m2[..., None],
         -np.einsum("abcmk,abcm->abck", Aj, cur),
@@ -184,41 +204,6 @@ def pucci_serrin_residual(v: Field3, z0, eps: float, model: ModelSpec):
     # larger of the two is its size before any cancellation
     size = sum(np.maximum(up, up - s) for up, s in zip(ups, sums)) * vol
     scale = float(np.linalg.norm(size))
-    rel = float(np.linalg.norm(res)) / scale if scale > 0.0 else 0.0
-    return res, rel
-
-
-def _field_moments(U: Field3, nonlin):
-    """int Re(i conj(U) grad U), int |U|^2 and int F(|U|^2) by the grid sum."""
-    vol = U.grid.cell_volume
-    J, _, _ = current_density(U)
-    m2 = np.abs(U.values) ** 2
-    intF = float(np.asarray(nonlin.F(m2), dtype=np.float64).sum()) * vol
-    return J.reshape(3, -1).sum(axis=1) * vol, float(m2.sum()) * vol, intF
-
-
-def limit_identity_residual(U: Field3, z0, model: ModelSpec):
-    """Limit form of the translation test: coefficients read at z0 alone.
-
-    res_k = <d_k A(z0), int Re(i conj(U) grad U)>
-            + d_k V(z0) int |U|^2 / 2 - d_k K(z0) int F(|U|^2),
-
-    reported with the same relative-scale convention as the blow-up form.
-    For a real profile the current vanishes and the residual is exactly the
-    gradient of the explicit ground-energy map, which is what ties spike
-    locations to the critical points of that map.  Its component along w is
-    the envelope bracket gamma_pm bounds.
-    """
-    z0 = np.asarray(z0, dtype=np.float64)
-    Jvec, mass, intF = _field_moments(U, model.nonlin)
-    Aj = model.A_jacobian(z0)
-    _, gV = model.V.value_and_gradient(z0)
-    _, gK = model.K.value_and_gradient(z0)
-    tA = Aj.T @ Jvec
-    tV = 0.5 * gV * mass
-    tK = gK * intF
-    res = tA + tV - tK
-    scale = float(np.abs(tA).sum() + np.abs(tV).sum() + np.abs(tK).sum())
     rel = float(np.linalg.norm(res)) / scale if scale > 0.0 else 0.0
     return res, rel
 
@@ -242,35 +227,45 @@ class DecayFit:
 
 
 def _shell_maxima(u):
-    """Radii h j and the maxima of |u| over the shells round(r / h) = j around
-    the point 0, which in a blow-up view (rescale) is the spike."""
+    """Radii h j, the maxima of |u| over the shells round(r / h) = j around
+    the point 0, which in a blow-up view (rescale) is the spike, and the
+    radius of each maximum's node (h j for an empty shell).  A decaying
+    field peaks on its shell's innermost nodes, anywhere within h / 2 of
+    h j, so the fit reads each maximum at its node's radius."""
     grid = u.grid
     h = grid.spacing
     X = grid.meshgrid()
-    rr = np.sqrt(sum(X[m] ** 2 for m in range(3)))
-    idx = np.rint(rr / h).astype(np.int64).ravel()
+    rr = np.sqrt(sum(X[m] ** 2 for m in range(3))).ravel()
+    mag = np.abs(u.values).ravel()
+    idx = np.rint(rr / h).astype(np.int64)
     sup = np.zeros(int(idx.max()) + 1)
-    np.maximum.at(sup, idx, np.abs(u.values).ravel())
-    return h * np.arange(sup.size), sup
+    np.maximum.at(sup, idx, mag)
+    radii = h * np.arange(sup.size)
+    at = radii.copy()
+    top = mag == sup[idx]
+    at[idx[top]] = rr[top]
+    return radii, sup, at
 
 
 def decay_fit(u, window) -> DecayFit:
     """Least-squares decay rates of a field or radial profile over [r1, r2].
 
     Fields are reduced to shell maxima around the point 0, the spike of a
-    blow-up view, first (the bound being certified is sup-type).  Shells
-    with maxima at or below 1e-12 are dropped; an empty window raises.
+    blow-up view, first (the bound being certified is sup-type).  The
+    window selects shells by their radius h j and the fit reads each
+    maximum at its node's radius.  Shells with maxima at or below 1e-12
+    are dropped; an empty window raises.
     """
     r1, r2 = float(window[0]), float(window[1])
     if hasattr(u, "grid"):
-        radii, sup = _shell_maxima(u)
+        radii, sup, at = _shell_maxima(u)
     else:
-        radii = np.asarray(u.r, dtype=np.float64)
+        radii = at = np.asarray(u.r, dtype=np.float64)
         sup = np.abs(np.asarray(u.u, dtype=np.float64))
-    keep = (radii >= r1) & (radii <= r2) & (sup > 1e-12) & (radii > 0)
+    keep = (radii >= r1) & (radii <= r2) & (sup > 1e-12) & (at > 0)
     if int(keep.sum()) < 2:
         raise DiagnosticsError(f"decay window [{r1}, {r2}] selects fewer than two shells")
-    r = radii[keep]
+    r = at[keep]
     y = np.log(sup[keep])
     rate = -float(np.polyfit(r, y, 1)[0])
     corrected = -float(np.polyfit(r, y + np.log(r), 1)[0])
@@ -285,7 +280,6 @@ class ClarkeVerdict:
     member: bool
     margin: float
     threshold: float
-    grad_norm: float | None
     directions: int
 
 
@@ -299,10 +293,8 @@ def clarke_critical_test(z, model: ModelSpec, sigma=None) -> ClarkeVerdict:
     The membership margin is the worst direction's best difference quotient;
     membership requires it to clear the noise threshold
     3 (rho + max lam) curv, curv being a curvature scale sampled from the
-    lambda ladder.  sigma overrides the evaluator (signature (m, 3) -> (m,)).
-    With the default, frozen_solver.ground_energy, grad_norm is
-    |grad Sigma(z)|, so the smooth verdict can be compared against the
-    sampled one; with another evaluator it is None.
+    lambda ladder.  sigma overrides the evaluator (signature (m, 3) -> (m,)),
+    frozen_solver.ground_energy by default.
     """
     z = np.asarray(z, dtype=np.float64)
     rho, lams = 1e-3, np.array([1e-3, 5e-4, 2.5e-4])
@@ -323,14 +315,10 @@ def clarke_critical_test(z, model: ModelSpec, sigma=None) -> ClarkeVerdict:
     # sheets (where they carry an O(rho + lambda) bias)
     curv = float((quot.max(axis=2) - quot.min(axis=2)).max()) / float(lams.max() - lams.min())
     threshold = 3.0 * (rho + lams.max()) * curv + 1e-12
-    grad_norm = None
-    if sigma is None:
-        grad_norm = float(np.linalg.norm(ground_energy(z, model)[1]))
     return ClarkeVerdict(
         member=bool(margin >= -threshold),
         margin=margin,
         threshold=threshold,
-        grad_norm=grad_norm,
         directions=nd,
     )
 
@@ -338,10 +326,11 @@ def clarke_critical_test(z, model: ModelSpec, sigma=None) -> ClarkeVerdict:
 def gamma_pm(z, w, model: ModelSpec, solutions):
     """Upper and lower energy-variation bounds over a set of solutions at z.
 
-    For each candidate field the bracket is w . res, res the limit-identity
-    residual (limit_identity_residual) of its phase-split profile U at z;
-    the result is (sup, inf).  w is one direction (3,), giving two floats,
-    or a stack (m, 3), giving two (m,) arrays, one entry per direction.
+    For each candidate field v the bracket is w . res, res the translation
+    identity read in its limit form, pucci_serrin_residual(v, z, 0, model),
+    whose boundary gates it shares; the result is (sup, inf).  w is one
+    direction (3,), giving two floats, or a stack (m, 3), giving two (m,)
+    arrays, one entry per direction.
     Constant phase changes leave the bracket invariant, so a phase orbit
     collapses both bounds to one number.
     """
@@ -349,8 +338,7 @@ def gamma_pm(z, w, model: ModelSpec, solutions):
         raise DiagnosticsError("gamma bounds need at least one solution at z")
     z = np.asarray(z, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    vals = [w @ limit_identity_residual(phase_factor_split(v, z, model).U, z, model)[0]
-            for v in solutions]
+    vals = [w @ pucci_serrin_residual(v, z, 0.0, model)[0] for v in solutions]
     hi, lo = np.max(vals, axis=0), np.min(vals, axis=0)
     return (float(hi), float(lo)) if w.ndim == 1 else (hi, lo)
 
@@ -481,7 +469,7 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
 # the aggregate report
 
 def _shell_fwhm(v: Field3) -> float:
-    radii, sup = _shell_maxima(v)
+    radii, sup, _ = _shell_maxima(v)
     peak = sup.max()
     below = np.where(sup < 0.5 * peak)[0]
     j = int(below[below > int(np.argmax(sup))][0]) if below.size else sup.size - 1

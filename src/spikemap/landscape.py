@@ -412,7 +412,9 @@ def find_Sstar(model: ModelSpec, candidates, solutions_provider=None) -> Critica
     and the only route whose quadrature error sits below 1e-4.  A provider
     mapping z to a list of computed 3D solutions switches to the sampled
     bracket: one gamma_pm call per candidate over the whole net, which
-    phase-splits and integrates each solution once.  Its failures propagate.
+    reads each solution's translation identity at eps = 0
+    (diagnostics.pucci_serrin_residual) once.  Its failures propagate,
+    the identity's boundary-mass refusal among them.
     """
     points, resids, notes = [], [], []
     for cand in candidates:

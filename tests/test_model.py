@@ -1,3 +1,4 @@
+import ast
 import re
 import warnings
 
@@ -114,17 +115,33 @@ def _texts(depth):
     )
 
 
+class _PowerCall(ast.NodeTransformer):
+    """a ** b -> power(a, b), after Python's parser has grouped the operands."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Pow):
+            return ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], [])
+        return node
+
+
 def _python_value(text, x):
     """The oracle: Python's own parser on the same text, ^ read as **, with
     float64 literals and numpy functions; underflow is no error on either side.
-    Points and literals are one-dimensional arrays, so every operation takes
-    numpy's array loops, as compiled code does on one point and on many."""
+    Points are one-dimensional arrays, so every operation on them takes
+    numpy's array loops, as compiled code does on one point and on many.
+    Literals are np.float64 scalars and ** is the np.power ufunc, as compiled
+    code binds and calls them: np.power takes exact paths for a scalar
+    exponent of 2, 0.5 or -1, so a one-element array exponent would differ
+    in the last bit (exp(3.7) ^ 0.5)."""
     src = re.sub(r"\d+\.\d+", lambda m: f"F({m.group()})", text).replace("^", "**")
+    tree = ast.fix_missing_locations(_PowerCall().visit(ast.parse(src, mode="eval")))
     rows = np.reshape(x, (-1, 3))
-    env = {"F": lambda v: np.array([v]), "exp": np.exp, "sin": np.sin, "cos": np.cos,
+    env = {"F": np.float64, "power": np.power, "exp": np.exp, "sin": np.sin, "cos": np.cos,
            "x1": rows[:, 0], "x2": rows[:, 1], "x3": rows[:, 2]}
     with np.errstate(all="raise", under="ignore"):
-        return np.broadcast_to(eval(src, env), rows.shape[:-1]).reshape(x.shape[:-1])
+        value = eval(compile(tree, "<oracle>", "eval"), env)
+        return np.broadcast_to(value, rows.shape[:-1]).reshape(x.shape[:-1])
 
 
 def _bits(v, shape):
@@ -139,6 +156,7 @@ ARRAY_POINTS = np.random.default_rng(1).uniform(-3.0, 3.0, size=(5, 3))
 @example(text="2.0 ^ 999.0 - x1", x=(0.0, 0.0, 0.0))
 @example(text="(-1.5) ^ 0.5 + x1", x=(0.0, 0.0, 0.0))
 @example(text="(x1 + 1.0) ^ 2.5", x=(1.5, 0.0, 0.0))
+@example(text="exp(3.7) ^ 0.5", x=(0.0, 0.0, 0.0))  # a scalar exponent of 0.5
 @settings(max_examples=300, deadline=None)
 def test_compiled_value_matches_python_parser(text, x):
     expr = parse_potential(text)
