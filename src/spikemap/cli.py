@@ -11,8 +11,8 @@ shortest round-trip floats, _write_json a JSON object with indent 2 and
 sorted keys.  The solvers are deterministic, which is what makes re-runs
 byte-comparable.
 
-Exit codes: 0 success, 2 configuration problem, 3 solver failure,
-4 non-convergence, 5 verification found an invariant violation.
+Exit codes: 0 success, 2 configuration problem, 3 solver failure or out of
+memory, 4 non-convergence, 5 verification found an invariant violation.
 """
 
 from __future__ import annotations
@@ -260,9 +260,9 @@ class RunConfig:
         self.region = None
         if "region" in land:
             vals = _floats(land["region"], "landscape.region")
-            if len(vals) != 6:
-                raise ConfigError("landscape.region must be six numbers: lo1, hi1, lo2, hi2, lo3, hi3")
-            self.region = tuple((vals[2 * k], vals[2 * k + 1]) for k in range(3))
+            self.region = tuple(zip(vals[::2], vals[1::2]))
+            if len(vals) != 6 or not all(lo < hi for lo, hi in self.region):
+                raise ConfigError("landscape.region must be six numbers lo1, hi1, lo2, hi2, lo3, hi3 with each lo < hi")
         self.resolution = None
         if "resolution" in land:
             r = _floats(land["resolution"], "landscape.resolution")
@@ -274,6 +274,8 @@ class RunConfig:
         if not all(1.0 < p < 5.0 for p in pl) or any(a >= b for a, b in zip(pl, pl[1:])):
             raise ConfigError("landscape.p_list must increase strictly, with every p in (1, 5)")
         self.seeds = _one_int(land["seeds"], "landscape.seeds") if "seeds" in land else None
+        if self.seeds is not None and self.seeds < 1:
+            raise ConfigError(f"landscape.seeds must be at least 1, got {self.seeds}")
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -440,7 +442,7 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     prof = ground_state(point, cfg.model.nonlin)
     man.timings["ground_state"] = time.perf_counter() - t0
-    fit = decay_fit(prof, cfg.decay_window or (2.0, 0.8 * prof.r_max))
+    fit = decay_fit(prof, cfg.decay_window)
     grad = prof.grad_sigma
 
     with man:
@@ -719,7 +721,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 4
-    except SolverError as exc:
+    except (SolverError, MemoryError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -12,12 +12,14 @@ and models produced elsewhere and reports residuals with their
 denominators, so a caller can tell "small because it holds" from "small
 because everything is".  run_diagnostics gathers the checks on one magnetic
 Field3, real or complex, into a plain dict, the report the CLI writes as it
-stands.  The one linear solve, the concentration metrics' error estimate,
-is Hamiltonian.solve_linear.
+stands; it splits the blow-up view, forms its current and passes over its
+shells once each.  The one linear solve, the concentration metrics' error
+estimate, is Hamiltonian.solve_linear.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,6 @@ from .fields import (
     Field3,
     Hamiltonian,
     boundary_fraction,
-    gradient,
 )
 from .frozen_solver import ground_energy
 from .magnetic_solver import (
@@ -78,24 +79,6 @@ def diamagnetic_check(u: Field3, model: ModelSpec, eps: float) -> float:
     return float(slack.min())
 
 
-def current_density(U: Field3):
-    """Re(i conj(U) grad U) as a (3,) + dims array, its sup norm over
-    sup|U| sup|grad U|, and that denominator.
-
-    Least-energy profiles carry no current, so the normalized norm is a
-    directly testable smallness certificate for a computed candidate.
-    """
-    g = gradient(U)
-    J = np.real(1j * np.conj(U.values)[None, ...] * g)
-    sup_J = float(np.sqrt(np.sum(J**2, axis=0)).max())
-    denom = float(np.abs(U.values).max()) * float(np.sqrt(np.sum(np.abs(g) ** 2, axis=0)).max())
-    norm = sup_J / denom if denom > 0.0 else 0.0
-    return J, norm, denom
-
-
-# ---------------------------------------------------------------------------
-# translation-test identities
-
 def _grad4(arr: np.ndarray, h: float) -> list[np.ndarray]:
     """Fourth-order central differences along each axis.
 
@@ -109,20 +92,31 @@ def _grad4(arr: np.ndarray, h: float) -> list[np.ndarray]:
     """
     out = []
     for ax in range(3):
-        g4 = (
-            -np.roll(arr, -2, axis=ax)
-            + 8.0 * np.roll(arr, -1, axis=ax)
-            - 8.0 * np.roll(arr, 1, axis=ax)
-            + np.roll(arr, 2, axis=ax)
-        ) / (12.0 * h)
-        g2 = np.gradient(arr, h, axis=ax, edge_order=2)
-        sl = [slice(None)] * 3
-        for border in (slice(0, 2), slice(-2, None)):
-            sl[ax] = border
-            g4[tuple(sl)] = g2[tuple(sl)]
-        out.append(g4)
+        g = np.gradient(arr, h, axis=ax, edge_order=2)
+        f, d = np.moveaxis(arr, ax, 0), np.moveaxis(g, ax, 0)
+        d[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)
+        out.append(g)
     return out
 
+
+def current_density(U: Field3):
+    """Re(i conj(U) grad U) as a (3,) + dims array J, its sup norm over
+    sup|U| sup|grad U|, and that denominator, grad being _grad4.
+
+    Least-energy profiles carry no current, so the normalized norm is a
+    directly testable smallness certificate for a computed candidate.  J is
+    also the current the translation identity reads: Im(conj(U) grad U) = -J.
+    """
+    g = _grad4(U.values, U.grid.spacing)
+    J = np.stack([np.imag(U.values * np.conj(gm)) for gm in g])
+    sup_J = float(np.sqrt(np.sum(J**2, axis=0)).max())
+    denom = float(np.abs(U.values).max()) * float(np.sqrt(sum(np.abs(gm) ** 2 for gm in g)).max())
+    norm = sup_J / denom if denom > 0.0 else 0.0
+    return J, norm, denom
+
+
+# ---------------------------------------------------------------------------
+# translation-test identities
 
 def pucci_serrin_residual(v: Field3, z0, eps: float, model: ModelSpec):
     """Translation-test residual of the blow-up field v around z0.
@@ -136,8 +130,8 @@ def pucci_serrin_residual(v: Field3, z0, eps: float, model: ModelSpec):
     and their analytic derivatives are read at z0 + eps x.  The current
     Im(conj(v) grad v) is formed from the phase-split profile
     U = exp(-i A(z0).x) v (magnetic_solver.phase_factor_split) as
-    Im(conj(U) grad U) + A(z0) |v|^2, so the stencil never differentiates
-    the linear phase.
+    A(z0) |v|^2 - J, J = current_density(U), so the stencil never
+    differentiates the linear phase.
 
     At eps = 0 every coefficient is read at z0 and the integrals are the
     limit form: res_k = <d_k A(z0), int Re(i conj(U) grad U)>
@@ -162,50 +156,54 @@ def pucci_serrin_residual(v: Field3, z0, eps: float, model: ModelSpec):
     1e-2 scale this residual is judged against, while still rejecting
     fields whose tail never fit in the box.
     """
+    J = current_density(phase_factor_split(v, z0, model).U)[0]
+    return _translation_terms(v, J, z0, eps, model)[:2]
+
+
+def _translation_terms(v: Field3, J, z0, eps: float, model: ModelSpec):
+    """pucci_serrin_residual's (res, rel) and the norm of its term sizes,
+    from J, the current_density of v's phase split at z0, after the
+    boundary gates."""
     frac = boundary_fraction(np.abs(v.values))
     if frac > 1e-3:
         raise BoundaryMassError(
             f"blow-up field keeps {frac:.2e} of its mass on the box boundary"
         )
     if frac > 1e-5:
-        import warnings
-
         warnings.warn(
             "boundary shell holds more than 1e-5 of the blow-up field; "
             "the residual integrals are truncated",
             BoundaryMassWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     grid = v.grid
-    vol = grid.cell_volume
     z0 = np.asarray(z0, dtype=np.float64)
     m2 = np.abs(v.values) ** 2
-    U = phase_factor_split(v, z0, model).U.values
-    g = _grad4(U, grid.spacing)
-    cur = np.stack([np.imag(g[m] * np.conj(U)) for m in range(3)], axis=-1)
-    del U, g  # the coefficient arrays below are the larger share of the peak
-    cur += model.A_at(z0) * m2[..., None]
     Q = z0 + eps * np.stack(grid.meshgrid(), axis=-1)
     _, gV = model.V.value_and_gradient(Q)
     _, gK = model.K.value_and_gradient(Q)
     Av = model.A_at(Q)
     Aj = model.A_jacobian(Q)
     Fv = np.asarray(model.nonlin.F(m2), dtype=np.float64)
-    integrands = (
-        np.einsum("abcmk,abcm->abck", Aj, Av) * m2[..., None],
-        -np.einsum("abcmk,abcm->abck", Aj, cur),
-        0.5 * gV * m2[..., None],
-        -gK * Fv[..., None],
+
+    def parts(f):  # one integrand at a time bounds the peak
+        return f.sum(axis=(0, 1, 2)), np.maximum(f, 0.0).sum(axis=(0, 1, 2))
+
+    sums, ups = zip(
+        parts(np.einsum("abcmk,abcm->abck", Aj, Av) * m2[..., None]),
+        # Im(conj(v) grad v) = A(z0) |v|^2 - J
+        parts(-np.einsum("abcmk,mabc->abck", Aj, model.A_at(z0)[:, None, None, None] * m2 - J)),
+        parts(0.5 * gV * m2[..., None]),
+        parts(-gK * Fv[..., None]),
     )
-    sums = [f.sum(axis=(0, 1, 2)) for f in integrands]
-    ups = [np.maximum(f, 0.0).sum(axis=(0, 1, 2)) for f in integrands]
+    vol = grid.cell_volume
     res = sum(sums) * vol
     # a term's integral is its positive part less its negative part; the
     # larger of the two is its size before any cancellation
     size = sum(np.maximum(up, up - s) for up, s in zip(ups, sums)) * vol
     scale = float(np.linalg.norm(size))
     rel = float(np.linalg.norm(res)) / scale if scale > 0.0 else 0.0
-    return res, rel
+    return res, rel, scale
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +245,7 @@ def _shell_maxima(u):
     return radii, sup, at
 
 
-def decay_fit(u, window) -> DecayFit:
+def decay_fit(u, window=None) -> DecayFit:
     """Least-squares decay rates of a field or radial profile over [r1, r2].
 
     Fields are reduced to shell maxima around the point 0, the spike of a
@@ -255,13 +253,25 @@ def decay_fit(u, window) -> DecayFit:
     window selects shells by their radius h j and the fit reads each
     maximum at its node's radius.  Shells with maxima at or below 1e-12
     are dropped; an empty window raises.
+
+    The default window of a field runs from twice the full width at half
+    maximum of its shell maxima to 0.8 times the distance from the point 0
+    to the nearest wall; that of a radial profile is (2, 0.8 r_max).
     """
-    r1, r2 = float(window[0]), float(window[1])
     if hasattr(u, "grid"):
         radii, sup, at = _shell_maxima(u)
+        if window is None:
+            peak = int(np.argmax(sup))
+            after = np.flatnonzero(sup[peak:] < 0.5 * sup[peak])
+            half_width = radii[peak + after[0]] if after.size else radii[-1]
+            wall = min(u.grid.half_extent(k) - abs(u.grid.origin[k]) for k in range(3))
+            window = (4.0 * half_width, 0.8 * wall)
     else:
         radii = at = np.asarray(u.r, dtype=np.float64)
         sup = np.abs(np.asarray(u.u, dtype=np.float64))
+        if window is None:
+            window = (2.0, 0.8 * u.r_max)
+    r1, r2 = float(window[0]), float(window[1])
     keep = (radii >= r1) & (radii <= r2) & (sup > 1e-12) & (at > 0)
     if int(keep.sum()) < 2:
         raise DiagnosticsError(f"decay window [{r1}, {r2}] selects fewer than two shells")
@@ -468,39 +478,26 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
 # ---------------------------------------------------------------------------
 # the aggregate report
 
-def _shell_fwhm(v: Field3) -> float:
-    radii, sup, _ = _shell_maxima(v)
-    peak = sup.max()
-    below = np.where(sup < 0.5 * peak)[0]
-    j = int(below[below > int(np.argmax(sup))][0]) if below.size else sup.size - 1
-    return 2.0 * radii[j]
-
-
 def run_diagnostics(u: Field3, eps: float, model: ModelSpec, window=None) -> dict:
     """The standard report on one magnetic field, as the JSON object the CLI
     writes: every value a float or a list of floats, with the denominators
     behind the ratios in notes.
 
     The field is viewed around its spike (_spike_location) by rescale, its
-    own values on its own nodes and walls, phase-split there, and pushed
-    through every identity check.  The decay window defaults to starting at
-    twice the blow-up profile's width and ending at 0.8 times the spike's
-    distance to the nearest wall.  The Nehari slack is the caller's to add:
-    the solve reads it off its last iterate, verify off the stored field.
+    own values on its own nodes and walls.  One phase split gives the
+    imaginary fraction and the current J, which serves both the current
+    norm and the translation identity; pucci_serrin_terms_sum is the norm
+    of the identity's term sizes.  decay_fit sets the default window.  The
+    Nehari slack is the caller's to add: the solve reads it off its last
+    iterate, verify off the stored field.
     """
     z0 = tuple(float(c) for c in _spike_location(u))
     dia = diamagnetic_check(u, model, eps)
     v = rescale(u, eps, z0)
-    # the translation test holds the most arrays at once; run first, it does
-    # not also hold the split's profile and the current density J (bound to _)
-    ps_vec, ps_rel = pucci_serrin_residual(v, z0, eps, model)
     split = phase_factor_split(v, z0, model)
-    _, cnorm, cdenom = current_density(split.U)
-    if window is None:
-        wall = min(v.grid.half_extent(k) - abs(v.grid.origin[k]) for k in range(3))
-        window = (2.0 * _shell_fwhm(v), 0.8 * wall)
+    J, cnorm, cdenom = current_density(split.U)
+    ps_vec, ps_rel, ps_terms = _translation_terms(v, J, z0, eps, model)
     fit = decay_fit(v, window)
-    ps_terms = float(np.linalg.norm(ps_vec)) / ps_rel if ps_rel > 0.0 else 0.0
     return {
         "diamagnetic_slack_min": dia,
         "current_density_norm": cnorm,

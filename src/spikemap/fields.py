@@ -5,9 +5,8 @@ node-centered grids defined here.  Conventions: arrays are indexed [ix, iy, iz],
 node coordinates are origin + (index - (n-1)/2) * spacing, and integrals are
 plain node sums times the cell volume (spectrally accurate for smooth fields
 that decay below rounding before the boundary).  Field3 is the one field
-type, real or complex; a gradient is a (3,) + dims array, link phases are
-one single-hop array per axis, and link_table alone forms the longer hops
-and the wall.  The Hamiltonian holds its descent, Hamiltonian.descend, the
+type, real or complex; link phases are one single-hop array per axis, and
+link_table alone forms the longer hops and the wall.  The Hamiltonian holds its descent, Hamiltonian.descend, the
 one every 3D solve runs.  scipy is loaded only by _nehari_scale's bracket,
 the Nehari scale of a custom f, which imports brentq when it runs.
 """
@@ -114,17 +113,6 @@ class Field3:
             raise ValueError(f"field values must be float64 or complex128, got {self.values.dtype}")
         if self.values.shape != tuple(self.grid.dims):
             raise ValueError(f"values shape {self.values.shape} does not match grid dims {tuple(self.grid.dims)}")
-
-
-def gradient(f) -> np.ndarray:
-    """Componentwise central differences, one-sided at the box faces, as an
-    array of shape (3,) + dims.
-
-    Interior nodes use the second-order central formula; faces use the
-    matching one-sided second-order formula (this is what keeps the
-    operator exact on affine fields all the way to the boundary).
-    """
-    return np.stack(np.gradient(f.values, f.grid.spacing, edge_order=2))
 
 
 def boundary_fraction(weights: np.ndarray) -> float:
@@ -564,4 +552,10 @@ def read_snapshot(path):
     # a view of the interleaved (re, im) pairs keeps every bit, -0.0 included;
     # the copy puts either dtype in C order
     vals = np.frombuffer(payload, dtype="<c16" if flag == 1 else "<f8")
-    return Field3(grid, vals.reshape(grid.dims, order="F").copy())
+    vals = vals.reshape(grid.dims, order="F").copy()
+    # the checks compare with < and >, which a nan never fails
+    bad = np.argwhere(~np.isfinite(vals))
+    if bad.size:
+        first = tuple(bad[0].tolist())
+        raise ValueError(f"{path}: {len(bad)} non-finite node values, the first {vals[first]} at node {first}")
+    return Field3(grid, vals)

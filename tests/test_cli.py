@@ -305,6 +305,9 @@ def config_text(sections):
     ("solve-magnetic", "solver", "center", "10, 0, 0"),
     ("landscape", "landscape", "resolution", "nan"),
     ("landscape", "landscape", "seeds", "inf"),
+    ("landscape", "landscape", "seeds", "0"),
+    ("landscape", "landscape", "seeds", "-3"),
+    ("landscape", "landscape", "region", "1, -1, -1, 1, -1, 1"),
     ("solve-frozen", "diagnostics", "target", "nan, 0, 0"),
 ])
 def test_bad_numbers_exit_2_naming_the_key(tmp_path, capsys, command, section, key, value):
@@ -519,6 +522,27 @@ def test_verify_reads_a_real_snapshot_as_its_complex_twin(tmp_path):
     assert reports[1] == reports[0]
 
 
+@pytest.mark.parametrize("command, bad", [("verify", np.inf), ("verify", np.nan), ("solve-magnetic", np.inf)])
+def test_non_finite_snapshot_exits_2_before_any_output(magnetic_run, tmp_path, capsys, command, bad):
+    # no gate fails on a nan, so a verify of it would pass; the snapshot is
+    # refused where it is read, as the field to verify or as solver.seed
+    u = read_snapshot(str(magnetic_run["snap"]))
+    u.values[3, 4, 5] = bad
+    snap = tmp_path / "bad.spkf"
+    write_snapshot(str(snap), u)
+    out = tmp_path / "out"
+    if command == "verify":
+        argv = ["verify", write_config(tmp_path / "v.ini", magnetic_config(out)), str(snap)]
+    else:
+        text = magnetic_config(out, solver_extra=f"seed = {snap}\n")
+        argv = ["solve-magnetic", write_config(tmp_path / "s.ini", text)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert f"1 non-finite node values, the first ({bad}" in err[0] and "at node (3, 4, 5)" in err[0]
+    assert not out.exists()
+
+
 def test_verify_rejects_grid_mismatch(magnetic_run, tmp_path, capsys):
     cfg_path = write_config(
         tmp_path / "mismatch.ini", magnetic_config(tmp_path / "o", grid_points="24")
@@ -610,6 +634,17 @@ def test_failed_solve_magnetic_still_writes_its_manifest(tmp_path, capsys):
     assert man["outputs"] == ["solution_eps1.0.spkf", "trace_eps1.0.csv"]
     assert man["failure"].startswith("DiagnosticsError:") and "decay window" in man["failure"]
     assert "solve_eps1.0" in man["wall_times_s"]
+
+
+def test_out_of_memory_exits_3_in_one_line(tmp_path, capsys):
+    # 10^6 nodes a side asks for 6.94 EiB at the first grid array, which
+    # fails at once without allocating anything
+    out = tmp_path / "run"
+    text = magnetic_config(out, grid_points="1000000")
+    assert main(["solve-magnetic", write_config(tmp_path / "run.ini", text)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("solver failure: Unable to allocate")
+    assert json.loads((out / "manifest.json").read_text())["failure"].startswith("MemoryError:")
 
 
 def test_non_convergence_exits_4(tmp_path, capsys):

@@ -12,12 +12,12 @@ from spikemap.fields import (
     apply_link_kinetic,
     boundary_fraction,
     const_link_phases,
-    gradient,
     link_table,
     make_grid,
     read_snapshot,
     write_snapshot,
 )
+from spikemap.diagnostics import _grad4
 from spikemap.magnetic_solver import solve_magnetic
 from spikemap.model import ModelSpec, Nonlinearity, parse_potential
 
@@ -74,13 +74,14 @@ def test_boundary_fraction_counts_the_outer_shell():
 
 
 def test_gradient_exact_on_affine():
+    # the fourth-order interior and the second-order border, one-sided on
+    # the faces, are both exact on an affine field
     g = make_grid(radius=2.0, n=16)
     X1, X2, X3 = g.meshgrid()
-    f = Field3(g, 3.0 * X1 - 2.0 * X2 + 0.5 * X3 + 7.0)
-    grad = gradient(f)
-    assert np.allclose(grad[0], 3.0, atol=1e-12)
-    assert np.allclose(grad[1], -2.0, atol=1e-12)
-    assert np.allclose(grad[2], 0.5, atol=1e-12)
+    grad = _grad4(3.0 * X1 - 2.0 * X2 + 0.5 * X3 + 7.0, g.spacing)
+    assert np.allclose(grad[0], 3.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(grad[1], -2.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(grad[2], 0.5, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +456,20 @@ def test_snapshot_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.spkf"
     path.write_bytes(b"NOPE" + bytes(64))
     with pytest.raises(ValueError):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_snapshot_rejects_non_finite_values(tmp_path, dtype):
+    # every check compares with < or >, which a nan never fails, so a
+    # non-finite node is refused where the field is read
+    g = make_grid(radius=1.0, n=8)
+    vals = np.ones(g.dims, dtype=dtype)
+    vals[1, 2, 3] = np.inf
+    vals[4, 5, 6] = np.nan
+    path = tmp_path / "nonfinite.spkf"
+    write_snapshot(path, Field3(g, vals))
+    with pytest.raises(ValueError, match=r"2 non-finite node values, the first .*inf.* at node \(1, 2, 3\)"):
         read_snapshot(path)
 
 
