@@ -488,21 +488,28 @@ def _read_field(path, grid, what: str):
     return u
 
 
+def _check_decay_reach(cfg: RunConfig, grid, eps: float) -> None:
+    """Refuse a decay window the blow-up box at eps cannot reach, before any
+    output exists.  The blow-up box is the solve box over eps; its corners
+    lie sqrt(3) R / eps from the box centre, so a decay window starting
+    beyond that leaves a centred spike's fit no shell."""
+    reach = math.sqrt(3.0) * grid.half_extent() / eps
+    if cfg.decay_window is not None and cfg.decay_window[0] >= reach:
+        raise ConfigError(f"decay window starts beyond r = {reach:.6g}, the reach of the blow-up box")
+
+
 def _family_grid(cfg: RunConfig):
-    """The grid of an eps family, checked against the seed centre and the
-    decay window."""
+    """The grid of an eps family, checked against the seed centre and, when
+    the family is reported on, the decay window at its largest eps, where
+    the blow-up box is smallest."""
     cfg.require("eps_list")
     grid = cfg.grid()
     # a seed centred off the box has no mass on any node
     if cfg.center is not None and max(map(abs, cfg.center)) > grid.half_extent():
         raise ConfigError(f"solver.center {list(cfg.center)} lies outside the grid box, "
                           f"|x_k| <= {grid.half_extent():.6g}")
-    # the blow-up box is the solve box over eps, smallest for the largest
-    # eps; its corners lie sqrt(3) R / eps from the box centre, so a decay
-    # window starting beyond that leaves a centred spike's fit no shell
-    reach = math.sqrt(3.0) * grid.half_extent() / max(cfg.eps_list)
-    if cfg.report and cfg.decay_window is not None and cfg.decay_window[0] >= reach:
-        raise ConfigError(f"decay window starts beyond r = {reach:.6g}, the reach of the blow-up box")
+    if cfg.report:
+        _check_decay_reach(cfg, grid, max(cfg.eps_list))
     return grid
 
 
@@ -645,7 +652,9 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
     if cfg.eps_list is None or len(cfg.eps_list) != 1:
         raise ConfigError("verify needs exactly one eps in [solver]")
     eps = cfg.eps_list[0]
-    u = _read_field(snapshot_path, cfg.grid(), "snapshot")
+    grid = cfg.grid()
+    _check_decay_reach(cfg, grid, eps)
+    u = _read_field(snapshot_path, grid, "snapshot")
     with _Manifest(cfg, "verify") as man:
         man.inputs.append(str(snapshot_path))
         H = Hamiltonian.from_model(cfg.model, u.grid, eps)
@@ -653,7 +662,8 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
         residual_rms = pde_residual(u, cfg.model, eps, H)[1]
         nehari_slack = H.nehari_slack(u.values)
         level = H.stop_level(cfg.tol, np.abs(u.values) ** 2)
-        # free H's 9-field hop table before the diagnostics' 3 phase fields
+        # free H's three hop fields, V, K and mask before the diagnostics,
+        # which make their own phases: verify-48's peak falls by about 7 MB
         del H
         try:
             report = run_diagnostics(u, eps, cfg.model, window=cfg.decay_window)

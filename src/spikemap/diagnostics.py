@@ -45,11 +45,16 @@ class DiagnosticsError(Exception):
     """A check was asked to run on data it cannot use."""
 
 
+# x1-planes per slab of the translation identity's integrands
+_SLAB = 8
+
+
 # ---------------------------------------------------------------------------
 # pointwise inequalities and the current density
 
 def diamagnetic_check(u: Field3, model: ModelSpec, eps: float) -> float:
-    """Minimum over interior nodes of |D^eps u| - eps |grad |u||.
+    """Minimum of |D^eps u| - eps |grad |u|| over every node with a forward
+    neighbour along each axis, all but the last plane of each axis.
 
     The modulus of a field never carries more kinetic density than the field
     itself, so this is nonnegative for anything living in the right space;
@@ -163,7 +168,13 @@ def pucci_serrin_residual(v: Field3, z0, eps: float, model: ModelSpec):
 def _translation_terms(v: Field3, J, z0, eps: float, model: ModelSpec):
     """pucci_serrin_residual's (res, rel) and the norm of its term sizes,
     from J, the current_density of v's phase split at z0, after the
-    boundary gates."""
+    boundary gates.
+
+    The coefficients, their derivatives and the four integrands are formed
+    on slabs of _SLAB x1-planes, v and J read by slicing, and each term's
+    integral and positive part are summed slab by slab: the peak holds a
+    slab's worth of them, not the grid's.
+    """
     frac = boundary_fraction(np.abs(v.values))
     if frac > 1e-3:
         raise BoundaryMassError(
@@ -178,29 +189,37 @@ def _translation_terms(v: Field3, J, z0, eps: float, model: ModelSpec):
         )
     grid = v.grid
     z0 = np.asarray(z0, dtype=np.float64)
-    m2 = np.abs(v.values) ** 2
-    Q = z0 + eps * np.stack(grid.meshgrid(), axis=-1)
-    _, gV = model.V.value_and_gradient(Q)
-    _, gK = model.K.value_and_gradient(Q)
-    Av = model.A_at(Q)
-    Aj = model.A_jacobian(Q)
-    Fv = np.asarray(model.nonlin.F(m2), dtype=np.float64)
-
-    def parts(f):  # one integrand at a time bounds the peak
-        return f.sum(axis=(0, 1, 2)), np.maximum(f, 0.0).sum(axis=(0, 1, 2))
-
-    sums, ups = zip(
-        parts(np.einsum("abcmk,abcm->abck", Aj, Av) * m2[..., None]),
-        # Im(conj(v) grad v) = A(z0) |v|^2 - J
-        parts(-np.einsum("abcmk,mabc->abck", Aj, model.A_at(z0)[:, None, None, None] * m2 - J)),
-        parts(0.5 * gV * m2[..., None]),
-        parts(-gK * Fv[..., None]),
-    )
+    Az0 = model.A_at(z0)[:, None, None, None]
+    x1, x2, x3 = (grid.axis(k) for k in range(3))
+    # per term, its integral and the integral of its positive part
+    sums, ups = np.zeros((4, 3)), np.zeros((4, 3))
+    for i in range(0, grid.dims[0], _SLAB):
+        sl = slice(i, i + _SLAB)
+        m2 = np.abs(v.values[sl]) ** 2
+        Q = z0 + eps * np.stack(np.meshgrid(x1[sl], x2, x3, indexing="ij"), axis=-1)
+        _, gV = model.V.value_and_gradient(Q)
+        _, gK = model.K.value_and_gradient(Q)
+        Aj = model.A_jacobian(Q)
+        terms = (
+            np.einsum("abcmk,abcm->abck", Aj, model.A_at(Q)) * m2[..., None],
+            # Im(conj(v) grad v) = A(z0) |v|^2 - J
+            -np.einsum("abcmk,mabc->abck", Aj, Az0 * m2 - J[:, sl]),
+            0.5 * gV * m2[..., None],
+            -gK * np.asarray(model.nonlin.F(m2), dtype=np.float64)[..., None],
+        )
+        for t, f in enumerate(terms):
+            up = np.maximum(f, 0.0)
+            # per component: numpy sums one strided run pairwise, but adds
+            # node by node over three axes that keep a fourth, and a slab's
+            # share of an x1-odd term, tens in size, cancels only across slabs
+            for k in range(3):
+                sums[t, k] += f[..., k].sum()
+                ups[t, k] += up[..., k].sum()
     vol = grid.cell_volume
-    res = sum(sums) * vol
+    res = sums.sum(axis=0) * vol
     # a term's integral is its positive part less its negative part; the
     # larger of the two is its size before any cancellation
-    size = sum(np.maximum(up, up - s) for up, s in zip(ups, sums)) * vol
+    size = np.maximum(ups, ups - sums).sum(axis=0) * vol
     scale = float(np.linalg.norm(size))
     rel = float(np.linalg.norm(res)) / scale if scale > 0.0 else 0.0
     return res, rel, scale

@@ -5,9 +5,10 @@ node-centered grids defined here.  Conventions: arrays are indexed [ix, iy, iz],
 node coordinates are origin + (index - (n-1)/2) * spacing, and integrals are
 plain node sums times the cell volume (spectrally accurate for smooth fields
 that decay below rounding before the boundary).  Field3 is the one field
-type, real or complex; link phases are one single-hop array per axis, and
-link_table alone forms the longer hops and the wall.  The Hamiltonian holds its descent, Hamiltonian.descend, the
-one every 3D solve runs.  scipy is loaded only by _nehari_scale's bracket,
+type, real or complex; link phases are one single-hop array per axis,
+link_table walls them, and apply_link_kinetic alone forms the longer hops,
+per call.  The Hamiltonian holds its descent, Hamiltonian.descend, the one
+every 3D solve runs.  scipy is loaded only by _nehari_scale's bracket,
 the Nehari scale of a custom f, which imports brentq when it runs.
 """
 
@@ -134,40 +135,46 @@ def const_link_phases(grid: Grid3, a, eps: float) -> tuple:
 
 
 def link_table(grid: Grid3, p1s: tuple | None) -> tuple:
-    """The hop table apply_link_kinetic reads: per axis, the hops (p1, p2, p3)
-    over 1, 2 and 3 edges, from the single hops p1s (one array per axis), or
-    real unit hops for p1s None, so a real field stays real.  p1 is walled in
-    place, 0 on the last plane of its axis; then p2 = p1 roll(p1, -1) and
-    p3 = p2 roll(p1, -2) are 0 on every hop that leaves the box, and the
-    phased operator stays unitarily equivalent to the free one per axis.
+    """The hops apply_link_kinetic reads: per axis, the single hop p1 over
+    one edge, from the single hops p1s (one array per axis), or real unit
+    hops for p1s None, so a real field stays real.  Each p1 is walled in
+    place, 0 on the last plane of its axis, so every longer hop the stencil
+    forms from it is 0 where it leaves the box, and the phased operator stays
+    unitarily equivalent to the free one per axis.
     """
-    table = []
-    for m in range(3):
-        p1 = np.ones(grid.dims) if p1s is None else p1s[m]
+    walled = tuple(np.ones(grid.dims) if p1s is None else p1s[m] for m in range(3))
+    for m, p1 in enumerate(walled):
         p1[(slice(None),) * m + (-1,)] = 0.0
-        p2 = p1 * np.roll(p1, -1, axis=m)
-        table.append((p1, p2, p2 * np.roll(p1, -2, axis=m)))
-    return tuple(table)
+    return walled
 
 
 def apply_link_kinetic(u: np.ndarray, links: tuple, eps: float, h: float) -> np.ndarray:
     """Sixth-order kinetic operator (the |D^eps|^2 part of the action).
 
-    links is a link_table, 0 on every hop out of the box, so a hop across a
-    face adds nothing: Dirichlet, with no wrapped copies.  Unit hops give
-    eps^2 times minus the sixth-order Laplacian, and the result has the dtype
-    of u times the table.  out starts as -3 C0 u; on the flattened fields each
-    axis m and hop k, at offset o = k stride_m, update it in place through one
-    scratch buffer: out[:-o] -= C_k (p_k[:-o] u[o:]) and out[o:] -= C_k
-    (conj(p_k[:-o]) u[:-o]).  u is read in C order, so layout moves no bit.
+    links is a link_table, one walled single hop p1 per axis.  On the
+    flattened fields, with s the stride of axis m, the hops over 2 and 3
+    edges are p2 = p1 p1[s:] and p3 = p2 p1[2 s:], formed at the same flat
+    offsets in one hop buffer per call; a walled p1 makes each 0 on every hop
+    out of the box, so a hop across a face adds nothing: Dirichlet, with no
+    wrapped copies.  Unit hops give eps^2 times minus the sixth-order
+    Laplacian, and the result has the dtype of u times the table.  out starts
+    as -3 C0 u; each axis m and hop k, at offset o = k s, update it in place
+    through one scratch buffer: out[:-o] -= C_k (p_k[:-o] u[o:]) and out[o:]
+    -= C_k (conj(p_k[:-o]) u[:-o]).  u is read in C order, so layout moves no
+    bit.
     """
     u = np.ascontiguousarray(u)
-    out = (-3.0 * _C0) * u.astype(np.result_type(u, links[0][0]), copy=False)
+    out = (-3.0 * _C0) * u.astype(np.result_type(u, links[0]), copy=False)
     uf, of, buf = u.reshape(-1), out.reshape(-1), np.empty(out.size, out.dtype)
+    hop = np.empty(u.size, links[0].dtype)
     for m in range(3):
+        s = u.strides[m] // u.itemsize
+        p1 = links[m].reshape(-1)
         for k, c in ((1, _C1), (2, _C2), (3, _C3)):
-            o = k * u.strides[m] // u.itemsize
-            p, b = links[m][k - 1].reshape(-1)[:-o], buf[:-o]
+            o = k * s
+            # p_k = p_(k-1) p1[(k-1) s:], formed in place in hop
+            p = p1[:-o] if k == 1 else np.multiply(p1[:-o] if k == 2 else hop[:-o], p1[o - s:-s], out=hop[:-o])
+            b = buf[:-o]
             np.multiply(p, uf[o:], out=b)
             of[:-o] -= np.multiply(b, c, out=b)
             np.multiply(np.conjugate(p, out=b), uf[:-o], out=b)
@@ -282,11 +289,12 @@ class Hamiltonian:
     """The discrete problem T u + V u = K f(|u|^2) u on one grid, T the
     kinetic operator apply_link_kinetic.
 
-    Built once per (grid, eps, coefficients) with the link_table of p1s: a
-    model's link phases, complex, in from_model, None (free real hops) for
-    frozen V, K.  V and K are node arrays or scalars.  Every 3D solve,
-    energy and residual goes through its quadratic form
-    Q(u) = <u, T u> + int V |u|^2, its node weight K f(|u|^2), its pairing
+    Built once per (grid, eps, coefficients) with the link_table of p1s, the
+    three walled single hops, one per axis: a model's link phases, complex,
+    in from_model, None (free real hops) for frozen V, K.  V and K are node
+    arrays or scalars.  Every 3D solve, energy and residual goes through its
+    quadratic form Q(u) = <u, T u> + int V |u|^2, its node weight
+    K f(|u|^2), its pairing
     P(t) = int K f(t^2 |u|^2) |u|^2 and the energy
     J(u) = Q(u) / 2 - int K F(|u|^2).  The residual is zero on the two-node
     rim, which carries the Dirichlet data, not the equation.  vmax is sup V
@@ -305,9 +313,9 @@ class Hamiltonian:
 
     @classmethod
     def from_model(cls, model, grid: Grid3, eps: float) -> "Hamiltonian":
-        """The Hamiltonian of a complex field: its hop table is complex even
-        where the model has no field, so no stencil product casts a real
-        table to the field's dtype."""
+        """The Hamiltonian of a complex field: its single hops are complex
+        even where the model has no field, so no stencil product casts a real
+        hop to the field's dtype."""
         p1s = tuple(p.astype(np.complex128, copy=False) for p in model.link_phases(grid, eps))
         return cls(grid, eps, model.V.on_grid(grid), model.K.on_grid(grid), model.nonlin, p1s)
 

@@ -4,15 +4,16 @@ The discrete problem is a fields.Hamiltonian: the sixth-order phased-hop
 kinetic operator, whose hop phases carry exact line integrals of the vector
 potential, which keeps the discrete energy, the descent direction, and the
 reported residual gauge covariant to rounding for polynomial gauge
-functions; fields.link_table walls ModelSpec.link_phases and forms the
-longer hops.  The expanded form of the operator (the one with an explicit
-div A term) is never assembled: the phases encode that term exactly.  The
-solve runs the Hamiltonian's own descent, Hamiltonian.descend, from this
-module's seeds; energy_J and pde_residual read the same Hamiltonian.
+functions; fields.link_table walls ModelSpec.link_phases, and the stencil
+forms the longer hops from those single hops.  The expanded form of the
+operator (the one with an explicit div A term) is never assembled: the
+phases encode that term exactly.  The solve runs the Hamiltonian's own
+descent, Hamiltonian.descend, from this module's seeds; energy_J and
+pde_residual read the same Hamiltonian.
 solve_magnetic takes values: the model, the grid, eps and keywords with
 defaults, and its seed is "frozen", "random" or a Field3 on the solve grid.
 This module opens no file; the CLI reads a snapshot seed.  The Hamiltonian
-of a complex field always holds a complex hop table, real unit phases
+of a complex field always holds complex single hops, real unit phases
 included.  rescale views a field in the blow-up frame y = (x - z) / eps, and
 rescaled_model reads the coefficients there, at z + eps y; the frozen
 problem at z is that frame at eps = 0.

@@ -7,7 +7,8 @@ evaluates vectorized over arrays.  Derivatives come from the symbolic diff
 alone: gradients, coefficient Jacobians and the A + grad chi of a gauge
 change, chi a PotentialExpr like any coefficient, come from its trees.
 ModelSpec.link_phases gives the single-hop phases of A on a grid;
-fields.link_table builds the stencil's hops from them.
+fields.link_table walls them, and the stencil forms its longer hops from
+them.
 
 ModelSpec holds the coefficients and the nonlinearity; V and K are read
 through their PotentialExpr methods, and only A, which stacks three
@@ -476,8 +477,9 @@ class ModelSpec:
         edge, one array per axis; real unit factors without a field.
 
         The line integral over one edge uses 5-point Gauss-Legendre, exact for
-        polynomial components up to degree nine.  fields.link_table forms the
-        double and triple hops from these and walls the box.
+        polynomial components up to degree nine.  fields.link_table walls
+        these at the box, and fields.apply_link_kinetic forms the double and
+        triple hops from them.
         """
         if not self.has_field:
             return tuple(np.ones(grid.dims) for _ in range(3))

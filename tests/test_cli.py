@@ -604,6 +604,18 @@ def test_solve_magnetic_decay_window_beyond_the_box_exits_2(tmp_path, capsys):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_verify_decay_window_beyond_the_box_exits_2_before_any_output(magnetic_run, tmp_path, capsys):
+    # the eps = 1 blow-up box of the 48-node grid at R = 9 reaches
+    # sqrt(3) * 9 = 15.6, so verify refuses a [100, 200] window by the rule
+    # solve-magnetic uses, before it builds the Hamiltonian or makes out
+    out = tmp_path / "v"
+    text = magnetic_config(out, sections="[diagnostics]\ndecay_window = 100, 200\n\n")
+    assert main(["verify", write_config(tmp_path / "v.ini", text), str(magnetic_run["snap"])]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "decay window starts beyond" in err[0]
+    assert not out.exists()
+
+
 def _trace_ends(out, eps):
     """(iterations, final residual rms) from the last row of a trace csv."""
     last = (out / f"trace_eps{eps}.csv").read_text().strip().splitlines()[-1].split(",")

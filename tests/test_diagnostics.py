@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -691,6 +692,23 @@ def test_run_diagnostics_full_report(locked_solves):
     assert report["notes"]["phase_imag_fraction"] < 1e-3
     # the Nehari slack is the caller's to add
     assert "nehari_slack" not in report
+
+
+def test_run_diagnostics_traces_at_most_nine_fields_above_its_input():
+    # the translation identity forms its integrands slab by slab, so the
+    # current stencil (8.5 fields here) sets the peak
+    model = mk_model("1 + x1^2 + x2^2 + x3^2", A=("-0.25*x2", "0.25*x1", "0"))
+    g = make_grid(9.0, 48)
+    X = g.meshgrid()
+    u = Field3(g, np.exp(-0.5 * (X[0] ** 2 + X[1] ** 2 + X[2] ** 2) + 0.3j * X[0]))
+    del X
+    tracemalloc.start()
+    try:
+        run_diagnostics(u, 1.0, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * u.values.nbytes
 
 
 def test_run_diagnostics_reads_the_view_once(locked_solves, monkeypatch):
