@@ -47,6 +47,7 @@ from .frozen_solver import (
     radial_residual,
 )
 from .landscape import (
+    CriticalSetResult,
     LandscapeError,
     crit_K,
     find_S,
@@ -365,22 +366,6 @@ def _write_critical(path, result):
     _write_json(path, {**vars(result), "points": points, "residuals": [float(r) for r in result.residuals]})
 
 
-def _write_study(path, study):
-    header = ["eps", "spike1", "spike2", "spike3", "scaled_energy", "pointwise", "energy_gap"]
-    radii = sorted(study.fixed_tails[0]) if study.fixed_tails else []
-    header += [f"fixed_tail_r{i + 1}" for i in range(len(radii))]
-    rows = []
-    for i, eps in enumerate(study.eps_list):
-        row = (
-            [_fmt(eps)]
-            + [_fmt(c) for c in study.spikes[i]]
-            + [_fmt(study.scaled_energies[i]), _fmt(study.pointwise[i]), _fmt(study.energy_gaps[i])]
-            + [_fmt(study.fixed_tails[i][r]) for r in radii]
-        )
-        rows.append(row)
-    _write_rows(path, header, rows)
-
-
 class _Manifest:
     """A run's inputs, outputs and timings.  Entering makes the output
     directory; leaving writes manifest.json, success or not, with failure
@@ -547,13 +532,6 @@ def _solve_family(cfg: RunConfig, grid, seed, man: _Manifest):
     return family
 
 
-def _study_target(cfg: RunConfig, family) -> tuple:
-    if cfg.target is not None:
-        return cfg.target
-    smallest = min(family, key=lambda s: s.eps)
-    return tuple(float(c) for c in smallest.spike)
-
-
 def cmd_solve_magnetic(cfg: RunConfig) -> int:
     """One magnetic solve per eps, each with snapshot, trace, and report."""
     grid = _family_grid(cfg)
@@ -564,7 +542,9 @@ def cmd_solve_magnetic(cfg: RunConfig) -> int:
 
 
 def cmd_concentration_study(cfg: RunConfig) -> int:
-    """Solve a strictly decreasing eps family and measure concentration."""
+    """Solve a strictly decreasing eps family and write, unreshaped, the
+    columns and notes of concentration_metrics at diagnostics.target, or at
+    the spike of the last member, the smallest eps, when none is given."""
     if cfg.eps_list is None or len(cfg.eps_list) < 2:
         raise ConfigError("a concentration study needs at least two eps values")
     if not all(a > b for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
@@ -573,18 +553,11 @@ def cmd_concentration_study(cfg: RunConfig) -> int:
     seed = _family_seed(cfg, grid)
     with _Manifest(cfg, "concentration-study") as man:
         family = _solve_family(cfg, grid, seed, man)
-        study = concentration_metrics(family, _study_target(cfg, family), cfg.model)
-        _write_study(man.out("concentration_study.csv"), study)
-        _write_json(
-            man.out("concentration_notes.json"),
-            {
-                "target_z": list(study.target_z),
-                "sigma_at_target": study.sigma_at_target,
-                "fixed_tails_decreasing": bool(study.notes["fixed_tails_decreasing"]),
-                "pointwise_bounded_away": bool(study.notes["pointwise_bounded_away"]),
-                "energy_gap_final": float(study.notes["energy_gap_final"]),
-            },
-        )
+        target = cfg.target if cfg.target is not None else family[-1].spike
+        columns, notes = concentration_metrics(family, target, cfg.model)
+        _write_rows(man.out("concentration_study.csv"), list(columns),
+                    ([_fmt(x) for x in row] for row in zip(*columns.values())))
+        _write_json(man.out("concentration_notes.json"), notes)
     return 0
 
 
@@ -592,6 +565,8 @@ def cmd_landscape(cfg: RunConfig) -> int:
     """Sweep sigma, extract the candidate sets, and run the drift study.
 
     Each set is searched once; the model's own S_p is its p_list entry.
+    S* tests the points of S, or of S_p when S has none; when that set is
+    degenerate, so is S*, since every point is a candidate.
     """
     cfg.require("region", "resolution")
     if cfg.p_list is not None and not cfg.model.nonlin.is_power:
@@ -621,15 +596,20 @@ def cmd_landscape(cfg: RunConfig) -> int:
         result_CritK = crit_K(cfg.model, cfg.region, cfg.seeds)
         _write_critical(man.out("critical_CritK.json"), result_CritK)
         sp_results = [find_Sp(cfg.model, p, cfg.region, cfg.seeds) for p in cfg.p_list or ()]
-        candidates = result_S.points
+        source = result_S
         if cfg.model.nonlin.is_power:
             p = cfg.model.nonlin.p
             same_p = [sp for sp in sp_results if sp.p == p]
             result_Sp = same_p[0] if same_p else find_Sp(cfg.model, p, cfg.region, cfg.seeds)
             _write_critical(man.out("critical_Sp.json"), result_Sp)
-            if not candidates:
-                candidates = result_Sp.points
-        _write_critical(man.out("critical_Sstar.json"), find_Sstar(cfg.model, candidates))
+            if not source.points:
+                source = result_Sp
+        if source.degenerate:
+            result_Sstar = CriticalSetResult("Sstar", [], [], degenerate=True, method="degenerate",
+                                             notes=[f"the candidates come from {source.kind}, which is degenerate"])
+        else:
+            result_Sstar = find_Sstar(cfg.model, source.points)
+        _write_critical(man.out("critical_Sstar.json"), result_Sstar)
 
         if cfg.p_list is not None:
             study = p_to_5_study(result_CritK, sp_results)
@@ -647,7 +627,8 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
     Hard gates: diamagnetic slack at -1e-10, strong-form residual at the
     solver's own stop rule, translation-test relative residual at 1e-2.
     Any violation exits 5 with the failing checks named, in stderr and in
-    the manifest's failure entry.
+    the manifest's failure entry.  The diamagnetic gate passes every finite
+    field, solution or not: see diagnostics.diamagnetic_check.
     """
     if cfg.eps_list is None or len(cfg.eps_list) != 1:
         raise ConfigError("verify needs exactly one eps in [solver]")

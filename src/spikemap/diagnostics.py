@@ -20,7 +20,7 @@ estimate, is Hamiltonian.solve_linear.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,14 +57,15 @@ def diamagnetic_check(u: Field3, model: ModelSpec, eps: float) -> float:
     neighbour along each axis, all but the last plane of each axis.
 
     The modulus of a field never carries more kinetic density than the field
-    itself, so this is nonnegative for anything living in the right space;
-    values below about -1e-10 mean the input is not a valid field.  Both
-    sides use the same forward hop per axis, the covariant one phased by the
-    edge line integral of A.  Since the hop phase is unimodular,
-    |phase * u(x+h) - u(x)| >= ||u(x+h)| - |u(x)|| node by node, so the
-    discrete slack inherits the pointwise inequality exactly instead of
-    holding only up to central-stencil error, and it is identically zero for
-    real fields without a vector potential.  It reads the single hops only.
+    itself.  Both sides use the same forward hop per axis, the covariant one
+    phased by the edge line integral of A.  Since the hop phase is
+    unimodular, |phase * u(x+h) - u(x)| >= ||u(x+h)| - |u(x)|| node by node,
+    for any u, so the discrete slack inherits the pointwise inequality
+    exactly instead of holding only up to central-stencil error, and it is
+    identically zero for real fields without a vector potential.  So the
+    slack is nonnegative, up to rounding, for every finite field, solution
+    or not: a gate on it (verify's at -1e-10) passes every finite input and
+    certifies nothing about the field.  It reads the single hops only.
     """
     grid = u.grid
     h = grid.spacing
@@ -113,7 +114,10 @@ def current_density(U: Field3):
     also the current the translation identity reads: Im(conj(U) grad U) = -J.
     """
     g = _grad4(U.values, U.grid.spacing)
-    J = np.stack([np.imag(U.values * np.conj(gm)) for gm in g])
+    # one component at a time into J, so one complex product is live at once
+    J = np.empty((3,) + U.grid.dims)
+    for m, gm in enumerate(g):
+        J[m] = np.imag(U.values * np.conj(gm))
     sup_J = float(np.sqrt(np.sum(J**2, axis=0)).max())
     denom = float(np.abs(U.values).max()) * float(np.sqrt(sum(np.abs(gm) ** 2 for gm in g)).max())
     norm = sup_J / denom if denom > 0.0 else 0.0
@@ -154,8 +158,9 @@ def pucci_serrin_residual(v: Field3, z0, eps: float, model: ModelSpec):
     of its terms, not rounding over rounding, and the ratio is zero only
     when every integrand is, as for constant coefficients.
 
-    Warns when the box boundary carries more than 1e-5 of the field's mass
-    and refuses above 1e-3; on rescale's view that boundary is the wall the
+    Warns when the box boundary carries more than 1e-5 of the field's L1
+    weight, int |v| (boundary_fraction of |v|, not of the mass |v|^2), and
+    refuses above 1e-3; on rescale's view that boundary is the wall the
     field was solved against.  The truncation bias of the integrals is of
     the order of that boundary fraction, so 1e-3 keeps it well under the
     1e-2 scale this residual is judged against, while still rejecting
@@ -178,7 +183,7 @@ def _translation_terms(v: Field3, J, z0, eps: float, model: ModelSpec):
     frac = boundary_fraction(np.abs(v.values))
     if frac > 1e-3:
         raise BoundaryMassError(
-            f"blow-up field keeps {frac:.2e} of its mass on the box boundary"
+            f"blow-up field keeps {frac:.2e} of its L1 weight |v| on the box boundary"
         )
     if frac > 1e-5:
         warnings.warn(
@@ -375,41 +380,6 @@ def gamma_pm(z, w, model: ModelSpec, solutions):
 # ---------------------------------------------------------------------------
 # concentration metrics
 
-@dataclass
-class ConcentrationStudy:
-    """Per-epsilon concentration readings for a solution family.
-
-    fixed_tails[i] maps each radius eps_0 * rho, eps_0 the largest epsilon
-    and rho in the ladder (4, 6, 8, 10), to sup |u_i| outside the ball of
-    that radius around the target: at fixed radii it is what must decay for
-    the target to be a concentration point.  fixed_floors[i] maps the same
-    radii to member i's error estimate there: sup |e| outside the ball, for
-    e = (T + V)^-1 res (Hamiltonian.solve_linear), res being the member's
-    strong-form residual (pde_residual).
-
-    A member solved to a finite tolerance resolves its tail only to within
-    its error.  Where K f(|u|^2) is negligible, the far field, the true tail
-    is (T + V)^-1 K f(|u|^2) u and the member is off it by exactly e; to
-    first order that holds everywhere.  The error is smooth and flows in
-    from inside the ball, so the local ratio |res| / V under-reads it, while
-    e carries it.  "Decreasing" therefore means: at every radius, no
-    member's tail less its error exceeds its predecessor's tail plus the
-    predecessor's error.  Tails that differ only within their errors are
-    solver noise and do not count as growth.
-    """
-
-    eps_list: list
-    spikes: list
-    scaled_energies: list
-    target_z: tuple
-    sigma_at_target: float
-    pointwise: list = field(default_factory=list)
-    fixed_tails: list = field(default_factory=list)
-    fixed_floors: list = field(default_factory=list)
-    energy_gaps: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
-
-
 _RHO_LADDER = (4.0, 6.0, 8.0, 10.0)
 
 
@@ -428,21 +398,39 @@ def _value_at(u: Field3, x) -> float:
     return float(abs(np.einsum("a,b,c,abc->", *w, cube)))
 
 
-def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
-    """Empirical pointwise and energetic concentration readings at z0.
+def concentration_metrics(family, z0, model: ModelSpec):
+    """Pointwise and energetic concentration readings at z0, as the
+    (columns, notes) the concentration study writes.
 
     family is a nonempty list of solutions sorted by strictly decreasing
-    eps; any other raises DiagnosticsError before a member is read.  For
-    each member: spike location, |u(z0)|, tail suprema outside fixed-radius
-    balls, the error estimate sup |(T + V)^-1 res| outside the same balls,
-    and the gap between the scaled energy and the ground energy at z0.  The
-    notes summarize whether the diagnostic trends point toward concentration
-    at z0.
+    eps; any other raises DiagnosticsError before a member is read.
+    columns maps each CSV column, in the order it is written, to one float
+    per member:
 
-    notes["fixed_tails_decreasing"] holds when, at every fixed radius, each
-    member's tail less its error estimate is at most its predecessor's tail
-    plus the predecessor's (see ConcentrationStudy): a tail that rises only
-    within the accuracy the members were solved to is not read as growth.
+      eps, spike1..3   the member's eps and spike location;
+      scaled_energy    eps^-3 J(u);
+      pointwise        |u(z0)| (_value_at);
+      energy_gap       |scaled_energy - Sigma(z0)|;
+      fixed_tail_rj    sup |u| outside the ball of radius eps_0 rho_j around
+                       z0, eps_0 the largest eps and rho_j the jth of
+                       (4, 6, 8, 10): what must decay at fixed radii for z0
+                       to be a concentration point;
+      fixed_floor_rj   the member's error estimate there: sup |e| outside
+                       the same ball, e = (T + V)^-1 res
+                       (Hamiltonian.solve_linear), res its strong-form
+                       residual (pde_residual).
+
+    A member solved to a finite tolerance resolves its tail only to within
+    its error.  Where K f(|u|^2) is negligible, the far field, the true tail
+    is (T + V)^-1 K f(|u|^2) u and the member is off it by exactly e; to
+    first order that holds everywhere.  The error is smooth and flows in
+    from inside the ball, so the local ratio |res| / V under-reads it, while
+    e carries it.  So notes["fixed_tails_decreasing"] holds when, at every
+    radius, no member's tail less its floor exceeds its predecessor's tail
+    plus floor: tails apart only within their errors are solver noise.
+    notes also holds target_z, sigma_at_target (Sigma(z0)),
+    pointwise_bounded_away (least |u(z0)| above half the largest) and
+    energy_gap_final.
     """
     eps_list = [s.eps for s in family]
     if not eps_list:
@@ -451,47 +439,34 @@ def concentration_metrics(family, z0, model: ModelSpec) -> ConcentrationStudy:
         raise DiagnosticsError("eps_list must be strictly decreasing")
     z0 = np.asarray(z0, dtype=np.float64)
     sig = float(ground_energy(z0, model)[0])
-    spikes, pointwise, fixed, floors, gaps = [], [], [], [], []
-    fixed_radii = [eps_list[0] * rho for rho in _RHO_LADDER]
+    radii = [eps_list[0] * rho for rho in _RHO_LADDER]
+    rows = []
     for s in family:
-        spikes.append(np.asarray(s.spike, dtype=np.float64))
-        pointwise.append(_value_at(s.u, z0))
+        row = dict(eps=s.eps, spike1=s.spike[0], spike2=s.spike[1], spike3=s.spike[2],
+                   scaled_energy=s.scaled_energy, pointwise=_value_at(s.u, z0),
+                   energy_gap=abs(s.scaled_energy - sig))
         X = s.u.grid.meshgrid()
         dist = np.sqrt(sum((X[m] - z0[m]) ** 2 for m in range(3)))
-        mag = np.abs(s.u.values)
         H = Hamiltonian.from_model(model, s.u.grid, s.eps)
-        res, _ = pde_residual(s.u, model, s.eps, H)
-        err = np.abs(H.solve_linear(res.values))
-
-        def sup_outside(arr, radius):
-            out = arr[dist >= radius]
-            return float(out.max()) if out.size else 0.0
-
-        fixed.append({rad: sup_outside(mag, rad) for rad in fixed_radii})
-        floors.append({rad: sup_outside(err, rad) for rad in fixed_radii})
-        gaps.append(abs(s.scaled_energy - sig))
-    fixed_dec = all(
-        b[rad] - fb[rad] <= a[rad] + fa[rad]
-        for a, b, fa, fb in zip(fixed, fixed[1:], floors, floors[1:])
-        for rad in fixed_radii
-    )
+        err = np.abs(H.solve_linear(pde_residual(s.u, model, s.eps, H)[0].values))
+        for name, arr in (("fixed_tail", np.abs(s.u.values)), ("fixed_floor", err)):
+            for j, rad in enumerate(radii, 1):
+                out = arr[dist >= rad]
+                row[f"{name}_r{j}"] = out.max() if out.size else 0.0
+        rows.append(row)
+    columns = {key: [float(r[key]) for r in rows] for key in rows[0]}
+    pointwise = columns["pointwise"]
+    ladder = [(f"fixed_tail_r{j}", f"fixed_floor_r{j}") for j in range(1, len(radii) + 1)]
     notes = {
-        "fixed_tails_decreasing": fixed_dec,
-        "pointwise_bounded_away": bool(min(pointwise) > 0.5 * max(pointwise)),
-        "energy_gap_final": gaps[-1],
+        "target_z": [float(c) for c in z0],
+        "sigma_at_target": sig,
+        "fixed_tails_decreasing": all(
+            b[t] - b[f] <= a[t] + a[f] for a, b in zip(rows, rows[1:]) for t, f in ladder
+        ),
+        "pointwise_bounded_away": min(pointwise) > 0.5 * max(pointwise),
+        "energy_gap_final": columns["energy_gap"][-1],
     }
-    return ConcentrationStudy(
-        eps_list=eps_list,
-        spikes=spikes,
-        scaled_energies=[s.scaled_energy for s in family],
-        target_z=tuple(float(c) for c in z0),
-        sigma_at_target=float(sig),
-        pointwise=pointwise,
-        fixed_tails=fixed,
-        fixed_floors=floors,
-        energy_gaps=gaps,
-        notes=notes,
-    )
+    return columns, notes
 
 
 # ---------------------------------------------------------------------------

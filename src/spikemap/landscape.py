@@ -278,6 +278,16 @@ def _newton_roots(fn, starts, reg: np.ndarray, span: float, accept, rejected=Non
     return _dedupe(list(z[ok]), r[ok].tolist())
 
 
+def _degenerate(kind: str, g: np.ndarray, scale: float, note: str, p=None):
+    """The degenerate result of kind, or None: degenerate when every norm of
+    g (N, 3), the field whose zeros the set is, sampled over the search's
+    lattice, is at most 1e-14 max(1, scale), nan rows skipped.  Then every
+    point is a root, and a list would be meaningless."""
+    if not float(np.nanmax(_norm(g))) <= 1e-14 * max(1.0, scale):
+        return None
+    return CriticalSetResult(kind, [], [], p=p, degenerate=True, method="degenerate", notes=[note])
+
+
 def _seed_points(reg: np.ndarray, seeds) -> np.ndarray:
     """Newton starts: an int n means the n^3 lattice over the region (None
     means 9), anything else is an iterable of points."""
@@ -295,23 +305,14 @@ def find_S(emap: GroundEnergyMap, model: ModelSpec, sigma=None) -> CriticalSetRe
     of |grad Sigma|, accepted at |grad Sigma| < 1e-8.  Other nonlinearities:
     diagnostics.clarke_critical_test at lattice minima of Sigma itself, with
     its fixed sampling plan; sigma, when given, replaces its evaluator of
-    Sigma (tests pass a closed form there).  A map whose sampled gradient
-    never leaves rounding noise is reported as degenerate: every point is
-    critical and a list would be meaningless.
+    Sigma (tests pass a closed form there).  A map whose swept gradient
+    never leaves rounding noise is degenerate (_degenerate).
     """
-    sig = emap.sigma_lattice()
-    grads = emap.grad_lattice()
-    gnorm = np.sqrt(np.sum(grads**2, axis=-1))
-    scale = float(np.nanmax(np.abs(sig))) if np.isfinite(sig).any() else 1.0
-    if np.isfinite(gnorm).any() and np.nanmax(gnorm) <= 1e-12 * max(1.0, scale):
-        return CriticalSetResult(
-            kind="S",
-            points=[],
-            residuals=[],
-            degenerate=True,
-            method="degenerate",
-            notes=["sigma is constant over the sweep region"],
-        )
+    flat = _degenerate("S", emap.grad, float(np.nanmax(np.abs(emap.samples))),
+                       "sigma is constant over the sweep region")
+    if flat:
+        return flat
+    gnorm = np.sqrt(np.sum(emap.grad_lattice() ** 2, axis=-1))
     pts = emap.points
     span = float(np.linalg.norm([hi - lo for lo, hi in emap.region]))
 
@@ -328,7 +329,7 @@ def find_S(emap: GroundEnergyMap, model: ModelSpec, sigma=None) -> CriticalSetRe
         return CriticalSetResult("S", roots, resids, method="newton-explicit", notes=notes)
 
     roots, resids, notes = [], [], []
-    for i in _lattice_minima(sig):
+    for i in _lattice_minima(emap.sigma_lattice()):
         verdict = clarke_critical_test(pts[i], model, sigma)
         if verdict.member:
             roots.append(pts[i])
@@ -348,7 +349,10 @@ def find_Sp(model: ModelSpec, p: float, region, seeds=None) -> CriticalSetResult
     9^3; any iterable of points works too).  A root is accepted when |G| is
     below 1e-8 times the local gradient scale 1 + |grad V| + |grad K|; the
     condition is algebraic in the analytic gradients, so no discretization
-    error enters.  An empty result is a legitimate outcome.
+    error enters.  An empty result is a legitimate outcome.  A G that
+    vanishes over the seed lattice, on the scale of V K, is degenerate
+    (_degenerate): for powers grad Sigma = Sigma G / (2 (p - 1) V K), so S_p
+    is then as degenerate as S.
     """
     if not model.nonlin.is_power:
         raise LandscapeError("the algebraic condition is defined for power nonlinearities")
@@ -363,36 +367,35 @@ def find_Sp(model: ModelSpec, p: float, region, seeds=None) -> CriticalSetResult
         k, gk = model.K.value_and_gradient(z)
         return (5.0 - p) * k[..., None] * gv - 4.0 * v[..., None] * gk
 
+    seed_pts = _seed_points(reg, seeds)
+    vk = np.abs(model.V.value(seed_pts) * model.K.value(seed_pts))
+    flat = _degenerate("Sp", G(seed_pts), float(vk.max()), "G vanishes over the seed lattice", p)
+    if flat:
+        return flat
+
     def accept(z, r):
         _, gv = model.V.value_and_gradient(z)
         _, gk = model.K.value_and_gradient(z)
         return r < 1e-8 * (1.0 + _norm(gv) + _norm(gk))
 
-    roots, resids = _newton_roots(G, _seed_points(reg, seeds), reg, span, accept)
+    roots, resids = _newton_roots(G, seed_pts, reg, span, accept)
     return CriticalSetResult("Sp", roots, resids, p=p, method="newton-analytic")
 
 
 def crit_K(model: ModelSpec, region, seeds=None) -> CriticalSetResult:
     """Critical points of K by Newton on its analytic gradient.
 
-    Residual threshold 1e-10.  A constant K is degenerate and reported as
-    such instead of a point list.
+    Residual threshold 1e-10.  A K constant over the seed lattice is
+    degenerate (_degenerate).
     """
     reg = _as_region(region)
     span = float(np.linalg.norm(reg[:, 1] - reg[:, 0]))
     seed_pts = _seed_points(reg, seeds)
     grad_fn = lambda z: model.K.value_and_gradient(z)[1]
     kvals, kgrads = model.K.value_and_gradient(seed_pts)
-    gmax = float(np.linalg.norm(kgrads, axis=-1).max())
-    if gmax <= 1e-14 * max(1.0, float(np.abs(kvals).max())):
-        return CriticalSetResult(
-            kind="CritK",
-            points=[],
-            residuals=[],
-            degenerate=True,
-            method="degenerate",
-            notes=["K is constant over the seed lattice"],
-        )
+    flat = _degenerate("CritK", kgrads, float(np.abs(kvals).max()), "K is constant over the seed lattice")
+    if flat:
+        return flat
     roots, resids = _newton_roots(grad_fn, seed_pts, reg, span, lambda z, r: r < 1e-10)
     return CriticalSetResult("CritK", roots, resids, method="newton-analytic")
 
@@ -439,9 +442,10 @@ class DriftStudy:
     """dist(S_p, Crit K) per p, with a monotone-decrease summary.
 
     distances uses the one-sided reading: max over S_p of the distance to
-    the nearest critical point of K.  A p whose S_p came back empty is
-    recorded in gaps and carries nan; so is every p when Crit K came back
-    empty without being degenerate, since there is nothing to measure to.
+    the nearest critical point of K; a nonempty or degenerate S_p reads 0
+    against a degenerate Crit K.  Any other S_p without points is recorded
+    in gaps and carries nan; so is every p when Crit K came back empty
+    without being degenerate, since there is nothing to measure to.
     monotone_decreasing covers the non-gap entries in order, and is False
     when there are none.
     """
@@ -462,11 +466,11 @@ def p_to_5_study(crit: CriticalSetResult, sp_results) -> DriftStudy:
         return DriftStudy(p_list, [float("nan")] * len(p_list), list(p_list), False)
     distances, gaps = [], []
     for sp in sp_results:
-        if not sp.points:
+        if crit.degenerate and (sp.points or sp.degenerate):
+            distances.append(0.0)
+        elif not sp.points:
             gaps.append(sp.p)
             distances.append(float("nan"))
-        elif crit.degenerate:
-            distances.append(0.0)
         else:
             distances.append(
                 max(

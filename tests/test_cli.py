@@ -770,6 +770,7 @@ def test_concentration_study_family(tmp_path):
     assert header[:7] == [
         "eps", "spike1", "spike2", "spike3", "scaled_energy", "pointwise", "energy_gap"
     ]
+    assert header[7:] == [f"fixed_{name}_r{j}" for name in ("tail", "floor") for j in range(1, 5)]
     assert len(lines) == 4
     rows = [[float(tok) for tok in row.split(",")] for row in lines[1:]]
     assert np.isfinite(rows).all()
@@ -876,6 +877,36 @@ def test_landscape_command_end_to_end(tmp_path):
     assert len(dist) == 4
     assert all(b < a for a, b in zip(dist, dist[1:]))
     assert dist[0] == pytest.approx(0.639643, abs=1e-5)
+
+
+def test_landscape_degenerate_model_writes_every_set_degenerate(tmp_path):
+    # with V and K constant, Sigma, K and G = (5 - p) K grad V - 4 V grad K
+    # are flat everywhere; for powers grad Sigma = Sigma G / (2 (p - 1) V K),
+    # so S and S_p are one set, S* draws its candidates from it, and a
+    # degenerate S_p lies in a degenerate Crit K at distance 0
+    out = tmp_path / "flat"
+    text = dedent(f"""
+        [model]
+        V = 1
+        K = 1
+        p = 3
+
+        [landscape]
+        region = -1, 1, -1, 1, -1, 1
+        resolution = 5
+        p_list = 2, 3, 4
+
+        [output]
+        directory = {out}
+    """)
+    assert main(["landscape", write_config(tmp_path / "flat.ini", text)]) == 0
+    for kind in ("S", "Sp", "Sstar", "CritK"):
+        data = json.loads((out / f"critical_{kind}.json").read_text())
+        assert data["kind"] == kind
+        assert data["degenerate"] is True
+        assert data["points"] == [] and data["residuals"] == []
+    drift = (out / "p_drift.csv").read_text().strip().splitlines()
+    assert drift == ["p,dist_Sp_to_CritK", "2.0,0.0", "3.0,0.0", "4.0,0.0"]
 
 
 def test_landscape_searches_each_set_once(tmp_path, monkeypatch):

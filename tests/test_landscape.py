@@ -435,6 +435,15 @@ def test_drift_study_degenerate_K_reports_zero():
     assert study.distances == [0.0, 0.0]
 
 
+def test_drift_study_reads_a_degenerate_S_p_only_against_a_degenerate_crit_K():
+    flat_sp = CriticalSetResult("Sp", [], [], p=3.0, degenerate=True)
+    flat_ck = CriticalSetResult("CritK", [], [], degenerate=True)
+    assert p_to_5_study(flat_ck, [flat_sp]).distances == [0.0]
+    ck = CriticalSetResult("CritK", [np.array([1.0, 0.0, 0.0])], [0.0])
+    study = p_to_5_study(ck, [flat_sp])
+    assert study.gaps == [3.0] and np.isnan(study.distances[0])
+
+
 def test_drift_study_regression_on_bump_model():
     model = mk_model(BUMP_V, BUMP_K)
     study = drift(model, [3.0, 4.0, 4.5, 4.9], BOX2, 5)
