@@ -235,6 +235,8 @@ class RunConfig:
         # below about 1e-108
         if self.eps_list is not None and not all(e * e * e > 0 for e in self.eps_list):
             raise ConfigError("solver.eps values must be positive, with eps^3 > 0 in floating point")
+        if self.eps_list is not None and len(set(self.eps_list)) < len(self.eps_list):
+            raise ConfigError(f"solver.eps repeats a value, and each eps names its own output files: {sol['eps']}")
         self.tol = _one_float(sol.get("tol", "1e-6"), "solver.tol")
         if self.tol <= 0:
             raise ConfigError(f"solver.tol must be positive, got {self.tol}")
@@ -483,6 +485,12 @@ def _check_decay_reach(cfg: RunConfig, grid, eps: float) -> None:
         raise ConfigError(f"decay window starts beyond r = {reach:.6g}, the reach of the blow-up box")
 
 
+def _require_in_box(grid, point, key: str) -> None:
+    """Refuse a configured point outside the grid box, |x_k| <= R."""
+    if point is not None and max(map(abs, point)) > grid.half_extent():
+        raise ConfigError(f"{key} {list(point)} lies outside the grid box, |x_k| <= {grid.half_extent():.6g}")
+
+
 def _family_grid(cfg: RunConfig):
     """The grid of an eps family, checked against the seed centre and, when
     the family is reported on, the decay window at its largest eps, where
@@ -490,9 +498,7 @@ def _family_grid(cfg: RunConfig):
     cfg.require("eps_list")
     grid = cfg.grid()
     # a seed centred off the box has no mass on any node
-    if cfg.center is not None and max(map(abs, cfg.center)) > grid.half_extent():
-        raise ConfigError(f"solver.center {list(cfg.center)} lies outside the grid box, "
-                          f"|x_k| <= {grid.half_extent():.6g}")
+    _require_in_box(grid, cfg.center, "solver.center")
     if cfg.report:
         _check_decay_reach(cfg, grid, max(cfg.eps_list))
     return grid
@@ -527,7 +533,7 @@ def _solve_family(cfg: RunConfig, grid, seed, man: _Manifest):
         )
         if cfg.report:
             report = run_diagnostics(sol.u, eps, cfg.model, window=cfg.decay_window)
-            report["nehari_slack"] = sol.nehari_slack
+            report.update(nehari_slack=sol.nehari_slack, diamagnetic_slack_min=sol.diamagnetic_slack)
             _write_json(man.out(f"report_eps{_fmt(eps)}.json"), report)
     return family
 
@@ -544,12 +550,14 @@ def cmd_solve_magnetic(cfg: RunConfig) -> int:
 def cmd_concentration_study(cfg: RunConfig) -> int:
     """Solve a strictly decreasing eps family and write, unreshaped, the
     columns and notes of concentration_metrics at diagnostics.target, or at
-    the spike of the last member, the smallest eps, when none is given."""
+    the spike of the last member, the smallest eps, when none is given; a
+    target off the grid box, where no member has a node, is refused."""
     if cfg.eps_list is None or len(cfg.eps_list) < 2:
         raise ConfigError("a concentration study needs at least two eps values")
     if not all(a > b for a, b in zip(cfg.eps_list, cfg.eps_list[1:])):
         raise ConfigError("solver.eps must be strictly decreasing for a concentration study")
     grid = _family_grid(cfg)
+    _require_in_box(grid, cfg.target, "diagnostics.target")
     seed = _family_seed(cfg, grid)
     with _Manifest(cfg, "concentration-study") as man:
         family = _solve_family(cfg, grid, seed, man)
@@ -628,7 +636,7 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
     solver's own stop rule, translation-test relative residual at 1e-2.
     Any violation exits 5 with the failing checks named, in stderr and in
     the manifest's failure entry.  The diamagnetic gate passes every finite
-    field, solution or not: see diagnostics.diamagnetic_check.
+    field, solution or not: see fields.Hamiltonian.diamagnetic_slack.
     """
     if cfg.eps_list is None or len(cfg.eps_list) != 1:
         raise ConfigError("verify needs exactly one eps in [solver]")
@@ -641,10 +649,11 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
         H = Hamiltonian.from_model(cfg.model, u.grid, eps)
         scaled_energy = energy_J(u, cfg.model, eps, H) / eps**3
         residual_rms = pde_residual(u, cfg.model, eps, H)[1]
-        nehari_slack = H.nehari_slack(u.values)
+        slacks = {"nehari_slack": H.nehari_slack(u.values),
+                  "diamagnetic_slack_min": H.diamagnetic_slack(u.values)}
         level = H.stop_level(cfg.tol, np.abs(u.values) ** 2)
         # free H's three hop fields, V, K and mask before the diagnostics,
-        # which make their own phases: verify-48's peak falls by about 7 MB
+        # which read no hop: verify-48's peak falls by about 7 MB
         del H
         try:
             report = run_diagnostics(u, eps, cfg.model, window=cfg.decay_window)
@@ -652,7 +661,7 @@ def cmd_verify(cfg: RunConfig, snapshot_path) -> int:
             man.failure = f"invariant failure: boundary_decay ({exc})"
             print(man.failure, file=sys.stderr)
             return 5
-        report["nehari_slack"] = nehari_slack
+        report.update(slacks)
         _write_json(man.out("verify_report.json"), report)
 
         failures = []

@@ -1,20 +1,20 @@
 """Identity checks for computed solutions.
 
-Every check here is a necessary condition a true solution family satisfies:
-the diamagnetic pointwise bound, the vanishing current density of least-energy
-profiles, the translation-test integral identity, the exponential decay rate,
-Clarke criticality of candidate spike points, and the two concentration
-metrics.  The translation identity has one formula, pucci_serrin_residual:
-read at eps in the blow-up variable it is the strong-sense check, and at
-eps = 0 it is its limit form, the envelope bracket gamma_pm bounds for the
-weak sense.  Nothing in this module solves the equation; it consumes fields
-and models produced elsewhere and reports residuals with their
-denominators, so a caller can tell "small because it holds" from "small
-because everything is".  run_diagnostics gathers the checks on one magnetic
-Field3, real or complex, into a plain dict, the report the CLI writes as it
-stands; it splits the blow-up view, forms its current and passes over its
-shells once each.  The one linear solve, the concentration metrics' error
-estimate, is Hamiltonian.solve_linear.
+Every check here is a necessary condition a true solution family satisfies: the
+vanishing current density of least-energy profiles, the translation-test
+integral identity, the exponential decay rate, Clarke criticality of candidate
+spike points, and the two concentration metrics; the diamagnetic bound reads
+the stencil's hops, so it is Hamiltonian.diamagnetic_slack.  The translation
+identity has one formula, pucci_serrin_residual: read at eps in the blow-up
+variable it is the strong-sense check, and at eps = 0 it is its limit form, the
+envelope bracket gamma_pm bounds for the weak sense.  Nothing in this module
+solves the equation; it consumes fields and models produced elsewhere and
+reports residuals with their denominators, so a caller can tell "small because
+it holds" from "small because everything is".  run_diagnostics gathers the
+checks on one magnetic Field3, real or complex, into a plain dict, the report
+the CLI writes as it stands; it splits the blow-up view, forms its current and
+passes over its shells once each.  The one linear solve, the concentration
+metrics' error estimate, is Hamiltonian.solve_linear.
 """
 
 from __future__ import annotations
@@ -50,40 +50,7 @@ _SLAB = 8
 
 
 # ---------------------------------------------------------------------------
-# pointwise inequalities and the current density
-
-def diamagnetic_check(u: Field3, model: ModelSpec, eps: float) -> float:
-    """Minimum of |D^eps u| - eps |grad |u|| over every node with a forward
-    neighbour along each axis, all but the last plane of each axis.
-
-    The modulus of a field never carries more kinetic density than the field
-    itself.  Both sides use the same forward hop per axis, the covariant one
-    phased by the edge line integral of A.  Since the hop phase is
-    unimodular, |phase * u(x+h) - u(x)| >= ||u(x+h)| - |u(x)|| node by node,
-    for any u, so the discrete slack inherits the pointwise inequality
-    exactly instead of holding only up to central-stencil error, and it is
-    identically zero for real fields without a vector potential.  So the
-    slack is nonnegative, up to rounding, for every finite field, solution
-    or not: a gate on it (verify's at -1e-10) passes every finite input and
-    certifies nothing about the field.  It reads the single hops only.
-    """
-    grid = u.grid
-    h = grid.spacing
-    p1s = model.link_phases(grid, eps)
-    cov2 = np.zeros(tuple(d - 1 for d in grid.dims))
-    mod2 = np.zeros_like(cov2)
-    mag = np.abs(u.values)
-    core = tuple(slice(0, d - 1) for d in grid.dims)
-    for m in range(3):
-        up = [slice(0, d - 1) for d in grid.dims]
-        up[m] = slice(1, grid.dims[m])
-        hop = p1s[m][core] * u.values[tuple(up)] - u.values[core]
-        dm = mag[tuple(up)] - mag[core]
-        cov2 += np.abs(hop) ** 2
-        mod2 += dm * dm
-    slack = (eps / h) * (np.sqrt(cov2) - np.sqrt(mod2))
-    return float(slack.min())
-
+# the current density
 
 def _grad4(arr: np.ndarray, h: float) -> list[np.ndarray]:
     """Fourth-order central differences along each axis.
@@ -479,21 +446,20 @@ def run_diagnostics(u: Field3, eps: float, model: ModelSpec, window=None) -> dic
 
     The field is viewed around its spike (_spike_location) by rescale, its
     own values on its own nodes and walls.  One phase split gives the
-    imaginary fraction and the current J, which serves both the current
-    norm and the translation identity; pucci_serrin_terms_sum is the norm
-    of the identity's term sizes.  decay_fit sets the default window.  The
-    Nehari slack is the caller's to add: the solve reads it off its last
-    iterate, verify off the stored field.
+    imaginary fraction and the current J, and is freed; J serves both the
+    current norm and the translation identity, whose term sizes' norm is
+    pucci_serrin_terms_sum.  decay_fit sets the default window.  The caller
+    adds both slacks, the Nehari and the diamagnetic, from its Hamiltonian:
+    the solve reads them off its last iterate, verify off the stored field.
     """
     z0 = tuple(float(c) for c in _spike_location(u))
-    dia = diamagnetic_check(u, model, eps)
     v = rescale(u, eps, z0)
-    split = phase_factor_split(v, z0, model)
-    J, cnorm, cdenom = current_density(split.U)
+    U, _, imag_fraction = phase_factor_split(v, z0, model)
+    J, cnorm, cdenom = current_density(U)
+    del U
     ps_vec, ps_rel, ps_terms = _translation_terms(v, J, z0, eps, model)
     fit = decay_fit(v, window)
     return {
-        "diamagnetic_slack_min": dia,
         "current_density_norm": cnorm,
         "pucci_serrin_residual": [float(c) for c in ps_vec],
         "pucci_serrin_rel": ps_rel,
@@ -503,6 +469,6 @@ def run_diagnostics(u: Field3, eps: float, model: ModelSpec, window=None) -> dic
             "pucci_serrin_terms_sum": ps_terms,
             "current_density_denominator": cdenom,
             "decay_points": float(fit.n_points),
-            "phase_imag_fraction": split.imag_fraction,
+            "phase_imag_fraction": imag_fraction,
         },
     }

@@ -7,9 +7,9 @@ plain node sums times the cell volume (spectrally accurate for smooth fields
 that decay below rounding before the boundary).  Field3 is the one field
 type, real or complex; link phases are one single-hop array per axis,
 link_table walls them, and apply_link_kinetic alone forms the longer hops,
-per call.  The Hamiltonian holds its descent, Hamiltonian.descend, the one
-every 3D solve runs.  scipy is loaded only by _nehari_scale's bracket,
-the Nehari scale of a custom f, which imports brentq when it runs.
+per call; the Hamiltonian holds them walled and reads its diamagnetic slack
+from them.  Hamiltonian.descend is the descent every 3D solve runs.  scipy is
+loaded only by _nehari_scale's bracket, the Nehari scale of a custom f.
 """
 
 from __future__ import annotations
@@ -290,8 +290,8 @@ class Hamiltonian:
     kinetic operator apply_link_kinetic.
 
     Built once per (grid, eps, coefficients) with the link_table of p1s, the
-    three walled single hops, one per axis: a model's link phases, complex,
-    in from_model, None (free real hops) for frozen V, K.  V and K are node
+    three walled single hops, one per axis: a model's link phases in
+    from_model, None (free real hops) for frozen V, K.  V and K are node
     arrays or scalars.  Every 3D solve, energy and residual goes through its
     quadratic form Q(u) = <u, T u> + int V |u|^2, its node weight
     K f(|u|^2), its pairing
@@ -313,11 +313,10 @@ class Hamiltonian:
 
     @classmethod
     def from_model(cls, model, grid: Grid3, eps: float) -> "Hamiltonian":
-        """The Hamiltonian of a complex field: its single hops are complex
-        even where the model has no field, so no stencil product casts a real
-        hop to the field's dtype."""
-        p1s = tuple(p.astype(np.complex128, copy=False) for p in model.link_phases(grid, eps))
-        return cls(grid, eps, model.V.on_grid(grid), model.K.on_grid(grid), model.nonlin, p1s)
+        """The Hamiltonian of a complex field, whose single hops are the
+        model's link phases: the one place a command builds them."""
+        return cls(grid, eps, model.V.on_grid(grid), model.K.on_grid(grid), model.nonlin,
+                   model.link_phases(grid, eps))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return apply_link_kinetic(u, self.links, self.eps, self.grid.spacing)
@@ -353,6 +352,29 @@ class Hamiltonian:
         """|Q - P(1)| / Q of u as it stands: zero on the Nehari manifold."""
         Q = self.quad(u, self.apply(u))
         return abs(Q - self.pairing(_abs2(u), 1.0)) / Q if Q > 0 else float("inf")
+
+    def diamagnetic_slack(self, u: np.ndarray) -> float:
+        """Minimum of |D^eps u| - eps |grad |u|| over the nodes with a forward
+        neighbour on every axis, where the walled hops equal the unwalled p1.
+
+        Both sides take the stencil's forward hop per axis.  The hop is
+        unimodular, so |p1 u(x+h) - u(x)| >= ||u(x+h)| - |u(x)|| node by node
+        for any u: the slack is nonnegative, up to rounding, for every finite
+        field, solution or not, and 0 for a real field without a vector
+        potential.  So a gate on it (verify's at -1e-10) certifies nothing.
+        """
+        dims = self.grid.dims
+        core = tuple(slice(0, d - 1) for d in dims)
+        cov2 = np.zeros(tuple(d - 1 for d in dims))
+        mod2 = np.zeros_like(cov2)
+        mag = np.abs(u)
+        for m in range(3):
+            up = core[:m] + (slice(1, dims[m]),) + core[m + 1:]
+            hop = self.links[m][core] * u[up] - u[core]
+            dm = mag[up] - mag[core]
+            cov2 += np.abs(hop) ** 2
+            mod2 += dm * dm
+        return float(((self.eps / self.grid.spacing) * (np.sqrt(cov2) - np.sqrt(mod2))).min())
 
     def energy(self, u: np.ndarray) -> float:
         return 0.5 * self.quad(u, self.apply(u)) - self.potential(_abs2(u))

@@ -12,11 +12,11 @@ descent, Hamiltonian.descend, from this module's seeds; energy_J and
 pde_residual read the same Hamiltonian.
 solve_magnetic takes values: the model, the grid, eps and keywords with
 defaults, and its seed is "frozen", "random" or a Field3 on the solve grid.
-This module opens no file; the CLI reads a snapshot seed.  The Hamiltonian
-of a complex field always holds complex single hops, real unit phases
-included.  rescale views a field in the blow-up frame y = (x - z) / eps, and
-rescaled_model reads the coefficients there, at z + eps y; the frozen
-problem at z is that frame at eps = 0.
+This module opens no file; the CLI reads a snapshot seed.  The solve reads
+the diamagnetic slack of its last iterate off the Hamiltonian it built, so
+it builds the link phases once.  rescale views a field in the blow-up frame
+y = (x - z) / eps, and rescaled_model reads the coefficients there, at
+z + eps y; the frozen problem at z is that frame at eps = 0.
 
 Every sum a solve takes runs on one thread in numpy's fixed order,
 none in a threaded BLAS, so runs with the same seed produce identical bytes
@@ -58,6 +58,7 @@ class MagneticSolution:
     scaled_energy is eps^-3 J(u), which stays bounded along a concentrating
     family; the concentration study compares it with Sigma at its target.
     spike is the argmax of |u| after one parabolic refinement per axis.
+    diamagnetic_slack is Hamiltonian.diamagnetic_slack of u.
     """
 
     u: Field3
@@ -66,6 +67,7 @@ class MagneticSolution:
     scaled_energy: float
     residual_rms: float
     nehari_slack: float
+    diamagnetic_slack: float
     spike: np.ndarray
     iterations: int
     trace: list = field(repr=False, default_factory=list)
@@ -230,6 +232,7 @@ def solve_magnetic(model: ModelSpec, grid: Grid3, eps: float, *, tol: float = 1e
         scaled_energy=last["energy"] / eps**3,
         residual_rms=last["residual"],
         nehari_slack=last["nehari_slack"],
+        diamagnetic_slack=H.diamagnetic_slack(u),
         spike=_spike_location(sol_u),
         iterations=last["iter"],
         trace=trace,

@@ -474,15 +474,15 @@ class ModelSpec:
 
     def link_phases(self, grid: Grid3, eps: float) -> tuple:
         """Single-hop phase factors exp(-i/eps * int A . dl) along each grid
-        edge, one array per axis; real unit factors without a field.
+        edge, one complex array per axis, unit ones without a field.
 
         The line integral over one edge uses 5-point Gauss-Legendre, exact for
-        polynomial components up to degree nine.  fields.link_table walls
-        these at the box, and fields.apply_link_kinetic forms the double and
-        triple hops from them.
+        polynomial components up to degree nine.  Hamiltonian.from_model, the
+        one caller, holds these walled by fields.link_table, and
+        fields.apply_link_kinetic forms the double and triple hops from them.
         """
         if not self.has_field:
-            return tuple(np.ones(grid.dims) for _ in range(3))
+            return tuple(np.ones(grid.dims, np.complex128) for _ in range(3))
         h = grid.spacing
         X = list(grid.meshgrid())
         per_axis = []

@@ -16,9 +16,9 @@ from scipy.integrate import simpson
 
 from spikemap.cli import ConfigError, RunConfig, main
 from spikemap.fields import Field3, ResolutionWarning, make_grid, read_snapshot, write_snapshot
-from spikemap.frozen_solver import FrozenPoint, canonical_profile, shoot_radial
+from spikemap.frozen_solver import FrozenPoint, SolverError, canonical_profile, shoot_radial
 from spikemap.magnetic_solver import energy_J
-from spikemap.model import ModelError
+from spikemap.model import ModelError, ModelSpec
 
 # the p = 3 ground energy for V = K = 1: test_frozen_solver.py derives it
 E3 = 18.897251302545
@@ -558,6 +558,38 @@ def test_verify_needs_exactly_one_eps(magnetic_run, tmp_path):
     assert main(["verify", cfg_path, str(magnetic_run["snap"])]) == 2
 
 
+def test_each_command_builds_the_hops_once(tmp_path, monkeypatch):
+    # the solve and verify each read the diamagnetic slack off the
+    # Hamiltonian they build, so neither builds the link phases twice, and
+    # both read the same slack off the same field
+    calls = []
+    build = ModelSpec.link_phases
+    monkeypatch.setattr(ModelSpec, "link_phases", lambda self, grid, eps: calls.append(eps) or build(self, grid, eps))
+    out = tmp_path / "run"
+    text = magnetic_config(out, grid_points="24", sections="[diagnostics]\nreport = true\n\n")
+    cfg_path = write_config(tmp_path / "run.ini", text.replace("grid_radius = 9.0", "grid_radius = 7.5"))
+    assert main(["solve-magnetic", cfg_path]) == 0
+    assert calls == [1.0]
+    assert main(["verify", cfg_path, str(out / "solution_eps1.0.spkf")]) == 0
+    assert calls == [1.0, 1.0]
+    solve, verify = (json.loads((out / name).read_text())["diamagnetic_slack_min"]
+                     for name in ("report_eps1.0.json", "verify_report.json"))
+    assert solve == verify
+
+
+def test_repeated_eps_exits_2_before_any_output(tmp_path, capsys):
+    # each eps names its snapshot, trace and report, so a repeated eps would
+    # overwrite its own outputs and the manifest would list them twice
+    out = tmp_path / "run"
+    text = magnetic_config(out, eps="1.0, 1", grid_points="24").replace("grid_radius = 9.0", "grid_radius = 7.5")
+    with pytest.raises(ConfigError, match="solver.eps repeats"):
+        RunConfig.from_text(text)
+    assert main(["solve-magnetic", write_config(tmp_path / "run.ini", text)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "solver.eps" in err[0]
+    assert not out.exists()
+
+
 def test_snapshot_seed_restarts_the_solve_where_it_ended(magnetic_run, tmp_path):
     out = tmp_path / "restart"
     text = magnetic_config(out, solver_extra=f"seed = {magnetic_run['snap']}\n",
@@ -815,6 +847,32 @@ def test_concentration_study_needs_decreasing_eps(tmp_path, capsys):
     )
     assert main(["concentration-study", cfg_path]) == 2
     assert "strictly decreasing" in capsys.readouterr().err
+
+
+def test_concentration_study_target_off_the_box_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # no member has a node at the target, so pointwise would read a clamped
+    # wall value and every fixed tail the whole box; the study is refused by
+    # the rule solver.center follows, while solve-frozen, which reads the
+    # target with no grid, still takes it
+    import spikemap.cli as cli
+
+    solves = []
+
+    def no_solve(*args, **kwargs):
+        solves.append(args)
+        raise SolverError("the study solved a member")
+
+    monkeypatch.setattr(cli, "solve_magnetic", no_solve)
+    out = tmp_path / "study"
+    text = magnetic_config(out, eps="1.0, 0.9", grid_points="24",
+                           sections="[diagnostics]\ntarget = 10, 0, 0\ndecay_window = 0.2, 1.5\n\n")
+    cfg_path = write_config(tmp_path / "study.ini", text.replace("grid_radius = 9.0", "grid_radius = 7.5"))
+    assert main(["concentration-study", cfg_path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "diagnostics.target" in err[0]
+    assert solves == [] and not out.exists()
+    assert main(["solve-frozen", cfg_path]) == 0
+    assert json.loads((out / "sigma.json").read_text())["sigma"] == pytest.approx(E3 * 101**0.5, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -328,10 +328,11 @@ def test_link_phases_trivial_without_field():
     model = make_model()
     g = make_grid(radius=2.0, n=12)
     p1s = model.link_phases(g, 0.5)
-    # one real unit array per axis, distinct because link_table walls each in place
+    # one complex unit array per axis, distinct because link_table walls each
+    # in place; complex, so the Hamiltonian holds them as they come
     assert len(p1s) == 3 and len({id(p) for p in p1s}) == 3
     for p in p1s:
-        assert p.dtype == np.float64 and np.all(p == 1.0)
+        assert p.dtype == np.complex128 and np.all(p == 1.0)
 
 
 def test_gauge_transform_preserves_h_norm():
