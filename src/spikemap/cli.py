@@ -6,9 +6,10 @@ other sections carry per-command parameters.  Every run writes its artifacts
 into the output directory next to a manifest.json that records the config
 text as read, its hash, the toolkit version, seeds, and wall times, so a run
 can be reproduced from the manifest alone.  The compute modules return plain
-data, and one writer per format turns it into bytes: _write_rows a CSV of
-shortest round-trip floats, _write_json a JSON object with indent 2 and
-sorted keys.  The solvers are deterministic, which is what makes re-runs
+data, and one writer per format turns it into bytes: _write_table a CSV
+from named columns, each number a decimal int or a shortest round-trip
+float, and _write_json a JSON object with indent 2 and sorted keys, numpy
+values included.  The solvers are deterministic, which is what makes re-runs
 byte-comparable.
 
 Exit codes: 0 success, 2 configuration problem, 3 solver failure or out of
@@ -334,46 +335,44 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_rows(path, header, rows):
+def _cell(x) -> str:
+    return x if isinstance(x, str) else str(x) if isinstance(x, int) else _fmt(x)
+
+
+def _write_table(path, columns):
+    """columns, header to values in order, as a CSV whose cell text this writer
+    alone sets: a str as it is, a Python int in decimal and any other number
+    its shortest round-trip float64.  Columns of unequal length raise ValueError."""
+    lengths = {name: len(col) for name, col in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"table columns differ in length: {lengths}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows([_cell(x) for x in row] for row in zip(*columns.values()))
+
+
+def _json_default(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path, payload):
+    """payload as JSON with indent 2 and sorted keys, numpy arrays and scalars
+    as their .tolist(); any other object json.dump cannot write raises TypeError."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
-
-
-def _write_profile(path, prof):
-    """A radial profile's nodes, one row each: r, u and du."""
-    _write_rows(path, ["r", "u", "du"], ([_fmt(x) for x in row] for row in zip(prof.r, prof.u, prof.du)))
-
-
-def _write_sweep(path, emap):
-    """One row per lattice node, in lattice order: position, sigma, gradient,
-    and the map's method, or failed on a nan row."""
-    rows = (
-        [_fmt(c) for c in (*z, sig, *g)] + ["failed" if np.isnan(sig) else emap.method]
-        for z, sig, g in zip(emap.points, emap.samples, emap.grad)
-    )
-    _write_rows(path, ["z1", "z2", "z3", "sigma", "grad1", "grad2", "grad3", "method"], rows)
-
-
-def _write_critical(path, result):
-    """A candidate set: the fields of its CriticalSetResult, as plain JSON."""
-    points = [[float(c) for c in z] for z in result.points]
-    _write_json(path, {**vars(result), "points": points, "residuals": [float(r) for r in result.residuals]})
 
 
 class _Manifest:
     """A run's inputs, outputs and timings.  Entering makes the output
     directory; leaving writes manifest.json, success or not, with failure
-    None or the one line that ended the run.  A command that runs the 3D
-    descent sets descent to a dict, and each converged solve records its
-    iterations and final residual rms there under its eps."""
+    None or the one line that ended the run, and the keys a command adds in
+    extra: descent, where each converged 3D solve records its iterations and
+    final residual rms under its eps, and sweep_failures, set only by a sweep
+    with failed nodes."""
 
     def __init__(self, cfg: RunConfig, command: str):
         self.t0 = time.perf_counter()
@@ -382,7 +381,7 @@ class _Manifest:
         self.inputs = []
         self.outputs = []
         self.timings = {}
-        self.descent = None
+        self.extra = {}
         self.failure = None
 
     def __enter__(self):
@@ -403,9 +402,8 @@ class _Manifest:
             "seeds": {"seed": self.cfg.seed, "rng_seed": self.cfg.rng_seed},
             "wall_times_s": {**self.timings, "total": time.perf_counter() - self.t0},
             "failure": self.failure,
+            **self.extra,
         }
-        if self.descent is not None:
-            payload["descent"] = self.descent
         _write_json(os.path.join(self.cfg.out_dir, "manifest.json"), payload)
 
     def out(self, name) -> str:
@@ -430,28 +428,20 @@ def cmd_solve_frozen(cfg: RunConfig) -> int:
     prof = ground_state(point, cfg.model.nonlin)
     man.timings["ground_state"] = time.perf_counter() - t0
     fit = decay_fit(prof, cfg.decay_window)
-    grad = prof.grad_sigma
 
     with man:
-        _write_profile(man.out("profile.csv"), prof)
-        _write_json(
-            man.out("sigma.json"),
-            {
-                "z": [float(c) for c in z],
-                "sigma": float(prof.energy),
-                "grad_sigma": [float(c) for c in grad],
-                "method": prof.method,
-            },
-        )
+        _write_table(man.out("profile.csv"), {"r": prof.r, "u": prof.u, "du": prof.du})
+        _write_json(man.out("sigma.json"),
+                    {"z": z, "sigma": prof.energy, "grad_sigma": prof.grad_sigma, "method": prof.method})
         _write_json(
             man.out("frozen_report.json"),
             {
-                "sigma": float(prof.energy),
+                "sigma": prof.energy,
                 "decay_rate": fit.rate,
                 "decay_rate_corrected": fit.corrected_rate,
-                "decay_window": list(fit.window),
+                "decay_window": fit.window,
                 "decay_points": fit.n_points,
-                "sqrt_V_at_z": float(np.sqrt(point.Vz)),
+                "sqrt_V_at_z": np.sqrt(point.Vz),
                 "mass2": prof.moments["mass2"],
                 "radial_residual": radial_residual(prof),
             },
@@ -514,23 +504,16 @@ def _family_seed(cfg: RunConfig, grid):
 
 def _solve_family(cfg: RunConfig, grid, seed, man: _Manifest):
     family = []
-    man.descent = {}
+    man.extra["descent"] = descent = {}
     for eps in cfg.eps_list:
         t0 = time.perf_counter()
         sol = solve_magnetic(cfg.model, grid, eps, tol=cfg.tol, max_iters=cfg.max_iters, seed=seed,
                              rng_seed=cfg.rng_seed, center=cfg.center)
         man.timings[f"solve_eps{_fmt(eps)}"] = time.perf_counter() - t0
-        man.descent[_fmt(eps)] = {"iterations": sol.iterations, "residual_rms": sol.residual_rms}
+        descent[_fmt(eps)] = {"iterations": sol.iterations, "residual_rms": sol.residual_rms}
         family.append(sol)
         write_snapshot(man.out(f"solution_eps{_fmt(eps)}.spkf"), sol.u)
-        _write_rows(
-            man.out(f"trace_eps{_fmt(eps)}.csv"),
-            ["iter", "energy", "residual", "nehari_slack"],
-            (
-                [str(t["iter"]), _fmt(t["energy"]), _fmt(t["residual"]), _fmt(t["nehari_slack"])]
-                for t in sol.trace
-            ),
-        )
+        _write_table(man.out(f"trace_eps{_fmt(eps)}.csv"), {k: [t[k] for t in sol.trace] for k in sol.trace[0]})
         if cfg.report:
             report = run_diagnostics(sol.u, eps, cfg.model, window=cfg.decay_window)
             report.update(nehari_slack=sol.nehari_slack, diamagnetic_slack_min=sol.diamagnetic_slack)
@@ -563,8 +546,7 @@ def cmd_concentration_study(cfg: RunConfig) -> int:
         family = _solve_family(cfg, grid, seed, man)
         target = cfg.target if cfg.target is not None else family[-1].spike
         columns, notes = concentration_metrics(family, target, cfg.model)
-        _write_rows(man.out("concentration_study.csv"), list(columns),
-                    ([_fmt(x) for x in row] for row in zip(*columns.values())))
+        _write_table(man.out("concentration_study.csv"), columns)
         _write_json(man.out("concentration_notes.json"), notes)
     return 0
 
@@ -583,7 +565,14 @@ def cmd_landscape(cfg: RunConfig) -> int:
         t0 = time.perf_counter()
         emap = sweep_sigma(cfg.region, cfg.resolution, cfg.model)
         man.timings["sweep"] = time.perf_counter() - t0
-        _write_sweep(man.out("sweep.csv"), emap)
+        (z1, z2, z3), (g1, g2, g3) = emap.points.T, emap.grad.T
+        _write_table(man.out("sweep.csv"), {
+            "z1": z1, "z2": z2, "z3": z3, "sigma": emap.samples, "grad1": g1, "grad2": g2, "grad3": g3,
+            "method": ["failed" if np.isnan(s) else emap.method for s in emap.samples],
+        })
+        if emap.failures:
+            man.extra["sweep_failures"] = [{"index": i, "point": emap.points[i], "message": msg}
+                                           for i, msg in emap.failures]
 
         # slices along each axis through the region's centre
         axes = np.stack([np.linspace(lo, hi, 101) for lo, hi in cfg.region], axis=-1)
@@ -593,23 +582,22 @@ def cmd_landscape(cfg: RunConfig) -> int:
             sig = explicit_sigma_and_grad(pts, cfg.model)[0]
         else:
             sig = np.full((101, 3), np.nan)
-        _write_rows(
-            man.out("sigma_slices.csv"),
-            ["t1", "sigma_axis1", "t2", "sigma_axis2", "t3", "sigma_axis3"],
-            ([_fmt(c) for k in range(3) for c in (axes[j, k], sig[j, k])] for j in range(101)),
-        )
+        slices = {}
+        for k in range(3):
+            slices[f"t{k + 1}"], slices[f"sigma_axis{k + 1}"] = axes[:, k], sig[:, k]
+        _write_table(man.out("sigma_slices.csv"), slices)
 
         result_S = find_S(emap, cfg.model)
-        _write_critical(man.out("critical_S.json"), result_S)
+        _write_json(man.out("critical_S.json"), vars(result_S))
         result_CritK = crit_K(cfg.model, cfg.region, cfg.seeds)
-        _write_critical(man.out("critical_CritK.json"), result_CritK)
+        _write_json(man.out("critical_CritK.json"), vars(result_CritK))
         sp_results = [find_Sp(cfg.model, p, cfg.region, cfg.seeds) for p in cfg.p_list or ()]
         source = result_S
         if cfg.model.nonlin.is_power:
             p = cfg.model.nonlin.p
             same_p = [sp for sp in sp_results if sp.p == p]
             result_Sp = same_p[0] if same_p else find_Sp(cfg.model, p, cfg.region, cfg.seeds)
-            _write_critical(man.out("critical_Sp.json"), result_Sp)
+            _write_json(man.out("critical_Sp.json"), vars(result_Sp))
             if not source.points:
                 source = result_Sp
         if source.degenerate:
@@ -617,15 +605,11 @@ def cmd_landscape(cfg: RunConfig) -> int:
                                              notes=[f"the candidates come from {source.kind}, which is degenerate"])
         else:
             result_Sstar = find_Sstar(cfg.model, source.points)
-        _write_critical(man.out("critical_Sstar.json"), result_Sstar)
+        _write_json(man.out("critical_Sstar.json"), vars(result_Sstar))
 
         if cfg.p_list is not None:
             study = p_to_5_study(result_CritK, sp_results)
-            _write_rows(
-                man.out("p_drift.csv"),
-                ["p", "dist_Sp_to_CritK"],
-                ([_fmt(p), _fmt(d)] for p, d in zip(study.p_list, study.distances)),
-            )
+            _write_table(man.out("p_drift.csv"), {"p": study.p_list, "dist_Sp_to_CritK": study.distances})
     return 0
 
 

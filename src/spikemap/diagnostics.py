@@ -33,10 +33,10 @@ from .fields import (
 from .frozen_solver import ground_energy
 from .magnetic_solver import (
     BoundaryMassError,
-    _spike_location,
     pde_residual,
     phase_factor_split,
     rescale,
+    spike_location,
 )
 from .model import LATTICE_DIRECTIONS, ModelSpec
 
@@ -247,7 +247,8 @@ def decay_fit(u, window=None) -> DecayFit:
 
     The default window of a field runs from twice the full width at half
     maximum of its shell maxima to 0.8 times the distance from the point 0
-    to the nearest wall; that of a radial profile is (2, 0.8 r_max).
+    to the nearest wall; that of a radial profile frozen at z runs from
+    twice its decay length 1/sqrt(V(z)) to 0.8 r_max.
     """
     if hasattr(u, "grid"):
         radii, sup, at = _shell_maxima(u)
@@ -261,7 +262,7 @@ def decay_fit(u, window=None) -> DecayFit:
         radii = at = np.asarray(u.r, dtype=np.float64)
         sup = np.abs(np.asarray(u.u, dtype=np.float64))
         if window is None:
-            window = (2.0, 0.8 * u.r_max)
+            window = (2.0 / np.sqrt(u.point.Vz), 0.8 * u.r_max)
     r1, r2 = float(window[0]), float(window[1])
     keep = (radii >= r1) & (radii <= r2) & (sup > 1e-12) & (at > 0)
     if int(keep.sum()) < 2:
@@ -444,7 +445,7 @@ def run_diagnostics(u: Field3, eps: float, model: ModelSpec, window=None) -> dic
     writes: every value a float or a list of floats, with the denominators
     behind the ratios in notes.
 
-    The field is viewed around its spike (_spike_location) by rescale, its
+    The field is viewed around its spike (spike_location) by rescale, its
     own values on its own nodes and walls.  One phase split gives the
     imaginary fraction and the current J, and is freed; J serves both the
     current norm and the translation identity, whose term sizes' norm is
@@ -452,7 +453,7 @@ def run_diagnostics(u: Field3, eps: float, model: ModelSpec, window=None) -> dic
     adds both slacks, the Nehari and the diamagnetic, from its Hamiltonian:
     the solve reads them off its last iterate, verify off the stored field.
     """
-    z0 = tuple(float(c) for c in _spike_location(u))
+    z0 = tuple(float(c) for c in spike_location(u))
     v = rescale(u, eps, z0)
     U, _, imag_fraction = phase_factor_split(v, z0, model)
     J, cnorm, cdenom = current_density(U)

@@ -79,7 +79,7 @@ class PhaseSplit(NamedTuple):
     imag_fraction: float
 
 
-def _spike_location(u: Field3) -> np.ndarray:
+def spike_location(u: Field3) -> np.ndarray:
     """Argmax of |u| with one parabolic refinement along each axis."""
     m = np.abs(u.values) ** 2
     idx = np.unravel_index(int(np.argmax(m)), m.shape)
@@ -233,7 +233,7 @@ def solve_magnetic(model: ModelSpec, grid: Grid3, eps: float, *, tol: float = 1e
         residual_rms=last["residual"],
         nehari_slack=last["nehari_slack"],
         diamagnetic_slack=H.diamagnetic_slack(u),
-        spike=_spike_location(sol_u),
+        spike=spike_location(sol_u),
         iterations=last["iter"],
         trace=trace,
     )

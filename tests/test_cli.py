@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from spikemap.cli import ConfigError, RunConfig, main
+from spikemap.cli import ConfigError, RunConfig, _write_json, _write_table, main
 from spikemap.fields import Field3, ResolutionWarning, make_grid, read_snapshot, write_snapshot
 from spikemap.frozen_solver import FrozenPoint, SolverError, canonical_profile, shoot_radial
 from spikemap.magnetic_solver import energy_J
@@ -125,6 +125,29 @@ def test_solver_value_validation():
 
 
 # ---------------------------------------------------------------------------
+# the writers
+
+def test_write_table_formats_every_cell(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_table(path, {"iter": [0, 7], "x": np.array([0.1, np.nan]), "y": [np.float32(0.5), 3.0],
+                        "method": ["a", "failed"]})
+    assert path.read_text().splitlines() == ["iter,x,y,method", "0,0.1,0.5,a", "7,nan,3.0,failed"]
+
+
+def test_write_table_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        _write_table(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": [1.0]})
+
+
+def test_write_json_takes_numpy_values_and_refuses_other_objects(tmp_path):
+    path = tmp_path / "t.json"
+    _write_json(path, {"z": np.array([0.5, -1.0]), "n": np.int64(3), "ok": np.bool_(True), "s": np.float64(0.25)})
+    assert json.loads(path.read_text()) == {"n": 3, "ok": True, "s": 0.25, "z": [0.5, -1.0]}
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        _write_json(path, {"x": object()})
+
+
+# ---------------------------------------------------------------------------
 # solve-frozen
 
 def test_solve_frozen_outputs(tmp_path):
@@ -178,6 +201,19 @@ def test_solve_frozen_at_target_point(tmp_path):
     sig = json.loads((out / "sigma.json").read_text())
     assert sig["z"] == [0.5, 0.0, 0.0]
     assert sig["sigma"] == pytest.approx(E3 * 1.25**0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("x1", [3.0, 10.0, 50.0])
+def test_solve_frozen_default_decay_window_follows_the_decay_length(tmp_path, x1):
+    # the profile at z shrinks like 1/sqrt(V(z)); a window fixed at r = 2
+    # held no shell past V(z) of about 82
+    out = tmp_path / "run"
+    text = frozen_config(out) + f"\n[diagnostics]\ntarget = {x1}, 0, 0\n"
+    assert main(["solve-frozen", write_config(tmp_path / "run.ini", text)]) == 0
+    rep = json.loads((out / "frozen_report.json").read_text())
+    assert rep["sqrt_V_at_z"] == pytest.approx((1.0 + x1 * x1) ** 0.5, rel=1e-15)
+    assert rep["decay_window"][0] == 2.0 / rep["sqrt_V_at_z"]
+    assert rep["decay_rate_corrected"] == pytest.approx(rep["sqrt_V_at_z"], rel=1e-4)
 
 
 def test_solve_frozen_decay_window_beyond_profile_exits_2(tmp_path, capsys):
@@ -438,7 +474,8 @@ def test_solve_magnetic_is_deterministic(magnetic_run, tmp_path):
         magnetic_config(out2, sections="[diagnostics]\nreport = true\n\n"),
     )
     assert main(["solve-magnetic", cfg_path]) == 0
-    assert (out2 / "solution_eps1.0.spkf").read_bytes() == magnetic_run["snap"].read_bytes()
+    for name in ("solution_eps1.0.spkf", "trace_eps1.0.csv", "report_eps1.0.json"):
+        assert (out2 / name).read_bytes() == (magnetic_run["out"] / name).read_bytes()
 
 
 def test_verify_accepts_solver_output(magnetic_run):
@@ -937,6 +974,26 @@ def test_landscape_command_end_to_end(tmp_path):
     assert dist[0] == pytest.approx(0.639643, abs=1e-5)
 
 
+def test_landscape_is_deterministic(tmp_path):
+    # every table and JSON output of a rerun, all but the manifest's timings
+    outs = []
+    for name in ("run", "again"):
+        out = tmp_path / name
+        text = (
+            f"[model]\nV = {HARMONIC}\nK = {BUMP_K}\np = 3\n\n"
+            "[landscape]\nregion = -2, 2, -2, 2, -2, 2\nresolution = 3\n"
+            "p_list = 3.0, 4.0\nseeds = 2\n\n"
+            f"[output]\ndirectory = {out}\n"
+        )
+        assert main(["landscape", write_config(tmp_path / f"{name}.ini", text)]) == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+    assert names == ["critical_CritK.json", "critical_S.json", "critical_Sp.json", "critical_Sstar.json",
+                     "p_drift.csv", "sigma_slices.csv", "sweep.csv"]
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes(), name
+
+
 def test_landscape_degenerate_model_writes_every_set_degenerate(tmp_path):
     # with V and K constant, Sigma, K and G = (5 - p) K grad V - 4 V grad K
     # are flat everywhere; for powers grad Sigma = Sigma G / (2 (p - 1) V K),
@@ -999,7 +1056,9 @@ def test_landscape_searches_each_set_once(tmp_path, monkeypatch):
     )
     assert main(["landscape", write_config(tmp_path / "land.ini", text)]) == 0
     assert calls == {"crit_K": 1, "find_Sp": 2, "_newton": 4}
-    assert json.loads((out / "manifest.json").read_text())["failure"] is None
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"] is None
+    assert "sweep_failures" not in manifest
 
 
 def test_landscape_newton_iterate_past_the_float_range_ends_its_own_run(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemap import frozen_solver
-from spikemap.cli import _write_profile
+from spikemap.cli import main
 from spikemap.fields import ConvergenceError, Hamiltonian, ResolutionWarning, make_grid
 from spikemap.frozen_solver import (
     BracketError,
@@ -158,7 +158,6 @@ def test_ground_state_shoots_a_custom_nonlinearity(monkeypatch):
 
 
 def test_power_callers_take_the_rescaling(monkeypatch, tmp_path, prof3):
-    from spikemap.cli import main
     from spikemap.landscape import find_Sstar
     from spikemap.magnetic_solver import _seed_field
 
@@ -587,9 +586,11 @@ def test_bracket_error_for_bounded_nonlinearity():
 
 
 def test_profile_csv(tmp_path, prof3):
-    path = tmp_path / "w.csv"
-    _write_profile(path, prof3)
-    with open(path, newline="") as fh:
+    # at V(z) = K(z) = 1 solve-frozen writes the canonical profile, bit for bit
+    cfg = tmp_path / "frozen.ini"
+    cfg.write_text(f"[model]\nV = 1 + x1^2 + x2^2 + x3^2\nK = 1\np = 3\n\n[output]\ndirectory = {tmp_path}\n")
+    assert main(["solve-frozen", str(cfg)]) == 0
+    with open(tmp_path / "profile.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["r", "u", "du"]
     assert len(rows) == prof3.n + 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from spikemap.cli import _write_critical, _write_sweep
+from spikemap.cli import _write_json, main
 from spikemap.fields import SolverError, make_grid
 from spikemap.frozen_solver import BracketError, explicit_sigma_and_grad, ground_energy
 import spikemap.landscape
@@ -136,7 +136,23 @@ def unsolvable_model(Vtxt, Ktxt):
     )
 
 
-def test_sweep_keeps_failed_nodes_as_nan_rows(tmp_path):
+def run_landscape(out, text):
+    cfg = out.parent / f"{out.name}.ini"
+    cfg.write_text(f"{text}\n[output]\ndirectory = {out}\n")
+    assert main(["landscape", str(cfg)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def unsolvable_run(tmp_path_factory):
+    # unsolvable_model("1 + 1e13*x1^2", "2") as a config, on a 3 x 1 x 1 sweep
+    return run_landscape(tmp_path_factory.mktemp("unsolvable") / "run", (
+        "[model]\nV = 1 + 1e13*x1^2\nK = 2\nf = s\nF = s^2/4\ntheta = 4\n\n"
+        "[landscape]\nregion = -1, 1, -1, 1, -1, 1\nresolution = 3, 1, 1\nseeds = 1\n"
+    ))
+
+
+def test_sweep_keeps_failed_nodes_as_nan_rows(unsolvable_run):
     # V/K = 5e12 at x1 = -1 and 1 cannot be shot; x1 = 0 is the cubic power
     # at V = 1, K = 2, whose ground energy is E3 / 2
     model = unsolvable_model("1 + 1e13*x1^2", "2")
@@ -145,13 +161,22 @@ def test_sweep_keeps_failed_nodes_as_nan_rows(tmp_path):
     assert all(msg.startswith("BracketError:") for _, msg in emap.failures)
     assert np.isnan(emap.samples[[0, 2]]).all() and np.isnan(emap.grad[[0, 2]]).all()
     assert emap.samples[1] == pytest.approx(E3 / 2.0, rel=1e-6)
-    _write_sweep(tmp_path / "sweep.csv", emap)
-    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+    rows = (unsolvable_run / "sweep.csv").read_text().strip().splitlines()[1:]
     assert [r.split(",")[-1] for r in rows] == ["failed", "shooting", "failed"]
     assert rows[0].split(",")[3:7] == ["nan"] * 4
     # without a failures list the same shot raises
     with pytest.raises(BracketError):
         ground_energy(emap.points[0], model, 250)
+
+
+def test_landscape_manifest_records_each_failed_node(unsolvable_run):
+    man = json.loads((unsolvable_run / "manifest.json").read_text())
+    assert man["failure"] is None
+    failed = man["sweep_failures"]
+    assert [f["index"] for f in failed] == [0, 2]
+    # a one-node axis holds its lower end
+    assert [f["point"] for f in failed] == [[-1.0, -1.0, -1.0], [1.0, -1.0, -1.0]]
+    assert all(f["message"].startswith("BracketError: K f(s) never crosses V") for f in failed)
 
 
 def test_sweep_that_solves_no_node_raises():
@@ -482,15 +507,16 @@ def test_drift_study_guards():
 def test_write_sweep_csv_round_trip(tmp_path):
     model = mk_model(BUMP_V)
     emap = sweep_sigma(((-1, 1),) * 3, 3, model)
-    path = tmp_path / "sweep.csv"
-    _write_sweep(path, emap)
+    text = (f"[model]\nV = {BUMP_V}\nK = 1\np = 3\n\n"
+            "[landscape]\nregion = -1, 1, -1, 1, -1, 1\nresolution = 3\nseeds = 1\n")
+    path = run_landscape(tmp_path / "run", text) / "sweep.csv"
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "z1,z2,z3,sigma,grad1,grad2,grad3,method"
     assert len(lines) == 1 + 27
     first = lines[1].split(",")
     assert float(first[3]) == emap.samples[0]
-    _write_sweep(tmp_path / "again.csv", emap)
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    again = run_landscape(tmp_path / "again", text) / "sweep.csv"
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_write_critical_json_round_trip(tmp_path):
@@ -503,7 +529,7 @@ def test_write_critical_json_round_trip(tmp_path):
         notes=["one candidate kept"],
     )
     path = tmp_path / "crit.json"
-    _write_critical(path, result)
+    _write_json(path, vars(result))
     data = json.loads(path.read_text())
     assert data["kind"] == "Sp"
     assert data["p"] == 3.0
