@@ -426,7 +426,7 @@ def concentration_metrics(family, z0, model: ModelSpec):
     pointwise = columns["pointwise"]
     ladder = [(f"fixed_tail_r{j}", f"fixed_floor_r{j}") for j in range(1, len(radii) + 1)]
     notes = {
-        "target_z": [float(c) for c in z0],
+        "target_z": z0.tolist(),
         "sigma_at_target": sig,
         "fixed_tails_decreasing": all(
             b[t] - b[f] <= a[t] + a[f] for a, b in zip(rows, rows[1:]) for t, f in ladder
@@ -442,8 +442,10 @@ def concentration_metrics(family, z0, model: ModelSpec):
 
 def run_diagnostics(u: Field3, eps: float, model: ModelSpec, window=None) -> dict:
     """The standard report on one magnetic field, as the JSON object the CLI
-    writes: every value a float or a list of floats, with the denominators
-    behind the ratios in notes.
+    writes, with the denominators behind the ratios in notes: every value a
+    number, the pucci_serrin_residual vector a numpy array and decay_window
+    a pair, as they come from their producers; cli._write_json writes the
+    numbers and the lists.
 
     The field is viewed around its spike (spike_location) by rescale, its
     own values on its own nodes and walls.  One phase split gives the
@@ -462,10 +464,10 @@ def run_diagnostics(u: Field3, eps: float, model: ModelSpec, window=None) -> dic
     fit = decay_fit(v, window)
     return {
         "current_density_norm": cnorm,
-        "pucci_serrin_residual": [float(c) for c in ps_vec],
+        "pucci_serrin_residual": ps_vec,
         "pucci_serrin_rel": ps_rel,
         "decay_rate_corrected": fit.corrected_rate,
-        "decay_window": [float(w) for w in fit.window],
+        "decay_window": fit.window,
         "notes": {
             "pucci_serrin_terms_sum": ps_terms,
             "current_density_denominator": cdenom,

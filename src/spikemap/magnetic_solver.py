@@ -186,6 +186,17 @@ def _seed_field(model: ModelSpec, grid: Grid3, eps: float, seed, rng_seed: int, 
     raise SolverError(f"unknown seed {seed!r}: give 'frozen', 'random' or a Field3")
 
 
+def _bounded_seed(u0: np.ndarray) -> np.ndarray:
+    """u0, or BoundaryMassError when it puts more than 1e-5 of its
+    squared-modulus mass on the outermost node shell."""
+    bm = boundary_fraction(np.abs(u0) ** 2)
+    if bm > 1e-5:
+        raise BoundaryMassError(
+            f"seed field keeps {bm:.2e} of its mass on the box boundary; enlarge the box"
+        )
+    return u0
+
+
 def solve_magnetic(model: ModelSpec, grid: Grid3, eps: float, *, tol: float = 1e-5,
                    max_iters: int = 20000, seed="frozen", rng_seed: int = 0,
                    center=None) -> MagneticSolution:
@@ -215,14 +226,10 @@ def solve_magnetic(model: ModelSpec, grid: Grid3, eps: float, *, tol: float = 1e
         raise SolverError(f"residual tolerance must be positive and finite, got {tol}")
     validate_assumptions(model)
     H = Hamiltonian.from_model(model, grid, eps)
-    u0 = _seed_field(model, grid, eps, seed, rng_seed, center)
-    bm = boundary_fraction(np.abs(u0) ** 2)
-    if bm > 1e-5:
-        raise BoundaryMassError(
-            f"seed field keeps {bm:.2e} of its mass on the box boundary; enlarge the box"
-        )
     trace: list = []
-    u = H.descend(u0, tol, max_iters, trace)
+    # the seed's one reference is descend's argument, which descend drops for
+    # its first iterate: no seed field lives alongside the iterates
+    u = H.descend(_bounded_seed(_seed_field(model, grid, eps, seed, rng_seed, center)), tol, max_iters, trace)
     last = trace[-1]
     sol_u = Field3(grid, u)
     return MagneticSolution(

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spikemap import fields
+from spikemap import fields, magnetic_solver
 from spikemap.fields import (
     Field3,
     Grid3,
@@ -245,6 +245,49 @@ def test_slice_stencil_matches_roll_oracle(kind, dims, order):
     assert np.max(np.abs(out - slab)) <= 1e-14 * np.max(np.abs(slab))
 
 
+def _flat_stencil(u, links, eps, h):
+    """The unblocked flat-offset kernel the blocked one replaced, as it
+    stood: whole-field passes through one scratch and one hop buffer."""
+    u = np.ascontiguousarray(u)
+    out = (-3.0 * _C0) * u.astype(np.result_type(u, links[0]), copy=False)
+    uf, of, buf = u.reshape(-1), out.reshape(-1), np.empty(out.size, out.dtype)
+    hop = np.empty(u.size, links[0].dtype)
+    for m in range(3):
+        s = u.strides[m] // u.itemsize
+        p1 = links[m].reshape(-1)
+        for k, c in ((1, _C1), (2, _C2), (3, _C3)):
+            o = k * s
+            # p_k = p_(k-1) p1[(k-1) s:], formed in place in hop
+            p = p1[:-o] if k == 1 else np.multiply(p1[:-o] if k == 2 else hop[:-o], p1[o - s:-s], out=hop[:-o])
+            b = buf[:-o]
+            np.multiply(p, uf[o:], out=b)
+            of[:-o] -= np.multiply(b, c, out=b)
+            np.multiply(np.conjugate(p, out=b), uf[:-o], out=b)
+            of[o:] -= np.multiply(b, c, out=b)
+    out *= eps * eps / (h * h)
+    return out
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+# 26,970 nodes end in a part block; on axis 0 the triple hop of (9, 80, 80),
+# 19,200 nodes, is longer than a block, the double hop of (9, 100, 100) is
+# too, which makes two hop windows, and the single hop of (8, 130, 130) is
+# too, which makes three
+@pytest.mark.parametrize("dims", [(12, 12, 12), (20, 20, 20), (9, 20, 13), (30, 31, 29), (9, 80, 80),
+                                  (9, 100, 100), (8, 130, 130)])
+@pytest.mark.parametrize("kind", ["free-real", "free-complex", "const", "bench"])
+def test_blocked_stencil_has_the_flat_kernels_bits(kind, dims, order):
+    # every node's sum takes the flat kernel's operations in its order, so
+    # blocking moves no bit
+    g, u, p1s = _stencil_case(kind, dims)
+    links = link_table(g, p1s)
+    u = np.asarray(u, order=order)
+    out = apply_link_kinetic(u, links, 0.7, g.spacing)
+    ref = _flat_stencil(u, links, 0.7, g.spacing)
+    assert out.dtype == ref.dtype
+    assert np.array_equal(out, ref)
+
+
 @pytest.mark.parametrize("kind", ["free-real", "const", "bench"])
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_link_table_walls_exactly_the_hops_that_leave_the_box(kind, m):
@@ -312,15 +355,33 @@ def _traced_peak(fn, *args):
 
 
 @pytest.mark.parametrize("n", [12, 24, 48])
-def test_stencil_holds_and_allocates_at_most_six_fields(n):
-    # the three single hops the Hamiltonian holds, and per call the result,
-    # one scratch buffer and one hop buffer, plus numpy's per-call bookkeeping
+def test_stencil_holds_three_hops_and_allocates_the_result_and_two_block_buffers(n):
+    # the three single hops the Hamiltonian holds, and per call the result, a
+    # scratch buffer of one block and a hop buffer of the block and the triple
+    # hop behind it, plus numpy's per-call bookkeeping: 4.36 fields at 48^3,
+    # where the unblocked kernel took 6.0; one block covers a 24^3 box
     g = make_grid(radius=6.0, n=n)
     H = Hamiltonian.from_model(bench_model(), g, 0.7)
     rng = np.random.default_rng(2)
     u = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
     held = sum(p.nbytes for p in H.links)
-    assert held + _traced_peak(H.apply, u) <= 6 * u.nbytes + 4096
+    blk = min(fields._BLOCK, u.size)
+    buffers = (blk + min(u.size, blk + 3 * n * n, 3 * blk)) * u.itemsize
+    assert held + _traced_peak(H.apply, u) <= 4 * u.nbytes + buffers + 4096
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_descent_traces_at_most_nine_fields_above_its_input(n):
+    # u, Tu, d, the last residual, Td and the real eta, |u|^2, b, c and a
+    # trial's |u + a d|^2 with the pairing's temporaries: 8.5 complex fields,
+    # where 12.5 were traced while z, kf and a trial's arrays outlived their
+    # reads
+    g = make_grid(radius=9.0, n=n)
+    H = Hamiltonian.from_model(bench_model(), g, 1.0)
+    seed = magnetic_solver._seed_field(bench_model(), g, 1.0, "frozen", 0, None)
+    trace = []
+    assert _traced_peak(H.descend, seed, 1e-6, 500, trace) <= 9 * seed.nbytes
+    assert len(trace) > 10
 
 
 def free_model():
