@@ -420,19 +420,26 @@ class Hamiltonian:
         for any u: the slack is nonnegative, up to rounding, for every finite
         field, solution or not, and 0 for a real field without a vector
         potential.  So a gate on it (verify's at -1e-10) certifies nothing.
+        Taken in slabs of x1-planes, about _BLOCK nodes, with the same
+        operations per node as on the whole grid: the peak holds one slab's.
         """
-        dims = self.grid.dims
-        core = tuple(slice(0, d - 1) for d in dims)
-        cov2 = np.zeros(tuple(d - 1 for d in dims))
-        mod2 = np.zeros_like(cov2)
-        mag = np.abs(u)
-        for m in range(3):
-            up = core[:m] + (slice(1, dims[m]),) + core[m + 1:]
-            hop = self.links[m][core] * u[up] - u[core]
-            dm = mag[up] - mag[core]
-            cov2 += np.abs(hop) ** 2
-            mod2 += dm * dm
-        return float(((self.eps / self.grid.spacing) * (np.sqrt(cov2) - np.sqrt(mod2))).min())
+        dims, lows = self.grid.dims, []
+        rows = max(1, _BLOCK // ((dims[1] - 1) * (dims[2] - 1)))
+        for i in range(0, dims[0] - 1, rows):
+            sl = slice(i, min(i + rows, dims[0] - 1) + 1)  # and the plane past it
+            us = u[sl]
+            core = tuple(slice(0, d - 1) for d in us.shape)
+            cov2 = np.zeros(tuple(d - 1 for d in us.shape))
+            mod2 = np.zeros_like(cov2)
+            mag = np.abs(us)
+            for m in range(3):
+                up = core[:m] + (slice(1, us.shape[m]),) + core[m + 1:]
+                hop = self.links[m][sl][core] * us[up] - us[core]
+                dm = mag[up] - mag[core]
+                cov2 += np.abs(hop) ** 2
+                mod2 += dm * dm
+            lows.append(((self.eps / self.grid.spacing) * (np.sqrt(cov2) - np.sqrt(mod2))).min())
+        return float(np.min(lows))
 
     def energy(self, u: np.ndarray) -> float:
         return 0.5 * self.quad(u, self.apply(u)) - self.potential(_abs2(u))
@@ -443,14 +450,16 @@ class Hamiltonian:
         return tol * max(1.0, self.vmax) * math.sqrt(float(np.mean(m2)))
 
     def residual(self, u: np.ndarray, Tu: np.ndarray):
-        """The rim-masked residual field, given Tu = apply(u), and its rms."""
-        return self._residual(u, Tu * self.mask, self.weight(_abs2(u)))
+        """The rim-masked residual field and its rms, given Tu = apply(u), masked in place."""
+        Tu *= self.mask
+        return self._residual(u, Tu, self.weight(_abs2(u)), np.empty_like(Tu))
 
-    def _residual(self, u: np.ndarray, mTu: np.ndarray, kf: np.ndarray):
+    def _residual(self, u: np.ndarray, mTu: np.ndarray, kf: np.ndarray, out: np.ndarray):
         """The residual mask ((V - kf) u + Tu) and its rms, summed by _re_dot,
-        from mTu = mask Tu and kf = weight(|u|^2) already in hand."""
-        res = mTu + ((self.V - kf) * self.mask) * u
-        return res, math.sqrt(_re_dot(res, res) / res.size)
+        from mTu = mask Tu and kf = weight(|u|^2) in hand, into out, a buffer like mTu."""
+        np.multiply((self.V - kf) * self.mask, u, out=out)
+        np.add(mTu, out, out=out)
+        return out, math.sqrt(_re_dot(out, out) / out.size)
 
     def descend(self, u, tol, max_iters, trace):
         """Preconditioned nonlinear conjugate gradients for the action on its
@@ -486,9 +495,9 @@ class Hamiltonian:
         |u|^2.  z = eta res lives until d is formed and lends its buffer to b
         and c, and T d, b and c live through one line search, whose trials
         return scalars alone, the Nehari slack among them; the accepted
-        trial's updates and the next |u|^2 reuse T d's buffer.  So no temporary
-        of one iteration is alive at the next stencil call, and the traced
-        peak is 8.5 complex fields above the seed at 32^3 and 48^3.
+        trial's updates, the next |u|^2 and residual reuse T d's buffer.  So no
+        temporary of one iteration is alive at the next stencil call, and the
+        traced peak is 8.5 complex fields above the seed at 32^3 and 48^3.
 
         Returns the first iterate whose residual rms is at or below
         stop_level, tol * max(1, sup V) * rms(u), and warns if that iterate
@@ -515,9 +524,10 @@ class Hamiltonian:
                 return np.multiply(np.conjugate(x, out=w), y, out=w).real.copy()
 
             m2 = re_conj(u, u, np.empty_like(u))
-            res_old, zr_old, curv, rn0 = None, 0.0, 0.0, None
+            res_old, zr_old, curv, rn0, Td = None, 0.0, 0.0, None, np.empty_like(Tu)
             for it in range(max_iters):
-                res, rn = self._residual(u, Tu, self.weight(m2))
+                res, rn = self._residual(u, Tu, self.weight(m2), Td)
+                del Td
                 J = 0.5 * Q - self.potential(m2)
                 trace.append({"iter": it, "energy": J, "residual": rn, "nehari_slack": slack})
                 if not math.isfinite(J):
@@ -570,7 +580,6 @@ class Hamiltonian:
                 # |u|^2 afresh: carried as t^2 m2a its rounding doubled the drift
                 # of the carried residual from a fresh one
                 m2 = re_conj(u, u, Td)
-                del Td
         raise ConvergenceError(f"magnetic descent did not reach tol={tol} in {max_iters} iterations", trace)
 
     def solve_linear(self, b: np.ndarray) -> np.ndarray:

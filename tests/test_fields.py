@@ -384,6 +384,32 @@ def test_descent_traces_at_most_nine_fields_above_its_input(n):
     assert len(trace) > 10
 
 
+def test_diamagnetic_slack_traces_at_most_one_field():
+    # slabs of whole x1-planes: 0.77 fields at 48^3, where the whole-grid
+    # pass held 3.91
+    g = make_grid(radius=9.0, n=48)
+    H = Hamiltonian.from_model(bench_model(), g, 1.0)
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
+    assert _traced_peak(H.diamagnetic_slack, u) <= u.nbytes
+
+
+@pytest.mark.parametrize("dims", [(48, 48, 48), (37, 20, 61)])
+def test_diamagnetic_slack_in_slabs_has_the_bits_of_one_whole_grid_pass(dims):
+    g = Grid3(dims, 12.0 / (max(dims) - 1))
+    H = Hamiltonian.from_model(bench_model(), g, 0.7)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    core = tuple(slice(0, d - 1) for d in dims)
+    cov2, mod2, mag = np.zeros(tuple(d - 1 for d in dims)), np.zeros(tuple(d - 1 for d in dims)), np.abs(u)
+    for m in range(3):
+        up = core[:m] + (slice(1, dims[m]),) + core[m + 1:]
+        cov2 += np.abs(H.links[m][core] * u[up] - u[core]) ** 2
+        mod2 += (mag[up] - mag[core]) ** 2
+    whole = float(((0.7 / g.spacing) * (np.sqrt(cov2) - np.sqrt(mod2))).min())
+    assert H.diamagnetic_slack(u) == whole
+
+
 def free_model():
     return ModelSpec(
         V=parse_potential("1 + x1^2 + x2^2 + x3^2"),

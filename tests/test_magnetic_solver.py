@@ -241,10 +241,12 @@ def test_tighter_tolerance_moves_neither_energy_nor_spike():
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # the descent's inner products are summed in numpy's fixed order, so a
-    # threaded BLAS dot cannot move the last bits of the solve or its outputs
+    # threaded BLAS dot cannot move the last bits of the solve or its outputs;
+    # None unsets all three BLAS variables, for the CLI's own default
     src = str(Path(magnetic_solver.__file__).resolve().parents[1])
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     outputs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", None):
         out = tmp_path / f"out{threads}"
         cfg = tmp_path / f"run{threads}.ini"
         cfg.write_text(
@@ -253,14 +255,15 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
             "[solver]\ngrid_radius = 6.0\ngrid_points = 24\neps = 1.0\ntol = 1e-6\n\n"
             f"[output]\ndirectory = {out}\n"
         )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env.update({} if threads is None else {"OPENBLAS_NUM_THREADS": threads},
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-m", "spikemap.cli", "solve-magnetic", str(cfg)],
                              env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         outputs.append([(out / name).read_bytes() for name in
                         ("solution_eps1.0.spkf", "trace_eps1.0.csv", "report_eps1.0.json")])
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_quad_does_not_depend_on_memory_layout():
