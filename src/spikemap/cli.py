@@ -375,11 +375,11 @@ def _write_json(path, payload):
 
 class _Manifest:
     """A run's inputs, outputs and timings.  Entering makes the output
-    directory; leaving writes manifest.json, success or not, with failure
-    None or the one line that ended the run, and the keys a command adds in
-    extra: descent, where each converged 3D solve records its iterations and
-    final residual rms under its eps, and sweep_failures, set only by a sweep
-    with failed nodes."""
+    directory, a ConfigError where it cannot; leaving writes manifest.json,
+    success or not, with failure None or the one line that ended the run,
+    and the keys a command adds in extra: descent, where each converged 3D
+    solve records its iterations and final residual rms under its eps, and
+    sweep_failures, set only by a sweep with failed nodes."""
 
     def __init__(self, cfg: RunConfig, command: str):
         self.t0 = time.perf_counter()
@@ -392,7 +392,10 @@ class _Manifest:
         self.failure = None
 
     def __enter__(self):
-        os.makedirs(self.cfg.out_dir, exist_ok=True)
+        try:
+            os.makedirs(self.cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {self.cfg.out_dir}: {exc.strerror}") from None
         return self
 
     def __exit__(self, exc_type, exc, tb):

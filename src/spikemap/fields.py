@@ -7,8 +7,9 @@ plain node sums times the cell volume (spectrally accurate for smooth fields
 that decay below rounding before the boundary).  Field3 is the one field
 type, real or complex; link phases are one single-hop array per axis,
 link_table walls them, and apply_link_kinetic alone forms the longer hops,
-per call and block by cache-sized block of the output; the Hamiltonian holds
-them walled and reads its diamagnetic slack from them.
+per call, block by cache-sized block of the output and axis by axis in one
+hop window; the Hamiltonian holds them walled and reads its diamagnetic
+slack from them.
 Hamiltonian.descend is the descent every 3D solve runs; it and
 Hamiltonian.solve_linear keep from one step to the next only the fields
 they read again.  scipy is loaded only by _nehari_scale's bracket, the
@@ -154,22 +155,6 @@ def link_table(grid: Grid3, p1s: tuple | None) -> tuple:
     return walled
 
 
-def _windows(spans):
-    """The nonempty [lo, hi) of spans merged where they overlap, each with
-    its offset in one buffer that holds them end to end."""
-    merged = []
-    for lo, hi in sorted(w for w in spans if w[1] > w[0]):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    out, off = [], 0
-    for lo, hi in merged:
-        out.append((lo, hi, off))
-        off += hi - lo
-    return out
-
-
 def apply_link_kinetic(u: np.ndarray, links: tuple, eps: float, h: float) -> np.ndarray:
     """Sixth-order kinetic operator (the |D^eps|^2 part of the action).
 
@@ -180,21 +165,19 @@ def apply_link_kinetic(u: np.ndarray, links: tuple, eps: float, h: float) -> np.
     Dirichlet, with no wrapped copies.  Unit hops give eps^2 times minus the
     sixth-order Laplacian, and the result has the dtype of u times the table.
 
-    The output is filled in blocks of _BLOCK flat nodes, so each block's
-    operands stay in cache.  A block starts as -3 C0 u; then each axis m and
-    hop k, at offset o = k s, take the forward term, out(x) -= C_k (p_k(x)
-    u(x + o)), then the backward one, out(x) -= C_k (conj(p_k(x - o))
-    u(x - o)), for the nodes of the block where the hop stays on the flat
-    index range.  p2, then p3 in place, are formed from p1 by the same
-    products as on the whole field, on the spans those terms read, merged by
-    _windows: while they overlap, one window from 3 s before the block to
-    its end.  On axis 0 of a cube more than 90 nodes a side, where 2 s
-    exceeds a block, the backward window stands apart from the forward one,
-    and above 128, where s does, the two backward spans do too.  So every
-    node's sum takes the same operations in the same order, (m, k), forward
-    then backward, as an unblocked pass over the whole field, and the result
-    has its bits.  The scratch buffer holds a block and the hop buffer its
-    windows, not a field.  u is read in C order, so layout moves no bit.
+    The output is filled in blocks [a, b) of _BLOCK flat nodes, so each
+    block's operands stay in cache.  A block starts as -3 C0 u; then each
+    axis m and hop k, at offset o = k s, take the forward term, out(x) -=
+    C_k (p_k(x) u(x + o)), then the backward one, out(x) -= C_k
+    (conj(p_k(x - o)) u(x - o)), for the nodes of the block where the hop
+    stays on the flat index range.  Per axis, p2 and then p3 in place are
+    formed from p1 by the same products as on the whole field, in one hop
+    window from w0 = max(a - 3 s, 0) to b, which holds every p_k(x) and
+    p_k(x - o) the block reads.  So every node's sum takes the same
+    operations in the same order, (m, k), forward then backward, as an
+    unblocked pass over the whole field, and the result has its bits.  The
+    scratch buffer holds a block and the hop buffer its window, not a field.
+    u is read in C order, so layout moves no bit.
     """
     u = np.ascontiguousarray(u)
     uf, n = u.reshape(-1), u.size
@@ -202,40 +185,28 @@ def apply_link_kinetic(u: np.ndarray, links: tuple, eps: float, h: float) -> np.
     of, blk = out.reshape(-1), min(_BLOCK, n)
     strides = [u.strides[m] // u.itemsize for m in range(3)]
     buf = np.empty(blk, out.dtype)
-    hop = np.empty(min(n, max(min(blk + 3 * s, 3 * blk) for s in strides)), links[0].dtype)
+    hop = np.empty(min(n, blk + 3 * max(strides)), links[0].dtype)
     for a in range(0, n, blk):
         b = min(a + blk, n)
         np.multiply(-3.0 * _C0, uf[a:b], out=of[a:b])
         for m, s in enumerate(strides):
-            p1 = links[m].reshape(-1)
-            # p2 where the forward terms of hops 2 and 3 and the backward one
-            # of hop 2 read it, and under hop 3's backward p3
-            wins = _windows(((a, min(b, n - 2 * s)), (max(a - 2 * s, 0), b - 2 * s), (max(a - 3 * s, 0), b - 3 * s)))
-
-            def p_k(k, lo, hi):
-                # p_k on [lo, hi): p1 itself, or the window of hop that holds it
-                if k == 1:
-                    return p1[lo:hi]
-                w0, _, off = next(w for w in wins if w[0] <= lo and hi <= w[1])
-                return hop[off + lo - w0:off + hi - w0]
-
+            p1, w0 = links[m].reshape(-1), max(a - 3 * s, 0)
+            pk, w = p1, 0  # p_k(j) is pk[j - w]
             for k, c in ((1, _C1), (2, _C2), (3, _C3)):
-                o = k * s
+                o, j1 = k * s, min(b, n - k * s)
                 if k > 1:
-                    # p_k = p_(k-1) p1[(k-1) s:], formed in place in hop
-                    for w0, w1, off in wins:
-                        w1 = min(w1, n - o)
-                        if w1 > w0:
-                            np.multiply(p_k(k - 1, w0, w1), p1[w0 + o - s:w1 + o - s], out=hop[off:off + w1 - w0])
-                j1 = min(b, n - o)
+                    # p_k = p_(k-1) p1[(k-1) s:] on [w0, j1), in place in hop
+                    if j1 > w0:
+                        np.multiply(pk[w0 - w:j1 - w], p1[w0 + o - s:j1 + o - s], out=hop[:j1 - w0])
+                    pk, w = hop, w0
                 if j1 > a:
                     t = buf[:j1 - a]
-                    np.multiply(p_k(k, a, j1), uf[a + o:j1 + o], out=t)
+                    np.multiply(pk[a - w:j1 - w], uf[a + o:j1 + o], out=t)
                     of[a:j1] -= np.multiply(t, c, out=t)
                 j0 = max(a, o)
                 if b > j0:
                     t = buf[:b - j0]
-                    np.multiply(np.conjugate(p_k(k, j0 - o, b - o), out=t), uf[j0 - o:b - o], out=t)
+                    np.multiply(np.conjugate(pk[j0 - o - w:b - o - w], out=t), uf[j0 - o:b - o], out=t)
                     of[j0:b] -= np.multiply(t, c, out=t)
     out *= eps * eps / (h * h)
     return out

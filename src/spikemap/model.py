@@ -484,16 +484,17 @@ class ModelSpec:
         if not self.has_field:
             return tuple(np.ones(grid.dims, np.complex128) for _ in range(3))
         h = grid.spacing
-        X = list(grid.meshgrid())
+        X = grid.meshgrid()
         per_axis = []
         for m in range(3):
             theta = np.zeros(grid.dims)
             for q, w in zip(_GL_NODES, _GL_WEIGHTS):
-                xs = list(X)
-                xs[m] = X[m] + q * h
-                theta += w * self.A[m].on_coords(tuple(xs), tuple(grid.dims))
+                theta += w * self.A[m].on_coords((*X[:m], X[m] + q * h, *X[m + 1:]), tuple(grid.dims))
             theta *= h / eps
-            per_axis.append(np.exp(-1j * theta))
+            # exp(-i theta) in one complex buffer: theta goes before exp runs
+            p = np.multiply(theta, -1j)
+            del theta
+            per_axis.append(np.exp(p, out=p))
         return tuple(per_axis)
 
 

@@ -229,6 +229,20 @@ def test_solve_frozen_decay_window_beyond_profile_exits_2(tmp_path, capsys):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, where):
+    # makedirs raises FileExistsError on a file and NotADirectoryError under one
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "a file" else blocker / "run"
+    cfg_path = write_config(tmp_path / "run.ini", frozen_config(out))
+    assert main(["solve-frozen", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot make output directory") and str(out) in err
+    assert len(err.strip().splitlines()) == 1
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_too_few_grid_points_exits_2(tmp_path, capsys):
     cfg_path = write_config(
         tmp_path / "coarse.ini", magnetic_config(tmp_path / "o", grid_points="4")

@@ -270,9 +270,11 @@ def _flat_stencil(u, links, eps, h):
 
 @pytest.mark.parametrize("order", ["C", "F"])
 # 26,970 nodes end in a part block; on axis 0 the triple hop of (9, 80, 80),
-# 19,200 nodes, is longer than a block, the double hop of (9, 100, 100) is
-# too, which makes two hop windows, and the single hop of (8, 130, 130) is
-# too, which makes three
+# 19,200 nodes, is longer than a block, so a block's hop window starts more
+# than a block before it; the double hop of (9, 100, 100) is too, so the
+# window also holds the gap between the forward and backward spans, and the
+# single hop of (8, 130, 130) is too, so it holds the gap between the two
+# backward spans as well
 @pytest.mark.parametrize("dims", [(12, 12, 12), (20, 20, 20), (9, 20, 13), (30, 31, 29), (9, 80, 80),
                                   (9, 100, 100), (8, 130, 130)])
 @pytest.mark.parametrize("kind", ["free-real", "free-complex", "const", "bench"])
@@ -354,19 +356,21 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n", [12, 24, 48])
-def test_stencil_holds_three_hops_and_allocates_the_result_and_two_block_buffers(n):
+@pytest.mark.parametrize("dims", [(12, 12, 12), (24, 24, 24), (48, 48, 48), (9, 100, 100), (8, 130, 130)],
+                         ids=["12", "24", "48", "9x100x100", "8x130x130"])
+def test_stencil_holds_three_hops_and_allocates_the_result_and_two_block_buffers(dims):
     # the three single hops the Hamiltonian holds, and per call the result, a
-    # scratch buffer of one block and a hop buffer of the block and the triple
-    # hop behind it, plus numpy's per-call bookkeeping: 4.36 fields at 48^3,
-    # where the unblocked kernel took 6.0; one block covers a 24^3 box
-    g = make_grid(radius=6.0, n=n)
+    # scratch buffer of one block and a hop buffer of one window, the block
+    # and the triple hop behind it, plus numpy's per-call bookkeeping: 4.36
+    # fields at 48^3, where the unblocked kernel took 6.0; one block covers a
+    # 24^3 box, and on axis 0 of the last two boxes 2 s, then s, exceeds a block
+    g = Grid3(dims, 12.0 / (max(dims) - 1))
     H = Hamiltonian.from_model(bench_model(), g, 0.7)
     rng = np.random.default_rng(2)
     u = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
     held = sum(p.nbytes for p in H.links)
     blk = min(fields._BLOCK, u.size)
-    buffers = (blk + min(u.size, blk + 3 * n * n, 3 * blk)) * u.itemsize
+    buffers = (blk + min(u.size, blk + 3 * dims[1] * dims[2])) * u.itemsize
     assert held + _traced_peak(H.apply, u) <= 4 * u.nbytes + buffers + 4096
 
 
@@ -392,6 +396,16 @@ def test_diamagnetic_slack_traces_at_most_one_field():
     rng = np.random.default_rng(4)
     u = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
     assert _traced_peak(H.diamagnetic_slack, u) <= u.nbytes
+
+
+def test_from_model_traces_at_most_6_6_fields():
+    # the three hops, V, K and the mask: 4.5 complex 48^3 fields held, and
+    # 6.08 traced with each axis's phases built in one complex buffer and
+    # each shifted coordinate freed after its node, where exp(-1j * theta)
+    # traced 7.5
+    g = make_grid(radius=9.0, n=48)
+    field = 16 * g.dims[0] * g.dims[1] * g.dims[2]
+    assert _traced_peak(Hamiltonian.from_model, bench_model(), g, 1.0) <= 6.6 * field
 
 
 @pytest.mark.parametrize("dims", [(48, 48, 48), (37, 20, 61)])
